@@ -151,18 +151,47 @@ def rr_select_k2(d: np.ndarray, k2_range: tuple[int, int]) -> tuple[int, np.ndar
     return best, scores
 
 
-def _objective(affs, fro2, s, f, alpha, beta, lam, gamma):
-    fit = sum(a_l * float(np.vdot(a, s)) for a_l, a in zip(alpha, affs))
-    quad = 0.5 * float(alpha @ fro2)
-    s_sym = 0.5 * (s + s.T)
-    trace_term = float(np.trace(f.T @ f) - np.vdot(f @ f.T, s_sym))
+# One BLAS pool in the fusion loop: sym_eig uses scipy's own OpenBLAS, and numpy
+# BLAS calls here (@, vdot) made three_stage_fuse at n = 600 take 30-35 s instead
+# of 13 s on 2 cores, so these functions use np.einsum, which does not call BLAS.
+
+
+def _objective(ips, fro2, s, s_sym, f, ff, alpha, beta, lam, gamma):
+    """Objective from the step's products: ips[l] = <A_l, S>,
+    fro2[l] = ||A_l||_F^2, s_sym = sym(S), ff = F F'."""
+    fit = sum(a_l * ip for a_l, ip in zip(alpha, ips))
+    quad = 0.5 * float(np.sum(alpha * fro2))
+    trace_term = float(np.einsum("ij,ij->", f, f) - np.einsum("ij,ij->", ff, s_sym))
     ent = float(np.sum(np.where(alpha > 0.0, alpha * np.log(np.maximum(alpha, 1e-300)), 0.0)))
-    return -fit + quad + beta * float(np.vdot(s, s)) + lam * trace_term + gamma * ent
+    return -fit + quad + beta * float(np.einsum("ij,ij->", s, s)) + lam * trace_term + gamma * ent
 
 
-def fuse_affinities(affinities: list[np.ndarray], config: FusionConfig) -> FusionState:
+def _uniform_start(affs: list[np.ndarray], c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Starting point of a fusion step, independent of gamma and k2: the
+    row-projected uniform-weight mean affinity S and the c bottom
+    eigenvectors F of I - sym(S)."""
+    alpha = np.full(len(affs), 1.0 / len(affs))
+    s = backend.project_rows(sum(a_l * a for a_l, a in zip(alpha, affs)))
+    _, f = sym_eig(np.eye(s.shape[0]) - 0.5 * (s + s.T), c, which="smallest")
+    return s, f
+
+
+def _inner_products(affs, s):
+    return np.array([float(np.einsum("ij,ij->", a, s)) for a in affs])
+
+
+def fuse_affinities(
+    affinities: list[np.ndarray],
+    config: FusionConfig,
+    start: tuple[np.ndarray, np.ndarray] | None = None,
+) -> FusionState:
     """Fuse affinity networks into one row-stochastic matrix by exact
-    alternating minimization."""
+    alternating minimization.
+
+    ``start`` is the (S, F) pair ``_uniform_start`` returns for the same
+    affinities and ``config.c``; it is computed here when omitted, so
+    callers fusing the same affinities under several configs can share it.
+    """
     if len(affinities) < 1:
         raise ValueError("need at least one affinity matrix")
     affs = [np.asarray(a, dtype=np.float64) for a in affinities]
@@ -174,34 +203,42 @@ def fuse_affinities(affinities: list[np.ndarray], config: FusionConfig) -> Fusio
             raise ValueError("affinity matrices must be finite")
     if config.c > n:
         raise ValueError(f"c={config.c} exceeds sample count {n}")
+    if start is None:
+        s, f = _uniform_start(affs, config.c)
+    else:
+        s, f = start
+        if s.shape != (n, n) or f.shape != (n, config.c):
+            raise ValueError(f"start must be an {n}x{n} network and an {n}x{config.c} factor")
 
     L = len(affs)
     beta = config.gamma
     lam = float(config.trace_weight)
     gamma = config.gamma
-    fro2 = np.array([float(np.vdot(a, a)) for a in affs])
+    fro2 = np.array([float(np.einsum("ij,ij->", a, a)) for a in affs])
 
     alpha = np.full(L, 1.0 / L)
-    mean_aff = sum(a_l * a for a_l, a in zip(alpha, affs))
-    s = backend.project_rows(mean_aff)
     eye = np.eye(n)
-    _, f = sym_eig(eye - 0.5 * (s + s.T), config.c, which="smallest")
+    s_sym = 0.5 * (s + s.T)
+    ff = np.einsum("ik,jk->ij", f, f)
+    ips = _inner_products(affs, s)
 
-    trace = [_objective(affs, fro2, s, f, alpha, beta, lam, gamma)]
+    trace = [_objective(ips, fro2, s, s_sym, f, ff, alpha, beta, lam, gamma)]
     converged = False
     for it in range(config.max_iter):
         # S rows: argmin beta||s||^2 - <w, s> over the simplex
-        w = sum(a_l * a for a_l, a in zip(alpha, affs)) + lam * (f @ f.T)
+        w = sum(a_l * a for a_l, a in zip(alpha, affs)) + lam * ff
         s = backend.project_rows(w / (2.0 * beta))
+        s_sym = 0.5 * (s + s.T)
 
         # F: c bottom eigenvectors of I - sym(S)
-        _, f = sym_eig(eye - 0.5 * (s + s.T), config.c, which="smallest")
+        _, f = sym_eig(eye - s_sym, config.c, which="smallest")
+        ff = np.einsum("ik,jk->ij", f, f)
 
         # alpha: entropic closed form
-        errs = np.array([-float(np.vdot(a, s)) for a in affs]) + 0.5 * fro2
-        alpha = closed_form_alpha(errs, gamma)
+        ips = _inner_products(affs, s)
+        alpha = closed_form_alpha(0.5 * fro2 - ips, gamma)
 
-        obj = _objective(affs, fro2, s, f, alpha, beta, lam, gamma)
+        obj = _objective(ips, fro2, s, s_sym, f, ff, alpha, beta, lam, gamma)
         if not np.isfinite(obj):
             raise NumericalFailure(f"fusion objective became non-finite at iteration {it + 1}")
         prev = trace[-1]
@@ -323,12 +360,17 @@ def three_stage_fuse(
     lo, hi = _clamp_range(stage3_k2_range, n, "stage 3")
     selected_k2, _ = rr_select_k2(d3, (lo, hi))
 
+    try:
+        start = _uniform_start([re1, re2], c)
+    except NumericalFailure as exc:
+        raise NumericalFailure(f"stage 3 start: {exc}") from exc
+
     candidates: list[CandidateRecord] = []
     for k2 in range(lo, hi + 1):
         gamma = max(gamma_from_neighbors(d3, k2), GAMMA_FLOOR)
         try:
             cfg = FusionConfig(c=c, gamma=gamma, k2=k2, max_iter=max_iter, tol=tol)
-            state = fuse_affinities([re1, re2], cfg)
+            state = fuse_affinities([re1, re2], cfg, start=start)
             candidates.append(
                 CandidateRecord(
                     k2=k2,

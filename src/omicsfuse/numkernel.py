@@ -1,8 +1,9 @@
 """Shared numeric primitives: thin SVD, symmetric eigenpairs, simplex
 projection, and the chi-square survival function.
 
-Thin wrappers with a stable error taxonomy so callers never touch
-numpy.linalg exceptions directly.
+Thin wrappers over numpy.linalg, scipy.linalg (the partial symmetric
+eigensolve) and scipy.special, with a stable error taxonomy so callers
+never touch their exceptions directly.
 """
 
 from __future__ import annotations
@@ -53,8 +54,10 @@ def svd_thin(a: np.ndarray) -> SvdFactors:
 def sym_eig(a: np.ndarray, c: int, which: str = "smallest") -> tuple[np.ndarray, np.ndarray]:
     """c eigenpairs of the symmetrized (a + a.T)/2.
 
-    Returns (values, vectors) with vectors in columns; values ascending for
-    ``which="smallest"``, descending for ``which="largest"``.
+    Only the c requested pairs are computed (LAPACK's MRRR routine
+    ``dsyevr``).  Returns (values, vectors) with vectors in columns; values
+    ascending for ``which="smallest"``, descending for ``which="largest"``.
+    Non-finite entries raise NumericalFailure.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -64,15 +67,23 @@ def sym_eig(a: np.ndarray, c: int, which: str = "smallest") -> tuple[np.ndarray,
         raise ValueError(f"sym_eig: c={c} outside [1, {n}]")
     if which not in ("smallest", "largest"):
         raise ValueError(f"sym_eig: which must be 'smallest' or 'largest', got {which!r}")
+    # imported here to keep scipy.linalg off the `import omicsfuse` path
+    from scipy import linalg
+
     sym = 0.5 * (a + a.T)
+    if not np.all(np.isfinite(sym)):
+        raise NumericalFailure(f"eigendecomposition of a {n}x{n} matrix with non-finite entries")
+    lo = 0 if which == "smallest" else n - c
     try:
-        vals, vecs = np.linalg.eigh(sym)
+        vals, vecs = linalg.eigh(
+            sym, subset_by_index=[lo, lo + c - 1], driver="evr",
+            overwrite_a=True, check_finite=False,
+        )
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition failed for a {n}x{n} matrix") from exc
     if which == "smallest":
-        return vals[:c], vecs[:, :c]
-    order = np.arange(n - 1, n - 1 - c, -1)
-    return vals[order], vecs[:, order]
+        return vals, vecs
+    return vals[::-1], vecs[:, ::-1]
 
 
 def project_row_simplex(v: np.ndarray) -> np.ndarray:

@@ -89,6 +89,20 @@ def test_lloyd_parity():
         np.testing.assert_allclose(wa, wb, rtol=1e-9)
 
 
+def test_lloyd_numpy_matches_python_reference():
+    # same cases as test_lloyd_parity, against the plain-Python loop kernel
+    rng = np.random.default_rng(29)
+    for _ in range(15):
+        n, p, k = int(rng.integers(5, 50)), int(rng.integers(1, 8)), int(rng.integers(1, 5))
+        x = rng.normal(size=(n, p))
+        centroids = x[rng.choice(n, size=k, replace=False)]
+        la, ca, wa = backend.lloyd_numpy(x, centroids, 100, 1e-10)
+        lb, cb, wb = backend._lloyd_python(x, centroids, 100, 1e-10)
+        assert np.array_equal(la, lb)
+        np.testing.assert_allclose(ca, cb, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(wa, wb, rtol=1e-9)
+
+
 def test_lloyd_repairs_empty_clusters():
     # duplicate starting centroids force an initially empty cluster
     rng = np.random.default_rng(3)

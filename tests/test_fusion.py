@@ -7,9 +7,13 @@ so n = 3 cannot carry it), and profile (1, 2, 4, 8, 20) at n = 6 through
 a round-robin pairing where each round gets one value.
 """
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
+from omicsfuse import fusion
 from omicsfuse.clustering import Partition, ari, kmeans_pp
 from omicsfuse.errors import NumericalFailure
 from omicsfuse.fusion import (
@@ -377,7 +381,45 @@ class TestThreeStage:
         with pytest.raises(ValueError, match="stage 3"):
             three_stage_fuse([a] * 3, [a] * 6, cluster_count=2, stage3_k2_range=(50, 60))
 
+    def test_stage3_candidates_match_standalone_fusion(self):
+        # the shared uniform-weight start gives each candidate exactly what
+        # a standalone fusion of the re-kernelized stage outputs gives
+        n, k1 = 16, 5
+        res = three_stage_fuse(random_affinities(n, 3, 51), random_affinities(n, 6, 52),
+                               cluster_count=3, stage3_k2_range=(2, 7), k1=k1)
+        re1 = rekernelize(res.stage1.state.s, k1)
+        re2 = rekernelize(res.stage2.state.s, k1)
+        assert [c.k2 for c in res.candidates] == list(range(2, 8))
+        for cand in res.candidates:
+            cfg = FusionConfig(c=res.eigenvector_count, gamma=cand.gamma, k2=cand.k2)
+            alone = fuse_affinities([re1, re2], cfg)
+            assert np.array_equal(cand.s, alone.s)
+            assert np.array_equal(cand.objective, alone.objective_trace[-1])
+            assert cand.n_iter == len(alone.objective_trace) - 1
+
     def test_failed_candidate_is_recorded(self):
         rec = CandidateRecord(k2=5, gamma=1.0, s=None, alpha=None,
                               objective=np.nan, n_iter=0, error="boom")
         assert rec.error == "boom"
+
+
+# functions run inside the fusion loop, between eigensolves
+SINGLE_POOL_FUNCTIONS = ("fuse_affinities", "_objective", "_inner_products")
+NUMPY_BLAS_NAMES = {"vdot", "dot", "matmul", "linalg"}
+
+
+def test_fusion_loop_makes_no_numpy_blas_call():
+    # scipy's eigensolver runs its own OpenBLAS pool; a numpy BLAS call in
+    # the loop makes the two pools contend for the cores
+    tree = ast.parse(inspect.getsource(fusion))
+    funcs = [node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name in SINGLE_POOL_FUNCTIONS]
+    assert sorted(f.name for f in funcs) == sorted(SINGLE_POOL_FUNCTIONS)
+    for func in funcs:
+        for node in ast.walk(func):
+            assert not isinstance(getattr(node, "op", None), ast.MatMult), (
+                f"{func.name}: '@' at line {node.lineno}")
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "np"):
+                assert node.attr not in NUMPY_BLAS_NAMES, (
+                    f"{func.name}: np.{node.attr} at line {node.lineno}")

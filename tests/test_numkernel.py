@@ -1,5 +1,8 @@
 """Shared numeric primitives against independent oracles."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -88,6 +91,73 @@ class TestSymEig:
             sym_eig(np.eye(3), 4)
         with pytest.raises(ValueError):
             sym_eig(np.eye(3), 0)
+
+    @staticmethod
+    def _check_against_full(a, c, which):
+        """Compare with the full np.linalg.eigh; the projector F F' is
+        compared only where a spectral gap makes it unique.  Returns
+        whether it was."""
+        n = a.shape[0]
+        vals, vecs = sym_eig(a, c, which=which)
+        full_vals, full_vecs = np.linalg.eigh(0.5 * (a + a.T))
+        idx = np.arange(c) if which == "smallest" else np.arange(n - 1, n - 1 - c, -1)
+        np.testing.assert_allclose(vals, full_vals[idx], rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(vecs.T @ vecs, np.eye(c), atol=1e-10)
+        ends = full_vals if which == "smallest" else full_vals[::-1]
+        gapped = c == n or abs(ends[c] - ends[c - 1]) > 1e-3
+        if gapped:
+            ref = full_vecs[:, idx]
+            np.testing.assert_allclose(vecs @ vecs.T, ref @ ref.T, rtol=0.0, atol=1e-8)
+        return gapped
+
+    def test_partial_matches_full_eigh(self):
+        rng = np.random.default_rng(22)
+        for n, c in [(8, 1), (12, 3), (40, 5), (90, 4), (6, 6)]:
+            a = rng.normal(size=(n, n))
+            for which in ("smallest", "largest"):
+                self._check_against_full(a, c, which)
+
+    def test_repeated_top_eigenvalue_of_block_stochastic(self):
+        # three connected symmetric doubly-stochastic blocks: eigenvalue 1
+        # of S (0 of I - S) has multiplicity 3, then a gap
+        rng = np.random.default_rng(23)
+        s = np.zeros((18, 18))
+        start = 0
+        for m in (5, 7, 6):
+            perms = [np.eye(m)[rng.permutation(m)] for _ in range(4)]
+            q = sum(w * p for w, p in zip(rng.dirichlet(np.ones(4)), perms))
+            s[start:start + m, start:start + m] = 0.5 * (0.5 * (q + q.T) + 1.0 / m)
+            start += m
+        np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-12)
+        vals, _ = sym_eig(s, 3, which="largest")
+        np.testing.assert_allclose(vals, 1.0, atol=1e-10)
+        for a, which in ((s, "largest"), (np.eye(18) - s, "smallest")):
+            assert not self._check_against_full(a, 2, which)
+            assert self._check_against_full(a, 3, which)
+            self._check_against_full(a, 4, which)
+
+    def test_non_finite_input_is_numerical_failure(self):
+        a = np.eye(3)
+        a[0, 1] = np.inf
+        with pytest.raises(NumericalFailure):
+            sym_eig(a, 1)
+
+    def test_scipy_linalg_not_imported_with_package(self):
+        # sym_eig imports scipy.linalg on first use, keeping package import fast
+        code = "import sys, omicsfuse; print('scipy.linalg' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_lapack_failure_is_numerical_failure(self, monkeypatch):
+        import scipy.linalg
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", fail)
+        with pytest.raises(NumericalFailure, match="eigendecomposition failed"):
+            sym_eig(np.eye(3), 1)
 
 
 class TestSimplexProjection:
