@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .errors import NumericalFailure
+from .errors import DegenerateInputError, NumericalFailure
 
 VARIANCE_FLOOR = 1e-6
 WEIGHT_CUTOFF = 1e-3
@@ -105,7 +105,7 @@ def fit_bayesian_gmm(
     if max_components < 1:
         raise ValueError(f"max_components must be >= 1, got {max_components}")
     if n < max_components:
-        raise ValueError(f"need at least {max_components} samples, got {n}")
+        raise DegenerateInputError(f"need at least {max_components} samples, got {n}")
 
     M = max_components
     alpha0 = 1.0 / M

@@ -92,13 +92,49 @@ class CandidateRecord:
 
 
 @dataclass
+class Stage3Inputs:
+    """What fusing a stage-3 candidate reads: the re-kernelized stage outputs,
+    their shared start, their sorted step distances, settings and k2 grid."""
+
+    affinities: list[np.ndarray]
+    start: tuple[np.ndarray, np.ndarray]
+    sorted_distances: np.ndarray
+    c: int
+    max_iter: int
+    tol: float
+    k2_range: tuple[int, int]
+
+
+@dataclass
 class ThreeStageResult:
+    """Both scheduled stages and stage 3.  ``selected`` is the rr-selected
+    stage-3 candidate and backs ``s_final``; ``candidates``, one record per
+    k2 of the stage-3 grid, is fused on first read and then cached."""
+
     stage1: StageRecord
     stage2: StageRecord
-    candidates: list[CandidateRecord] = field(default_factory=list)
-    selected_k2: int = 0
-    s_final: np.ndarray | None = None
-    eigenvector_count: int = 0
+    selected: CandidateRecord
+    stage3: Stage3Inputs
+    eigenvector_count: int
+    _candidates: list[CandidateRecord] | None = field(default=None, init=False, repr=False)
+
+    @property
+    def selected_k2(self) -> int:
+        return self.selected.k2
+
+    @property
+    def s_final(self) -> np.ndarray:
+        return self.selected.s
+
+    @property
+    def candidates(self) -> list[CandidateRecord]:
+        if self._candidates is None:
+            lo, hi = self.stage3.k2_range
+            self._candidates = [
+                self.selected if k2 == self.selected.k2 else _fuse_candidate(self.stage3, k2)
+                for k2 in range(lo, hi + 1)
+            ]
+        return self._candidates
 
 
 def eigenvector_count(cluster_count: int) -> int:
@@ -109,38 +145,37 @@ def eigenvector_count(cluster_count: int) -> int:
     return 3 if cluster_count == 2 else cluster_count
 
 
-def _sorted_offdiag(d: np.ndarray) -> np.ndarray:
-    """Rows of d with the diagonal removed, each sorted ascending."""
+def _sorted_distances(d: np.ndarray) -> np.ndarray:
+    """Rows of the checked distance matrix d with the diagonal removed,
+    each sorted ascending."""
+    d = check_distance_matrix(d)
     n = d.shape[0]
     off = d[~np.eye(n, dtype=bool)].reshape(n, n - 1)
     return np.sort(off, axis=1)
+
+
+def _gap_scale(s: np.ndarray, k2: int) -> float:
+    n = s.shape[0]
+    if not 1 <= k2 <= n - 2:
+        raise ValueError(f"k2={k2} outside [1, {n - 2}]")
+    gap = k2 * s[:, k2] ** 2 - (s[:, :k2] ** 2).sum(axis=1)
+    return float(gap.mean())
 
 
 def gamma_from_neighbors(d: np.ndarray, k2: int) -> float:
     """Neighborhood-gap scale: mean over samples of
     sum_{n<=k2} (s_{j,k2+1}^2 - s_{j,n}^2) on ascending sorted off-diagonal
     distances."""
-    d = check_distance_matrix(d)
-    n = d.shape[0]
-    if not 1 <= k2 <= n - 2:
-        raise ValueError(f"k2={k2} outside [1, {n - 2}]")
-    s = _sorted_offdiag(d)
-    gap = k2 * s[:, k2] ** 2 - (s[:, :k2] ** 2).sum(axis=1)
-    return float(gap.mean())
+    return _gap_scale(_sorted_distances(d), k2)
 
 
-def rr_select_k2(d: np.ndarray, k2_range: tuple[int, int]) -> tuple[int, np.ndarray]:
-    """Scan candidate neighbor counts and score each by
-    rr(i) = mean_j (i * s_{j,i+1} - sum_{l=2}^{i+1} s_{j,l}) / 2;
-    returns (argmax, scores), smallest index on ties."""
-    d = check_distance_matrix(d)
-    n = d.shape[0]
+def _rr_scan(s: np.ndarray, k2_range: tuple[int, int]) -> tuple[int, np.ndarray]:
+    n = s.shape[0]
     lo, hi = int(k2_range[0]), int(k2_range[1])
     if lo > hi:
         raise ValueError(f"empty k2 range [{lo}, {hi}]")
     if lo < 2 or hi > n - 2:
         raise ValueError(f"k2 range [{lo}, {hi}] outside [2, {n - 2}]")
-    s = _sorted_offdiag(d)
     csum = np.cumsum(s, axis=1)
     scores = np.empty(hi - lo + 1)
     for pos, i in enumerate(range(lo, hi + 1)):
@@ -149,6 +184,13 @@ def rr_select_k2(d: np.ndarray, k2_range: tuple[int, int]) -> tuple[int, np.ndar
         scores[pos] = float((i * s[:, i] - tail).mean() / 2.0)
     best = lo + int(np.argmax(scores))
     return best, scores
+
+
+def rr_select_k2(d: np.ndarray, k2_range: tuple[int, int]) -> tuple[int, np.ndarray]:
+    """Scan candidate neighbor counts and score each by
+    rr(i) = mean_j (i * s_{j,i+1} - sum_{l=2}^{i+1} s_{j,l}) / 2;
+    returns (argmax, scores), smallest index on ties."""
+    return _rr_scan(_sorted_distances(d), k2_range)
 
 
 # One BLAS pool in the fusion loop: sym_eig uses scipy's own OpenBLAS, and numpy
@@ -302,10 +344,10 @@ def _fuse_stage(
 ) -> StageRecord:
     n = affs[0].shape[0]
     lo, hi = _clamp_range(k2_range, n, stage)
-    d = step_distance(affs)
     try:
-        k2, rr = rr_select_k2(d, (lo, hi))
-        gamma = max(gamma_from_neighbors(d, k2), GAMMA_FLOOR)
+        s = _sorted_distances(step_distance(affs))
+        k2, rr = _rr_scan(s, (lo, hi))
+        gamma = max(_gap_scale(s, k2), GAMMA_FLOOR)
         cfg = FusionConfig(c=c, gamma=gamma, k2=k2, max_iter=max_iter, tol=tol)
         state = fuse_affinities(affs, cfg)
     except (NumericalFailure, ValueError) as exc:
@@ -331,8 +373,10 @@ def three_stage_fuse(
     tol: float = 1e-6,
 ) -> ThreeStageResult:
     """Fuse the three within-dataset networks, the six cross-dataset
-    networks, and then their re-kernelized outputs, scanning the stage-3
-    neighbor count over ``stage3_k2_range`` and keeping every candidate."""
+    networks, and then their re-kernelized outputs.  The stage-3 neighbor
+    count is rr-selected over ``stage3_k2_range`` and only that candidate is
+    fused here; the result's ``candidates`` fuses the rest of the grid when
+    first read."""
     if len(intra) != 3:
         raise ValueError(f"expected 3 intra-dataset affinities, got {len(intra)}")
     if len(inter) != 6:
@@ -356,47 +400,37 @@ def three_stage_fuse(
     except (NumericalFailure, ValueError) as exc:
         raise type(exc)(f"stage 3 re-kernelization: {exc}") from exc
 
-    d3 = step_distance([re1, re2])
+    d3 = _sorted_distances(step_distance([re1, re2]))
     lo, hi = _clamp_range(stage3_k2_range, n, "stage 3")
-    selected_k2, _ = rr_select_k2(d3, (lo, hi))
+    selected_k2, _ = _rr_scan(d3, (lo, hi))
 
     try:
         start = _uniform_start([re1, re2], c)
     except NumericalFailure as exc:
         raise NumericalFailure(f"stage 3 start: {exc}") from exc
 
-    candidates: list[CandidateRecord] = []
-    for k2 in range(lo, hi + 1):
-        gamma = max(gamma_from_neighbors(d3, k2), GAMMA_FLOOR)
-        try:
-            cfg = FusionConfig(c=c, gamma=gamma, k2=k2, max_iter=max_iter, tol=tol)
-            state = fuse_affinities([re1, re2], cfg, start=start)
-            candidates.append(
-                CandidateRecord(
-                    k2=k2,
-                    gamma=gamma,
-                    s=state.s,
-                    alpha=state.alpha,
-                    objective=float(state.objective_trace[-1]),
-                    n_iter=len(state.objective_trace) - 1,
-                )
-            )
-        except NumericalFailure as exc:
-            candidates.append(
-                CandidateRecord(
-                    k2=k2, gamma=gamma, s=None, alpha=None, objective=np.nan, n_iter=0,
-                    error=f"stage 3 candidate k2={k2}: {exc}",
-                )
-            )
-
-    chosen = next(c_ for c_ in candidates if c_.k2 == selected_k2)
-    if chosen.s is None:
-        raise NumericalFailure(chosen.error or f"stage 3: selected candidate k2={selected_k2} failed")
-    return ThreeStageResult(
-        stage1=stage1,
-        stage2=stage2,
-        candidates=candidates,
-        selected_k2=selected_k2,
-        s_final=chosen.s,
-        eigenvector_count=c,
+    stage3 = Stage3Inputs(
+        affinities=[re1, re2], start=start, sorted_distances=d3,
+        c=c, max_iter=max_iter, tol=tol, k2_range=(lo, hi),
     )
+    selected = _fuse_candidate(stage3, selected_k2)
+    if selected.s is None:
+        raise NumericalFailure(selected.error)
+    return ThreeStageResult(
+        stage1=stage1, stage2=stage2, selected=selected, stage3=stage3, eigenvector_count=c
+    )
+
+
+def _fuse_candidate(stage3: Stage3Inputs, k2: int) -> CandidateRecord:
+    """Fuse one stage-3 candidate; a numerical failure is recorded, not raised."""
+    gamma = max(_gap_scale(stage3.sorted_distances, k2), GAMMA_FLOOR)
+    try:
+        cfg = FusionConfig(c=stage3.c, gamma=gamma, k2=k2,
+                           max_iter=stage3.max_iter, tol=stage3.tol)
+        state = fuse_affinities(stage3.affinities, cfg, start=stage3.start)
+    except NumericalFailure as exc:
+        return CandidateRecord(k2=k2, gamma=gamma, s=None, alpha=None, objective=np.nan,
+                               n_iter=0, error=f"stage 3 candidate k2={k2}: {exc}")
+    return CandidateRecord(k2=k2, gamma=gamma, s=state.s, alpha=state.alpha,
+                           objective=float(state.objective_trace[-1]),
+                           n_iter=len(state.objective_trace) - 1)

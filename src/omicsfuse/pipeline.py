@@ -16,7 +16,7 @@ from .affinity import affinity_from_distance, euclidean_distance_matrix
 from .bgmm import fit_bayesian_gmm
 from .cca import all_directed_pair_distances
 from .clustering import Partition, SweepRow, ari, kmeans_pp, nmi, sweep_k2_metrics
-from .errors import AlignmentError
+from .errors import AlignmentError, DegenerateInputError
 from .fusion import ThreeStageResult, eigenvector_count, three_stage_fuse
 from .numkernel import sym_eig
 from .preprocess import (
@@ -55,8 +55,11 @@ class PipelineConfig:
     def __post_init__(self):
         if self.cluster_on not in CLUSTER_INPUTS:
             raise ValueError(f"cluster_on must be one of {CLUSTER_INPUTS}, got {self.cluster_on!r}")
-        if self.transform not in ("yeo_johnson", "box_cox"):
-            raise ValueError(f"transform must be yeo_johnson or box_cox, got {self.transform!r}")
+        if self.transform != "yeo_johnson":
+            raise ValueError(
+                f"transform must be yeo_johnson, got {self.transform!r}: the pipeline"
+                " z-scores before the power transform, and box_cox needs positive values"
+            )
         if not 0.0 < self.cumulative_target <= 1.0:
             raise ValueError(f"cumulative_target must be in (0, 1], got {self.cumulative_target}")
         if self.clusters < 2:
@@ -203,6 +206,8 @@ def run_pipeline(
     matrix's sample order."""
     config = config or PipelineConfig()
     omics, records = align_inputs(omics, records)
+    if records is not None and not any(r.event for r in records):
+        raise DegenerateInputError("no observed events in any group")
     order = omics[0].sample_ids
     if true_labels is not None and true_labels.n != len(order):
         raise AlignmentError(

@@ -277,6 +277,35 @@ def test_zero_events_exit_three(tmp_path, data_dir, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_all_censored_pipeline_exits_three_before_writing(tmp_path, data_dir, capsys):
+    flat = tmp_path / "noevents.csv"
+    text = (data_dir / "survival.csv").read_text(encoding="utf-8")
+    flat.write_text(text.replace(",1\n", ",0\n"), encoding="utf-8")
+    out = tmp_path / "out"
+    code = run_pipeline_cli(data_dir, out, extra=["--survival", str(flat)])
+    assert code == 3
+    assert "no observed events" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_too_few_samples_for_bgmm_exits_three(tmp_path, capsys):
+    data = tmp_path / "tiny"
+    main(["synth", "--n", "8", "--k", "2", "--dims", "6,5,5", "--seed", "1",
+          "--outdir", str(data)])
+    code = run_pipeline_cli(data, tmp_path / "out", extra=["--clusters", "2"])
+    assert code == 3
+    assert "need at least 10 samples, got 8" in capsys.readouterr().err
+
+
+def test_box_cox_exits_one_before_reading_inputs(tmp_path, capsys):
+    missing = str(tmp_path / "absent.csv")
+    code = main(["pipeline", "--gene-expression", missing, "--mirna", missing,
+                 "--methylation", missing, "--survival", missing,
+                 "--transform", "box_cox", "--outdir", str(tmp_path / "out")])
+    assert code == 1
+    assert "z-scores before the power transform" in capsys.readouterr().err
+
+
 def test_unreadable_input_exits_four(tmp_path, data_dir):
     code = main(["metrics", "--labels", str(data_dir / "labels.csv"),
                  "--reference", str(tmp_path / "nope.csv"),

@@ -9,9 +9,12 @@ a round-robin pairing where each round gets one value.
 
 import ast
 import inspect
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omicsfuse import fusion
 from omicsfuse.clustering import Partition, ari, kmeans_pp
@@ -175,6 +178,40 @@ class TestRrSelect:
             rr_select_k2(d, (1, 6))
         with pytest.raises(ValueError):
             rr_select_k2(d, (2, 9))
+
+
+@st.composite
+def dyadic_distance_matrices(draw, distinct):
+    # multiples of 1/64 keep every sum in the rr scan exact, so the scan's
+    # ordering is tested without rounding
+    n = draw(st.integers(5, 16))
+    m = n * (n - 1) // 2
+    if distinct:
+        values = draw(st.permutations(range(1, m + 1)))
+    else:
+        values = draw(st.lists(st.integers(0, 4096), min_size=m, max_size=m))
+    d = np.zeros((n, n))
+    d[np.triu_indices(n, 1)] = np.asarray(values) / 64.0
+    return d + d.T
+
+
+class TestRrScanOrdering:
+    # rr(i+1) - rr(i) = i * mean_j (s_{j,i+2} - s_{j,i+1}) / 2 >= 0 on sorted rows
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(d=dyadic_distance_matrices(distinct=False))
+    def test_scores_never_decrease(self, d):
+        n = d.shape[0]
+        _, scores = rr_select_k2(d, (2, n - 2))
+        assert np.all(np.diff(scores) >= 0.0)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(d=dyadic_distance_matrices(distinct=True))
+    def test_distinct_distances_select_range_top(self, d):
+        n = d.shape[0]
+        best, scores = rr_select_k2(d, (2, n - 2))
+        assert np.all(np.diff(scores) > 0.0)
+        assert best == n - 2
 
 
 class TestFuseAffinities:
@@ -396,6 +433,73 @@ class TestThreeStage:
             assert np.array_equal(cand.s, alone.s)
             assert np.array_equal(cand.objective, alone.objective_trace[-1])
             assert cand.n_iter == len(alone.objective_trace) - 1
+
+    def test_candidates_fused_on_first_read(self, monkeypatch):
+        n, k1 = 16, 5
+        intra, inter = random_affinities(n, 3, 51), random_affinities(n, 6, 52)
+        calls = []
+
+        def counting_fuse(affinities, config, start=None):
+            if len(affinities) == 2:
+                calls.append(config.k2)
+            return fuse_affinities(affinities, config, start=start)
+
+        monkeypatch.setattr(fusion, "fuse_affinities", counting_fuse)
+        res = three_stage_fuse(intra, inter, cluster_count=3, stage3_k2_range=(2, 7), k1=k1)
+        assert calls == [res.selected_k2]
+
+        cands = res.candidates
+        assert sorted(calls) == list(range(2, 8))
+        assert cands[res.selected_k2 - 2] is res.selected
+        assert res.selected.s is res.s_final
+        assert res.candidates is cands
+        assert len(calls) == 6
+
+        re1 = rekernelize(res.stage1.state.s, k1)
+        re2 = rekernelize(res.stage2.state.s, k1)
+        d3 = step_distance([re1, re2])
+        assert [c.k2 for c in cands] == list(range(2, 8))
+        for cand in cands:
+            gamma = max(gamma_from_neighbors(d3, cand.k2), fusion.GAMMA_FLOOR)
+            cfg = FusionConfig(c=res.eigenvector_count, gamma=gamma, k2=cand.k2)
+            eager = fuse_affinities([re1, re2], cfg)
+            assert cand.gamma == gamma
+            assert np.array_equal(cand.s, eager.s)
+            assert cand.objective == eager.objective_trace[-1]
+            assert cand.n_iter == len(eager.objective_trace) - 1
+            assert cand.error is None
+
+    def test_candidate_failures(self, monkeypatch):
+        a, _ = planted_two_block(14)
+        selected_k2 = three_stage_fuse([a] * 3, [a] * 6, cluster_count=2).selected_k2
+        other_k2 = 2 if selected_k2 != 2 else 3
+
+        def failing_fuse(fail_k2):
+            def fuse(affinities, config, start=None):
+                if len(affinities) == 2 and config.k2 == fail_k2:
+                    raise NumericalFailure("boom")
+                return fuse_affinities(affinities, config, start=start)
+            return fuse
+
+        monkeypatch.setattr(fusion, "fuse_affinities", failing_fuse(selected_k2))
+        with pytest.raises(NumericalFailure, match=f"stage 3 candidate k2={selected_k2}: boom"):
+            three_stage_fuse([a] * 3, [a] * 6, cluster_count=2)
+
+        monkeypatch.setattr(fusion, "fuse_affinities", failing_fuse(other_k2))
+        res = three_stage_fuse([a] * 3, [a] * 6, cluster_count=2)
+        failed = [c for c in res.candidates if c.error is not None]
+        assert [c.k2 for c in failed] == [other_k2]
+        assert failed[0].s is None and failed[0].error == f"stage 3 candidate k2={other_k2}: boom"
+
+    def test_result_pickles_before_and_after_candidates(self):
+        a, _ = planted_two_block(12)
+        res = three_stage_fuse([a] * 3, [a] * 6, cluster_count=2)
+        copy = pickle.loads(pickle.dumps(res))
+        assert np.array_equal(copy.s_final, res.s_final)
+        for mine, theirs in zip(res.candidates, copy.candidates):
+            assert mine.k2 == theirs.k2 and np.array_equal(mine.s, theirs.s)
+        again = pickle.loads(pickle.dumps(res))
+        assert [c.k2 for c in again.candidates] == [c.k2 for c in res.candidates]
 
     def test_failed_candidate_is_recorded(self):
         rec = CandidateRecord(k2=5, gamma=1.0, s=None, alpha=None,

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from omicsfuse import fusion, pipeline
 from omicsfuse.clustering import Partition
-from omicsfuse.errors import AlignmentError
+from omicsfuse.errors import AlignmentError, DegenerateInputError
 from omicsfuse.pipeline import PipelineConfig, align_inputs, run_pipeline
 from omicsfuse.preprocess import OmicsMatrix
 from omicsfuse.survival import SurvivalRecord
@@ -146,6 +147,35 @@ def test_runs_without_survival_or_labels(dataset):
     assert res.final_partition.k == 3
 
 
+def test_unlabeled_run_fuses_one_stage3_candidate(dataset, monkeypatch):
+    mats, _, recs = dataset
+    stage3_calls = []
+    fuse = fusion.fuse_affinities
+
+    def counting_fuse(affinities, config, start=None):
+        if len(affinities) == 2:
+            stage3_calls.append(config.k2)
+        return fuse(affinities, config, start=start)
+
+    monkeypatch.setattr(fusion, "fuse_affinities", counting_fuse)
+    res = run_pipeline(mats, recs, config=CONFIG)
+    assert stage3_calls == [res.fusion.selected_k2]
+    assert [c.k2 for c in res.fusion.candidates] == list(range(2, 11))
+    assert len(stage3_calls) == 9
+
+
+def test_all_censored_survival_fails_before_preprocessing(dataset, monkeypatch):
+    mats, _, recs = dataset
+    censored = [SurvivalRecord(r.sample_id, r.time, 0) for r in recs]
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("preprocessing ran on an all-censored survival file")
+
+    monkeypatch.setattr(pipeline, "preprocess_matrix", unreachable)
+    with pytest.raises(DegenerateInputError, match="no observed events"):
+        run_pipeline(mats, censored, config=CONFIG)
+
+
 def test_spectral_clustering_input(dataset):
     mats, labels, recs = dataset
     cfg = PipelineConfig(clusters=3, stage3_k2=(2, 10), cluster_on="spectral", seed=0)
@@ -178,6 +208,8 @@ def test_config_validation():
         PipelineConfig(k3_set=(3, 1))
     with pytest.raises(ValueError):
         PipelineConfig(transform="identity")
+    with pytest.raises(ValueError, match="z-scores before the power transform"):
+        PipelineConfig(transform="box_cox")
     with pytest.raises(ValueError):
         PipelineConfig(cumulative_target=1.5)
 
