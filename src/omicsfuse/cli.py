@@ -137,7 +137,7 @@ def build_parser() -> CliParser:
     p.add_argument("--config", help="flat key = value config file; flags override")
     p.add_argument("--zero-fraction-threshold", dest="zero_fraction_threshold", type=float)
     p.add_argument("--impute-k", dest="impute_k", type=int)
-    p.add_argument("--transform", choices=("yeo_johnson", "box_cox"))
+    p.add_argument("--transform", choices=("yeo_johnson",))
     p.add_argument("--cumulative-target", dest="cumulative_target", type=float)
     p.add_argument("--max-components", dest="max_components", type=int)
     p.add_argument("--k1", type=int)
@@ -206,8 +206,7 @@ def _align_labels_to(order: list[str], label_path) -> Partition:
 
 
 def _write_square_csv(path, ids: list[str], matrix: np.ndarray) -> None:
-    rows = [[sid, *(float(v) for v in row)] for sid, row in zip(ids, matrix)]
-    write_table_csv(path, ["sample_id", *ids], rows)
+    write_table_csv(path, ["sample_id", *ids], matrix, row_ids=ids)
 
 
 def _stage_payload(stage) -> dict:

@@ -130,12 +130,31 @@ def read_labels_csv(path) -> tuple[list[str], list[str]]:
     return sample_ids, labels
 
 
-def write_table_csv(path, header: list[str], rows) -> None:
-    """Flat numeric/text table; floats get 12 significant digits."""
+class _Lines(list):
+    """A file-like target that keeps each string csv.writer writes."""
+
+    write = list.append
+
+
+def write_table_csv(path, header: list[str], rows, row_ids=None) -> None:
+    """Flat numeric/text table; floats get 12 significant digits.  With
+    ``row_ids``, ``rows`` is a 2-D float array and each line is a row id
+    followed by that row's values, byte for byte as the generic path
+    writes them."""
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
+        if row_ids is not None:
+            leads = _Lines()
+            lead_writer = csv.writer(leads)
+            for rid in row_ids:
+                lead_writer.writerow([rid, ""])  # the id quoted as a leading cell
+            line = ",".join(["%.12g"] * rows.shape[1]) + "\r\n"
+            for lead, row in zip(leads, rows.tolist()):
+                # lead ends ",\r\n"; NaN is an empty cell, as _fmt writes it
+                fh.write(lead[:-2] + (line % tuple(row)).replace("nan", ""))
+            return
         for row in rows:
             writer.writerow(
                 [_fmt(v) if isinstance(v, (float, np.floating)) else v for v in row]

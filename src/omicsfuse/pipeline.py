@@ -78,6 +78,7 @@ class PreprocessReport:
     transform_method: str
     lambda_min: float
     lambda_max: float
+    power_grid_fallbacks: int
     selected_features: list[str]
     effective_components: int
 
@@ -181,6 +182,7 @@ def preprocess_matrix(
         transform_method=config.transform,
         lambda_min=float(params.lambdas.min()),
         lambda_max=float(params.lambdas.max()),
+        power_grid_fallbacks=params.grid_fallbacks,
         selected_features=list(selected.feature_ids),
         effective_components=model.effective_components,
     )

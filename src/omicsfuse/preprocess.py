@@ -92,6 +92,7 @@ class PowerTransformParams:
     method: str
     lambdas: np.ndarray
     feature_ids: list[str] = field(default_factory=list)
+    grid_fallbacks: int = 0  # features fitted on the 101-point grid
 
     def __post_init__(self):
         if self.method not in TRANSFORM_METHODS:
@@ -150,26 +151,21 @@ def knn_impute(x: OmicsMatrix, k: int | None = None) -> tuple[OmicsMatrix, int]:
         names = [x.feature_ids[i] for i in never]
         raise DegenerateInputError(f"features observed by no sample cannot be imputed: {names}")
 
-    n_missing = int(x.missing_mask.sum())
-    if n_missing == 0:
-        out = OmicsMatrix(
-            values=x.values.copy(),
-            sample_ids=list(x.sample_ids),
-            feature_ids=list(x.feature_ids),
-            kind=x.kind,
-            missing_mask=np.zeros_like(x.missing_mask),
-        )
-        return out, 0
-
-    dists = backend.masked_pairwise_dists(np.where(observed, x.values, 0.0), observed)
     values = x.values.copy()
-    for f in np.flatnonzero(x.missing_mask.any(axis=0)):
-        observers = np.flatnonzero(observed[:, f])
-        for i in np.flatnonzero(x.missing_mask[:, f]):
-            cand = observers
-            order = np.argsort(dists[i, cand], kind="stable")
-            donors = cand[order[:k]]
-            values[i, f] = x.values[donors, f].mean()
+    incomplete = np.flatnonzero(x.missing_mask.any(axis=1))
+    if incomplete.size:
+        dists = backend.masked_pairwise_dists(np.where(observed, x.values, 0.0), observed)
+    for i in incomplete:
+        # donors: the first k observers of the feature, nearest first, ties by index
+        order = np.argsort(dists[i], kind="stable")
+        feats = np.flatnonzero(x.missing_mask[i])
+        seen = observed[np.ix_(order, feats)].T
+        rank = np.cumsum(seen, axis=1)
+        full = rank[:, -1] >= k
+        pos = np.nonzero(seen[full] & (rank[full] <= k))[1].reshape(-1, k)
+        values[i, feats[full]] = x.values[order[pos], feats[full, None]].mean(axis=1)
+        for f in feats[~full]:  # fewer than k observers: all of them
+            values[i, f] = x.values[order[observed[order, f]], f].mean()
     out = OmicsMatrix(
         values=values,
         sample_ids=list(x.sample_ids),
@@ -177,7 +173,7 @@ def knn_impute(x: OmicsMatrix, k: int | None = None) -> tuple[OmicsMatrix, int]:
         kind=x.kind,
         missing_mask=np.zeros_like(x.missing_mask),
     )
-    return out, n_missing
+    return out, int(x.missing_mask.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -214,101 +210,143 @@ def zscore_standardize(x: OmicsMatrix) -> tuple[OmicsMatrix, list[str]]:
 # power transforms
 
 
-def _box_cox(col: np.ndarray, lam: float) -> np.ndarray:
-    if lam == 0.0:
-        return np.log(col)
-    return (np.power(col, lam) - 1.0) / lam
+def _split(rows: np.ndarray, method: str) -> list[tuple]:
+    """Gather the entries of a (features, samples) array once per transform
+    branch, as (flat positions, entries per row, base, log term, mirrored).
+    An entry maps to (base**mu - 1) / mu with mu = lam, or to its log term
+    where mu == 0.  Box-Cox: base x, log x.  Yeo-Johnson: base |x| + 1,
+    log1p |x|; the x < 0 branch is mirrored: mu = 2 - lam, result negated."""
+    p, n = rows.shape
+    flat = rows.ravel()
+    if method == "box_cox":
+        return [(np.arange(p * n), np.full(p, n), flat, np.log(flat), False)]
+    nonneg = flat >= 0.0
+    pos, neg = np.flatnonzero(nonneg), np.flatnonzero(~nonneg)
+    counts = nonneg.reshape(p, n).sum(axis=1)
+    xp, xn = flat[pos], -flat[neg]
+    return [(pos, counts, xp + 1.0, np.log1p(xp), False),
+            (neg, n - counts, xn + 1.0, np.log1p(xn), True)]
 
 
-def _yeo_johnson(col: np.ndarray, lam: float) -> np.ndarray:
-    out = np.empty_like(col)
-    pos = col >= 0.0
-    if lam == 0.0:
-        out[pos] = np.log1p(col[pos])
-    else:
-        out[pos] = (np.power(col[pos] + 1.0, lam) - 1.0) / lam
-    neg = ~pos
-    if lam == 2.0:
-        out[neg] = -np.log1p(-col[neg])
-    else:
-        out[neg] = -(np.power(-col[neg] + 1.0, 2.0 - lam) - 1.0) / (2.0 - lam)
-    return out
+def _transform(parts: list[tuple], shape: tuple[int, int], lam) -> np.ndarray:
+    """Transformed (features, samples) values at a scalar ``lam`` or at one
+    exponent per feature."""
+    lam = np.broadcast_to(lam, shape[:1])
+    y = np.empty(shape)
+    for index, counts, base, log_term, mirrored in parts:
+        mu = 2.0 - lam if mirrored else lam
+        per = np.repeat(mu, counts)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.power(base, per)
+            # numpy's power takes these exact shortcuts for a scalar exponent;
+            # taking them per feature keeps its values independent of the batch
+            for e, shortcut in ((2.0, np.square), (0.5, np.sqrt), (-1.0, np.reciprocal)):
+                if np.any(mu == e):
+                    vals[per == e] = shortcut(base[per == e])
+            vals = (vals - 1.0) / per
+        zero = per == 0.0
+        vals[zero] = log_term[zero]
+        y.reshape(-1)[index] = -vals if mirrored else vals
+    return y
 
 
-def _profile_loglik(col: np.ndarray, lam: float, method: str, jac_term: float) -> float:
-    y = _box_cox(col, lam) if method == "box_cox" else _yeo_johnson(col, lam)
-    if not np.all(np.isfinite(y)):
-        return -np.inf
-    var = y.var()  # MLE variance (n divisor)
-    n = col.shape[0]
-    return -0.5 * n * np.log(max(var, 1e-300)) + (lam - 1.0) * jac_term
+def _transform_columns(x, lam, method: str) -> np.ndarray:
+    """Each column of ``x`` (a 1-D ``x`` is one column) transformed at a
+    scalar ``lam`` or at one exponent per column."""
+    x = np.asarray(x, dtype=np.float64)
+    rows = np.ascontiguousarray(x.reshape(x.shape[0], -1).T)
+    y = _transform(_split(rows, method), rows.shape, lam)
+    return np.ascontiguousarray(y.T).reshape(x.shape)
 
 
-def _golden_max(fun, lo: float, hi: float, tol: float) -> float:
+def _box_cox(col: np.ndarray, lam) -> np.ndarray:
+    return _transform_columns(col, lam, "box_cox")
+
+
+def _yeo_johnson(col: np.ndarray, lam) -> np.ndarray:
+    return _transform_columns(col, lam, "yeo_johnson")
+
+
+def _loglik(parts: list[tuple], shape, jac: np.ndarray, lam) -> np.ndarray:
+    """Gaussian profile log-likelihood of every feature at ``lam``; -inf
+    where its transform is not finite."""
+    y = _transform(parts, shape, lam)
+    var = y.var(axis=1)  # MLE variance (n divisor)
+    ll = -0.5 * shape[1] * np.log(np.maximum(var, 1e-300)) + (lam - 1.0) * jac
+    ll[~np.isfinite(y).all(axis=1)] = -np.inf
+    return ll
+
+
+def _unimodal(probe: np.ndarray) -> np.ndarray:
+    """Per column of (points, features): non-strictly rising to a peak, then
+    non-strictly falling, up to a relative 1e-12."""
+    eps = 1e-12 * np.where(np.isfinite(probe), np.abs(probe), 0.0).max(axis=0, initial=1.0)
+    diffs = np.diff(probe, axis=0)
+    fallen = np.logical_or.accumulate(diffs < -eps, axis=0)
+    return ~(fallen & (diffs > eps)).any(axis=0)
+
+
+def _golden_lockstep(fun, lo: float, hi: float, p: int, tol: float) -> np.ndarray:
+    """Golden-section maxima of p functions at once; ``fun`` maps one point
+    per function to their p values.  Every function takes the same step at
+    the same time, and each stops once its own bracket is within ``tol``."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
+    a, b = np.full(p, lo), np.full(p, hi)
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
+    while (active := b - a > tol).any():
+        keep_left = fc >= fd
+        left, right = active & keep_left, active & ~keep_left
+        a, b = np.where(right, c, a), np.where(left, d, b)
+        c, d, fc, fd = (np.where(left, b - invphi * (b - a), np.where(right, d, c)),
+                        np.where(right, a + invphi * (b - a), np.where(left, c, d)),
+                        np.where(right, fd, fc), np.where(left, fc, fd))
+        new = fun(np.where(left, c, d))
+        fc, fd = np.where(left, new, fc), np.where(right, new, fd)
     return 0.5 * (a + b)
 
 
-def _is_unimodal(vals: np.ndarray) -> bool:
-    # non-strictly increasing to a peak, then non-strictly decreasing
-    eps = 1e-12 * max(1.0, float(np.abs(vals[np.isfinite(vals)]).max(initial=1.0)))
-    diffs = np.diff(vals)
-    rising = True
-    for d in diffs:
-        if rising:
-            if d < -eps:
-                rising = False
-        else:
-            if d > eps:
-                return False
-    return True
+def _require_positive(x: OmicsMatrix) -> None:
+    bad = np.flatnonzero((x.values <= 0.0).any(axis=0))
+    if bad.size:
+        raise DomainError(
+            f"box_cox requires strictly positive values; feature "
+            f"{x.feature_ids[bad[0]]!r} has minimum {x.values[:, bad[0]].min()}"
+        )
 
 
 def fit_power_transform(x: OmicsMatrix, method: str = "yeo_johnson") -> PowerTransformParams:
     """Per-feature exponent maximizing the Gaussian profile log-likelihood
-    over [-5, 5] (golden-section search; 101-point grid fallback when the
-    likelihood is not unimodal)."""
+    over [-5, 5]: golden-section search, or the best of a 101-point grid
+    (``grid_fallbacks``) where a 21-point probe is not unimodal.
+
+    All features are fitted at once; each likelihood evaluation takes one
+    exponent per feature.  The golden-section searches run in lockstep,
+    and each feature stops when its own bracket is within GOLDEN_TOL."""
     if method not in TRANSFORM_METHODS:
         raise ValueError(f"method must be one of {TRANSFORM_METHODS}, got {method!r}")
     if x.missing_mask.any():
         raise ValueError("fit_power_transform expects fully observed data; impute first")
+    if method == "box_cox":
+        _require_positive(x)
     lo, hi = LAMBDA_RANGE
-    lambdas = np.empty(x.n_features)
-    for j in range(x.n_features):
-        col = x.values[:, j]
-        if method == "box_cox":
-            if np.any(col <= 0.0):
-                raise DomainError(
-                    f"box_cox requires strictly positive values; feature "
-                    f"{x.feature_ids[j]!r} has minimum {col.min()}"
-                )
-            jac = float(np.log(col).sum())
-        else:
-            jac = float((np.sign(col) * np.log1p(np.abs(col))).sum())
-
-        def ll(lam, _col=col, _jac=jac):
-            return _profile_loglik(_col, lam, method, _jac)
-
-        probe = np.array([ll(l) for l in np.linspace(lo, hi, 21)])
-        if _is_unimodal(probe):
-            lambdas[j] = _golden_max(ll, lo, hi, GOLDEN_TOL)
-        else:
+    rows = np.ascontiguousarray(x.values.T)  # one feature per row
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_jac = np.log(rows) if method == "box_cox" else np.sign(rows) * np.log1p(np.abs(rows))
+        jac = log_jac.sum(axis=1)
+        parts = _split(rows, method)
+        probe = [_loglik(parts, rows.shape, jac, lam) for lam in np.linspace(lo, hi, 21)]
+        lambdas = _golden_lockstep(lambda lam: _loglik(parts, rows.shape, jac, lam),
+                                   lo, hi, rows.shape[0], GOLDEN_TOL)
+        fallback = np.flatnonzero(~_unimodal(np.array(probe)))
+        if fallback.size:
+            parts = _split(rows[fallback], method)
             grid = np.linspace(lo, hi, GRID_POINTS)
-            lambdas[j] = grid[int(np.argmax([ll(l) for l in grid]))]
-    return PowerTransformParams(method=method, lambdas=lambdas, feature_ids=list(x.feature_ids))
+            scores = [_loglik(parts, (fallback.size, rows.shape[1]), jac[fallback], lam)
+                      for lam in grid]
+            lambdas[fallback] = grid[np.argmax(scores, axis=0)]
+    return PowerTransformParams(method=method, lambdas=lambdas, feature_ids=list(x.feature_ids),
+                                grid_fallbacks=int(fallback.size))
 
 
 def apply_power_transform(x: OmicsMatrix, params: PowerTransformParams) -> OmicsMatrix:
@@ -322,19 +360,9 @@ def apply_power_transform(x: OmicsMatrix, params: PowerTransformParams) -> Omics
         )
     if params.feature_ids and params.feature_ids != x.feature_ids:
         raise ValueError("params were fitted on different features")
-    out = np.empty_like(x.values)
-    for j in range(x.n_features):
-        col = x.values[:, j]
-        lam = float(params.lambdas[j])
-        if params.method == "box_cox":
-            if np.any(col <= 0.0):
-                raise DomainError(
-                    f"box_cox requires strictly positive values; feature "
-                    f"{x.feature_ids[j]!r} has minimum {col.min()}"
-                )
-            out[:, j] = _box_cox(col, lam)
-        else:
-            out[:, j] = _yeo_johnson(col, lam)
+    if params.method == "box_cox":
+        _require_positive(x)
+    out = _transform_columns(x.values, params.lambdas, params.method)
     if not np.all(np.isfinite(out)):
         raise DomainError("power transform produced non-finite values")
     return OmicsMatrix(

@@ -8,6 +8,8 @@ enumeration, and survival p-values from label permutations.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import integrate, special
 
@@ -264,3 +266,120 @@ def logrank_permutation_p_fast(times, events, labels, n_perm: int, seed: int) ->
     perms = rng.permuted(np.tile(labels, (n_perm, 1)), axis=1)
     chi2 = logrank_chi2_two_group_batch(times, events, perms)
     return float(np.mean(chi2 >= observed))
+
+
+# -- per-column power-transform fit and KNN imputation -----------------------
+# The column-at-a-time code the batched versions in omicsfuse.preprocess
+# replaced; the batched results must equal these bit for bit.
+
+POWER_LAMBDA_RANGE = (-5.0, 5.0)
+POWER_GOLDEN_TOL = 1e-4
+POWER_GRID_POINTS = 101
+
+
+def box_cox_column(col: np.ndarray, lam: float) -> np.ndarray:
+    if lam == 0.0:
+        return np.log(col)
+    return (np.power(col, lam) - 1.0) / lam
+
+
+def yeo_johnson_column(col: np.ndarray, lam: float) -> np.ndarray:
+    out = np.empty_like(col)
+    pos = col >= 0.0
+    if lam == 0.0:
+        out[pos] = np.log1p(col[pos])
+    else:
+        out[pos] = (np.power(col[pos] + 1.0, lam) - 1.0) / lam
+    neg = ~pos
+    if lam == 2.0:
+        out[neg] = -np.log1p(-col[neg])
+    else:
+        out[neg] = -(np.power(-col[neg] + 1.0, 2.0 - lam) - 1.0) / (2.0 - lam)
+    return out
+
+
+def _column_loglik(col: np.ndarray, lam: float, method: str, jac_term: float) -> float:
+    y = box_cox_column(col, lam) if method == "box_cox" else yeo_johnson_column(col, lam)
+    if not np.all(np.isfinite(y)):
+        return -np.inf
+    var = y.var()  # MLE variance (n divisor)
+    return -0.5 * col.shape[0] * np.log(max(var, 1e-300)) + (lam - 1.0) * jac_term
+
+
+def golden_max(fun, lo: float, hi: float, tol: float) -> float:
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fun(c), fun(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fun(d)
+    return 0.5 * (a + b)
+
+
+def is_unimodal(vals: np.ndarray) -> bool:
+    # non-strictly increasing to a peak, then non-strictly decreasing
+    eps = 1e-12 * max(1.0, float(np.abs(vals[np.isfinite(vals)]).max(initial=1.0)))
+    rising = True
+    for d in np.diff(vals):
+        if rising:
+            if d < -eps:
+                rising = False
+        elif d > eps:
+            return False
+    return True
+
+
+def power_fit_columns(values: np.ndarray, method: str) -> tuple[np.ndarray, int]:
+    """Per-column maximum-likelihood exponents over [-5, 5]: a 21-point
+    probe, golden-section search when the probe is unimodal, else the best
+    of a 101-point grid.  Returns (lambdas, number of grid fallbacks)."""
+    lo, hi = POWER_LAMBDA_RANGE
+    lambdas = np.empty(values.shape[1])
+    fallbacks = 0
+    for j in range(values.shape[1]):
+        col = values[:, j]
+        if method == "box_cox":
+            jac = float(np.log(col).sum())
+        else:
+            jac = float((np.sign(col) * np.log1p(np.abs(col))).sum())
+
+        def ll(lam, _col=col, _jac=jac):
+            return _column_loglik(_col, lam, method, _jac)
+
+        probe = np.array([ll(lam) for lam in np.linspace(lo, hi, 21)])
+        if is_unimodal(probe):
+            lambdas[j] = golden_max(ll, lo, hi, POWER_GOLDEN_TOL)
+        else:
+            fallbacks += 1
+            grid = np.linspace(lo, hi, POWER_GRID_POINTS)
+            lambdas[j] = grid[int(np.argmax([ll(lam) for lam in grid]))]
+    return lambdas, fallbacks
+
+
+def power_apply_columns(values: np.ndarray, lambdas: np.ndarray, method: str) -> np.ndarray:
+    column = box_cox_column if method == "box_cox" else yeo_johnson_column
+    out = np.empty_like(values)
+    for j in range(values.shape[1]):
+        out[:, j] = column(values[:, j], float(lambdas[j]))
+    return out
+
+
+def knn_impute_cells(values: np.ndarray, missing: np.ndarray, dists: np.ndarray,
+                     k: int) -> np.ndarray:
+    """Each missing cell filled with the mean of the feature over the k
+    nearest samples observing it (stable order on distance ties)."""
+    out = values.copy()
+    for f in np.flatnonzero(missing.any(axis=0)):
+        observers = np.flatnonzero(~missing[:, f])
+        for i in np.flatnonzero(missing[:, f]):
+            donors = observers[np.argsort(dists[i, observers], kind="stable")[:k]]
+            out[i, f] = values[donors, f].mean()
+    return out

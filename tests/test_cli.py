@@ -299,11 +299,23 @@ def test_too_few_samples_for_bgmm_exits_three(tmp_path, capsys):
 
 def test_box_cox_exits_one_before_reading_inputs(tmp_path, capsys):
     missing = str(tmp_path / "absent.csv")
+    config = tmp_path / "run.cfg"
+    config.write_text("transform = box_cox\n", encoding="utf-8")
     code = main(["pipeline", "--gene-expression", missing, "--mirna", missing,
                  "--methylation", missing, "--survival", missing,
-                 "--transform", "box_cox", "--outdir", str(tmp_path / "out")])
+                 "--config", str(config), "--outdir", str(tmp_path / "out")])
     assert code == 1
     assert "z-scores before the power transform" in capsys.readouterr().err
+
+
+def test_box_cox_flag_is_an_invalid_choice(tmp_path, capsys):
+    missing = str(tmp_path / "absent.csv")
+    with pytest.raises(SystemExit) as exc:
+        main(["pipeline", "--gene-expression", missing, "--mirna", missing,
+              "--methylation", missing, "--survival", missing,
+              "--transform", "box_cox", "--outdir", str(tmp_path / "out")])
+    assert exc.value.code == 1
+    assert "invalid choice: 'box_cox'" in capsys.readouterr().err
 
 
 def test_unreadable_input_exits_four(tmp_path, data_dir):

@@ -158,3 +158,15 @@ class TestTableCsv:
         assert lines[0] == "k2,ari"
         assert lines[1] == "2,0.5"
         assert lines[2] == "3,0.333333333333"
+
+    def test_row_ids_path_writes_the_generic_bytes(self, tmp_path):
+        ids = ["plain", "a,b", 'q"x', "new\nline", "", " lead", "cr\r"]
+        rng = np.random.default_rng(3)
+        matrix = rng.normal(size=(len(ids), len(ids))) * 10.0 ** rng.integers(-8, 8, (7, 7))
+        matrix[0, :4] = [np.nan, np.inf, -0.0, 1.0 / 3.0]
+        header = ["sample_id", *ids]
+        generic, fast = tmp_path / "generic.csv", tmp_path / "fast.csv"
+        write_table_csv(generic, header,
+                        [[rid, *(float(v) for v in row)] for rid, row in zip(ids, matrix)])
+        write_table_csv(fast, header, matrix, row_ids=ids)
+        assert fast.read_bytes() == generic.read_bytes()

@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from omicsfuse import backend
 from omicsfuse.errors import DegenerateInputError, DomainError
 from omicsfuse.preprocess import (
     OmicsMatrix,
@@ -15,6 +19,16 @@ from omicsfuse.preprocess import (
     zscore_standardize,
     _yeo_johnson,
     _box_cox,
+    _golden_lockstep,
+    _unimodal,
+)
+
+from oracles import (
+    golden_max,
+    is_unimodal,
+    knn_impute_cells,
+    power_apply_columns,
+    power_fit_columns,
 )
 
 
@@ -253,3 +267,123 @@ class TestPowerTransformFit:
         for j in range(3):
             order = np.argsort(m.values[:, j])
             assert np.all(np.diff(out.values[order, j]) > 0)
+
+
+def assert_matches_columns(values, method="yeo_johnson"):
+    """The batched fit and transform equal the per-column reference bit for
+    bit; returns the fitted params."""
+    m = make_omics(values)
+    params = fit_power_transform(m, method)
+    lambdas, fallbacks = power_fit_columns(m.values, method)
+    assert np.array_equal(params.lambdas, lambdas)
+    assert params.grid_fallbacks == fallbacks
+    out = apply_power_transform(m, params).values
+    assert np.array_equal(out, power_apply_columns(m.values, lambdas, method))
+    return params
+
+
+class TestBatchedFitMatchesColumns:
+    def test_mixed_sign_positive_negative_and_zero_columns(self):
+        rng = np.random.default_rng(47)
+        vals = np.column_stack([
+            rng.normal(scale=2.0, size=60),
+            rng.exponential(size=60) + 0.1,
+            -rng.exponential(scale=3.0, size=60) - 0.1,
+            rng.gamma(2.0, size=60) - 1.0,
+        ])
+        vals[7, 3] = 0.0
+        params = assert_matches_columns(vals)
+        assert params.grid_fallbacks == 0
+
+    def test_box_cox_on_positive_data(self):
+        rng = np.random.default_rng(48)
+        vals = np.exp(rng.normal(size=(80, 3)) * [0.3, 1.0, 2.0])
+        assert_matches_columns(vals, "box_cox")
+
+    def test_box_cox_names_the_first_nonpositive_feature(self):
+        vals = np.ones((5, 4))
+        vals[2, 1] = -0.5
+        vals[0, 3] = 0.0
+        with pytest.raises(DomainError, match="feature 'f1' has minimum -0.5"):
+            fit_power_transform(make_omics(vals), "box_cox")
+        params = PowerTransformParams("box_cox", np.ones(4), [f"f{j}" for j in range(4)])
+        with pytest.raises(DomainError, match="feature 'f1' has minimum -0.5"):
+            apply_power_transform(make_omics(vals), params)
+
+    def test_non_unimodal_probe_falls_back_to_the_grid(self):
+        # a constant column's transformed variance is rounding noise, so its
+        # probe rises and falls more than once
+        rng = np.random.default_rng(49)
+        vals = np.column_stack([rng.normal(size=7), np.full(7, 0.1), rng.normal(size=7),
+                                np.full(7, 0.3)])
+        params = assert_matches_columns(vals)
+        assert params.grid_fallbacks == 2
+
+    def test_apply_takes_numpy_scalar_power_shortcuts_per_feature(self):
+        # grid exponents at which numpy's scalar power computes x*x, sqrt(x)
+        # or 1/x instead of pow, for either Yeo-Johnson branch
+        rng = np.random.default_rng(50)
+        lambdas = np.array([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 0.7])
+        vals = rng.normal(scale=2.0, size=(40, lambdas.size))
+        m = make_omics(vals)
+        out = apply_power_transform(m, PowerTransformParams("yeo_johnson", lambdas))
+        assert np.array_equal(out.values, power_apply_columns(vals, lambdas, "yeo_johnson"))
+        pos = np.abs(vals) + 0.5
+        assert np.array_equal(_box_cox(pos, lambdas), power_apply_columns(pos, lambdas, "box_cox"))
+
+    def test_golden_lockstep_stops_each_function_on_its_own_bracket(self):
+        # every bracket shrinks by the same factor, but rounding differs by
+        # path: this tol lies between two bracket widths after 11 steps, so
+        # the searches stop one step apart
+        peaks = np.array([-4.1, -1.3, 0.3, 2.2, 3.7])
+        tol = 0.050249987406415
+        expected, evaluations = [], []
+        for p in peaks:
+            calls = []
+
+            def fun(lam, p=p, calls=calls):
+                calls.append(lam)
+                return -(lam - p) * (lam - p)
+
+            expected.append(golden_max(fun, -5.0, 5.0, tol))
+            evaluations.append(len(calls))
+        assert len(set(evaluations)) > 1
+        got = _golden_lockstep(lambda lam: -(lam - peaks) * (lam - peaks), -5.0, 5.0,
+                               peaks.size, tol)
+        assert np.array_equal(got, expected)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(arrays(np.int8, (21, 6), elements=st.integers(-2, 2)),
+           st.sampled_from([1e-14, 1e-12, 1e-9, 1.0]))
+    def test_unimodal_matches_the_column_check(self, steps, scale):
+        # random walks, some within the 1e-12 relative tolerance of flat
+        probe = 1000.0 * (1.0 + scale * np.cumsum(steps, axis=0))
+        probe[0, 0] = probe[-1, 1] = -np.inf
+        expected = [is_unimodal(probe[:, j]) for j in range(probe.shape[1])]
+        assert _unimodal(probe).tolist() == expected
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(arrays(np.float64, st.tuples(st.integers(3, 12), st.integers(1, 4)),
+                  elements=st.floats(-20.0, 20.0, width=32)))
+    def test_random_small_matrices(self, vals):
+        assert_matches_columns(vals)
+
+
+def test_knn_impute_matches_per_cell_reference():
+    rng = np.random.default_rng(51)
+    vals = rng.normal(size=(30, 12))
+    mask = rng.random(vals.shape) < 0.15
+    mask[:, 0] = False
+    # samples 10-18 agree on what they observe except feature 11, so for
+    # sample 10, missing it, eight donors tie at distance 0 for five places
+    vals[11:19, :11] = vals[10, :11]
+    mask[10:19] = False
+    mask[10, 11] = True
+    mask[2:28, 7] = True  # 4 observers, fewer than k
+    vals[mask] = np.nan
+    m = make_omics(vals)
+    out, n_filled = knn_impute(m, k=5)
+    observed = ~m.missing_mask
+    dists = backend.masked_pairwise_dists(np.where(observed, m.values, 0.0), observed)
+    assert n_filled == int(mask.sum())
+    assert np.array_equal(out.values, knn_impute_cells(m.values, m.missing_mask, dists, 5))
