@@ -51,7 +51,11 @@ def check_distance_matrix(d: np.ndarray) -> np.ndarray:
 
 def local_scales(d: np.ndarray, k1: int | None = None) -> np.ndarray:
     """Per-sample scale: mean distance to the k1 nearest other samples."""
-    d = check_distance_matrix(d)
+    return _local_scales(check_distance_matrix(d), k1)
+
+
+def _local_scales(d: np.ndarray, k1: int | None) -> np.ndarray:
+    """``local_scales`` of a distance matrix already checked."""
     n = d.shape[0]
     if n < 2:
         raise ValueError("need at least 2 samples for local scales")
@@ -68,7 +72,7 @@ def local_scales(d: np.ndarray, k1: int | None = None) -> np.ndarray:
 def affinity_from_distance(d: np.ndarray, k1: int | None = None) -> np.ndarray:
     """Locally scaled affinity matrix; entries in (0, 1], unit diagonal."""
     d = check_distance_matrix(d)
-    sigma = local_scales(d, k1)
+    sigma = _local_scales(d, k1)
     denom = 0.5 * np.outer(sigma, sigma) + 0.5 * d
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.exp(-(d**2) / denom)

@@ -46,11 +46,22 @@ class Partition:
         return int(self.labels.size)
 
 
-def _dsq_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Distance-squared-weighted seeding of k initial centroids."""
+def _dsq_seed(
+    points: np.ndarray, sq_norms: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Distance-squared-weighted seeding of k initial centroids; distances
+    come from the cached row norms, clamped at 0, and are exactly 0 at each
+    chosen row."""
     n = points.shape[0]
+
+    def sq_dists_to(i: int) -> np.ndarray:
+        d2 = sq_norms + sq_norms[i] - 2.0 * (points @ points[i])
+        np.maximum(d2, 0.0, out=d2)
+        d2[i] = 0.0
+        return d2
+
     idx = [int(rng.integers(n))]
-    d2 = ((points - points[idx[0]]) ** 2).sum(axis=1)
+    d2 = sq_dists_to(idx[0])
     while len(idx) < k:
         total = d2.sum()
         if total > 0.0:
@@ -59,7 +70,7 @@ def _dsq_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
         else:  # all remaining points coincide with chosen centroids
             nxt = int(rng.integers(n))
         idx.append(nxt)
-        d2 = np.minimum(d2, ((points - points[nxt]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, sq_dists_to(nxt))
     return points[np.asarray(idx)]
 
 
@@ -72,7 +83,8 @@ def kmeans_pp(
     tol: float = 1e-8,
 ) -> Partition:
     """k-means++ with Lloyd refinement; best of ``restarts`` runs by
-    within-cluster sum of squares, deterministic given the seed."""
+    within-cluster sum of squares (the first on ties), deterministic given
+    the seed.  All seedings are drawn first, then refined in lockstep."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.size == 0:
         raise ValueError(f"points must be a non-empty 2-D array, got shape {points.shape}")
@@ -85,15 +97,10 @@ def kmeans_pp(
         raise ValueError("restarts must be >= 1")
 
     rng = np.random.default_rng(seed)
-    best_labels = None
-    best_wcss = np.inf
-    for _ in range(restarts):
-        cent0 = _dsq_seed(points, k, rng)
-        labels, _, wcss = backend.lloyd(points, cent0, max_iter, tol)
-        if wcss < best_wcss:
-            best_wcss = wcss
-            best_labels = labels
-    return Partition(labels=best_labels, k=k)
+    sq_norms = np.einsum("ij,ij->i", points, points)
+    starts = np.stack([_dsq_seed(points, sq_norms, k, rng) for _ in range(restarts)])
+    labels, _, wcss = backend.lloyd(points, starts, max_iter, tol)
+    return Partition(labels=labels[int(np.argmin(wcss))], k=k)
 
 
 def _contingency(a: Partition, b: Partition) -> np.ndarray:

@@ -267,7 +267,10 @@ def run_pipeline(
     for k3 in config.k3_set:
         if k3 > len(order):
             continue
-        part = kmeans_pp(points, k3, seed=config.seed, restarts=config.restarts)
+        if k3 == config.clusters:  # the same call as the final partition's
+            part = final_partition
+        else:
+            part = kmeans_pp(points, k3, seed=config.seed, restarts=config.restarts)
         partitions_by_k3[k3] = part
         if records is not None:
             survival_by_k3[k3] = logrank_test(part, records)

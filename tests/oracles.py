@@ -383,3 +383,122 @@ def knn_impute_cells(values: np.ndarray, missing: np.ndarray, dists: np.ndarray,
             donors = observers[np.argsort(dists[i, observers], kind="stable")[:k]]
             out[i, f] = values[donors, f].mean()
     return out
+
+
+# -- loop references for the numeric kernels in omicsfuse.backend -----------
+
+
+def project_rows_loops(v: np.ndarray) -> np.ndarray:
+    """Simplex projection row by row, threshold from the running sum."""
+    n, m = v.shape
+    out = np.empty((n, m), dtype=np.float64)
+    for i in range(n):
+        u = np.sort(v[i])[::-1]
+        css = 0.0
+        tau = 0.0
+        for k in range(m):
+            css += u[k]
+            if u[k] + (1.0 - css) / (k + 1.0) > 0.0:
+                # condition holds at k=0; tau keeps the last qualifying k
+                tau = (css - 1.0) / (k + 1.0)
+        for k in range(m):
+            d = v[i, k] - tau
+            out[i, k] = d if d > 0.0 else 0.0
+    return out
+
+
+def pairwise_sq_dists_loops(x: np.ndarray) -> np.ndarray:
+    n, p = x.shape
+    out = np.zeros((n, n), dtype=np.float64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            acc = 0.0
+            for f in range(p):
+                d = x[i, f] - x[j, f]
+                acc += d * d
+            out[i, j] = acc
+            out[j, i] = acc
+    return out
+
+
+def masked_pairwise_dists_loops(x: np.ndarray, observed: np.ndarray) -> np.ndarray:
+    """Distance over the features both rows observe, times sqrt(p / shared);
+    +inf when they share none."""
+    n, p = x.shape
+    out = np.zeros((n, n), dtype=np.float64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            acc = 0.0
+            cnt = 0
+            for f in range(p):
+                if observed[i, f] and observed[j, f]:
+                    d = x[i, f] - x[j, f]
+                    acc += d * d
+                    cnt += 1
+            val = np.inf if cnt == 0 else np.sqrt(acc * (p / cnt))
+            out[i, j] = val
+            out[j, i] = val
+    return out
+
+
+def lloyd_loops(x: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float):
+    """One k-means restart, point by point.  An empty cluster takes the
+    point farthest from its centroid among clusters with more than one
+    point.  Returns (labels, centroids, wcss)."""
+    n, p = x.shape
+    k = centroids.shape[0]
+    cent = centroids.copy()
+    labels = np.zeros(n, dtype=np.int64)
+    dist = np.zeros(n, dtype=np.float64)
+
+    def nearest(i):
+        best, bestd = 0, np.inf
+        for c in range(k):
+            acc = 0.0
+            for f in range(p):
+                d = x[i, f] - cent[c, f]
+                acc += d * d
+            if acc < bestd:
+                best, bestd = c, acc
+        return best, bestd
+
+    for _ in range(max_iter):
+        for i in range(n):
+            labels[i], dist[i] = nearest(i)
+        counts = np.zeros(k, dtype=np.int64)
+        for i in range(n):
+            counts[labels[i]] += 1
+        for c in range(k):
+            if counts[c] == 0:
+                far = 0
+                fard = -1.0
+                for i in range(n):
+                    if counts[labels[i]] > 1 and dist[i] > fard:
+                        fard = dist[i]
+                        far = i
+                counts[labels[far]] -= 1
+                labels[far] = c
+                counts[c] = 1
+                dist[far] = 0.0
+        newcent = np.zeros((k, p), dtype=np.float64)
+        for i in range(n):
+            for f in range(p):
+                newcent[labels[i], f] += x[i, f]
+        for c in range(k):
+            for f in range(p):
+                newcent[c, f] /= counts[c]
+        shift = 0.0
+        for c in range(k):
+            acc = 0.0
+            for f in range(p):
+                d = newcent[c, f] - cent[c, f]
+                acc += d * d
+            shift = max(shift, np.sqrt(acc))
+        cent = newcent
+        if shift < tol:
+            break
+    wcss = 0.0
+    for i in range(n):
+        labels[i], bestd = nearest(i)
+        wcss += bestd
+    return labels, cent, wcss

@@ -9,7 +9,6 @@ import time
 import numpy as np
 import pytest
 
-from omicsfuse import backend
 from omicsfuse.affinity import affinity_from_distance
 from omicsfuse.cca import cca_fit
 from omicsfuse.cli import main as cli_main
@@ -42,16 +41,6 @@ from oracles import (
 E2E_SPEC = SynthSpec(n=150, k=3, dims=(60, 40, 50), separation=8.0,
                      missing_rate=0.05, high_missing_fraction=0.10, seed=23)
 E2E_CONFIG = PipelineConfig(clusters=3, seed=0)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_backend():
-    # absorb one-time compilation cost before any timed assertion
-    x = np.random.default_rng(0).normal(size=(8, 4))
-    backend.pairwise_sq_dists(x)
-    backend.masked_pairwise_dists(x, np.ones(x.shape, dtype=bool))
-    backend.project_rows(x)
-    backend.lloyd(x, x[:2], 5, 1e-8)
 
 
 @pytest.fixture(scope="module")

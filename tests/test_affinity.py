@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from omicsfuse import affinity
 from omicsfuse.affinity import (
     affinity_from_distance,
     euclidean_distance_matrix,
@@ -62,6 +63,17 @@ class TestLocalScales:
         with pytest.raises(ValueError):
             local_scales(d, k1=3)
 
+    @pytest.mark.parametrize("bad", [
+        np.array([[0.0, 1.0], [2.0, 0.0]]),  # asymmetric
+        np.array([[0.0, -1.0], [-1.0, 0.0]]),  # negative
+        np.array([[1.0, 1.0], [1.0, 1.0]]),  # nonzero diagonal
+        np.array([[0.0, np.nan], [np.nan, 0.0]]),  # not finite
+        np.zeros((2, 3)),  # not square
+    ])
+    def test_rejects_invalid_distance_matrix(self, bad):
+        with pytest.raises(ValueError):
+            local_scales(bad, k1=1)
+
     def test_default_is_sqrt_n(self):
         rng = np.random.default_rng(3)
         d = euclidean_distance_matrix(rng.normal(size=(100, 2)))
@@ -119,3 +131,21 @@ class TestAffinityFromDistance:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             affinity_from_distance(np.array([[0.0, 1.0], [2.0, 0.0]]), k1=1)
+
+    def test_checks_the_distance_matrix_once(self, monkeypatch):
+        calls = []
+        check = affinity.check_distance_matrix
+
+        def counting_check(d):
+            calls.append(d.shape)
+            return check(d)
+
+        monkeypatch.setattr(affinity, "check_distance_matrix", counting_check)
+        d = euclidean_distance_matrix(np.random.default_rng(5).normal(size=(12, 3)))
+        a = affinity_from_distance(d, k1=3)
+        assert calls == [(12, 12)]
+        monkeypatch.undo()
+        sigma = local_scales(d, k1=3)
+        expected = np.exp(-(d**2) / (0.5 * np.outer(sigma, sigma) + 0.5 * d))
+        np.fill_diagonal(expected, 1.0)
+        np.testing.assert_allclose(a, expected, rtol=1e-14, atol=0)

@@ -1,7 +1,5 @@
-"""Parity between the numpy kernels and their compiled counterparts."""
+"""The numpy kernels against the loop references in tests/oracles.py."""
 
-import importlib.util
-import os
 import subprocess
 import sys
 
@@ -9,98 +7,154 @@ import numpy as np
 import pytest
 
 from omicsfuse import backend
-
-needs_numba = pytest.mark.skipif(
-    not backend.HAVE_NUMBA, reason="numba disabled or unavailable"
+from oracles import (
+    lloyd_loops,
+    masked_pairwise_dists_loops,
+    pairwise_sq_dists_loops,
+    project_rows_loops,
 )
 
 
-def _pairs():
-    # (name, numpy implementation, compiled implementation)
-    return [
-        ("project_rows", backend.project_rows_numpy, backend.project_rows_jit),
-        ("pairwise", backend.pairwise_sq_dists_numpy, backend.pairwise_sq_dists_jit),
-        ("masked", backend.masked_pairwise_dists_numpy,
-         backend.masked_pairwise_dists_jit),
-        ("lloyd", backend.lloyd_numpy, backend.lloyd_jit),
-    ]
-
-
-@needs_numba
 def test_project_rows_parity():
     rng = np.random.default_rng(11)
     for _ in range(25):
         v = rng.normal(scale=3.0, size=(rng.integers(1, 30), rng.integers(1, 40)))
-        a = backend.project_rows_numpy(v)
-        b = backend.project_rows_jit(np.ascontiguousarray(v))
+        a = backend.project_rows(v)
+        b = project_rows_loops(v)
         np.testing.assert_allclose(a, b, atol=1e-12)
         np.testing.assert_allclose(a.sum(axis=1), 1.0, atol=1e-10)
         assert (a >= 0).all()
 
 
-@needs_numba
 def test_pairwise_sq_dists_parity():
     rng = np.random.default_rng(5)
     for _ in range(20):
         x = rng.normal(size=(rng.integers(2, 40), rng.integers(1, 25)))
-        a = backend.pairwise_sq_dists_numpy(x)
-        b = backend.pairwise_sq_dists_jit(np.ascontiguousarray(x))
+        a = backend.pairwise_sq_dists(x)
+        b = pairwise_sq_dists_loops(x)
         np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-10)
-        assert (np.diag(b) == 0).all()
+        assert (np.diag(a) == 0).all()
 
 
-@needs_numba
+def _assert_masked_matches_loops(x, observed):
+    a = backend.masked_pairwise_dists(x, observed)
+    b = masked_pairwise_dists_loops(x, observed)
+    assert np.array_equal(np.isinf(a), np.isinf(b))
+    finite = np.isfinite(a)
+    np.testing.assert_allclose(a[finite], b[finite], rtol=1e-10, atol=1e-10)
+    assert (np.diag(a) == 0).all()
+    return a
+
+
 def test_masked_pairwise_parity():
     rng = np.random.default_rng(17)
     for _ in range(20):
         n, p = rng.integers(2, 25), rng.integers(1, 20)
         x = rng.normal(size=(n, p))
         observed = rng.random((n, p)) > 0.3
-        a = backend.masked_pairwise_dists_numpy(x, observed)
-        b = backend.masked_pairwise_dists_jit(
-            np.ascontiguousarray(x), np.ascontiguousarray(observed)
-        )
-        assert np.array_equal(np.isinf(a), np.isinf(b))
-        finite = np.isfinite(a)
-        np.testing.assert_allclose(a[finite], b[finite], rtol=1e-10, atol=1e-12)
+        _assert_masked_matches_loops(x, observed)
 
 
 def test_masked_pairwise_no_overlap_is_inf():
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
     observed = np.array([[True, False], [False, True]])
-    for impl in (backend.masked_pairwise_dists_numpy, backend.masked_pairwise_dists):
-        d = impl(x, observed)
-        assert d[0, 1] == np.inf and d[0, 0] == 0.0
+    d = backend.masked_pairwise_dists(x, observed)
+    assert d[0, 1] == np.inf and d[1, 0] == np.inf and d[0, 0] == 0.0
 
 
-@needs_numba
-def test_lloyd_parity():
-    rng = np.random.default_rng(29)
-    for _ in range(15):
-        n, p, k = int(rng.integers(5, 50)), int(rng.integers(1, 8)), int(rng.integers(1, 5))
-        x = rng.normal(size=(n, p))
-        centroids = x[rng.choice(n, size=k, replace=False)]
-        la, ca, wa = backend.lloyd_numpy(x, centroids, 100, 1e-10)
-        lb, cb, wb = backend.lloyd_jit(
-            np.ascontiguousarray(x), np.ascontiguousarray(centroids), 100, 1e-10
-        )
-        assert np.array_equal(la, lb)
-        np.testing.assert_allclose(ca, cb, rtol=1e-9, atol=1e-9)
-        np.testing.assert_allclose(wa, wb, rtol=1e-9)
+def test_masked_pairwise_disjoint_rows_and_ties():
+    # rows 0-1 observe only features 0-1 and rows 2-3 only 2-3: no shared
+    # feature across the groups; rows 4-6 repeat row 4 where they overlap
+    # (distance 0 ties) and row 7 is row 4 shifted by 1 in every feature
+    rng = np.random.default_rng(23)
+    x = rng.normal(scale=5.0, size=(8, 6))
+    observed = np.ones((8, 6), dtype=bool)
+    observed[0:2, 2:] = False
+    observed[2:4, :2] = False
+    observed[2:4, 4:] = False
+    x[5:7] = x[4]
+    observed[5, 5] = False
+    observed[6, 0] = False
+    x[7] = x[4] + 1.0
+    x[~observed] = 1e6  # unobserved cells must not leak into any distance
+    d = _assert_masked_matches_loops(x, observed)
+    assert np.isinf(d[:2, 2:4]).all() and np.isinf(d[2:4, :2]).all()
+    np.testing.assert_allclose([d[4, 5], d[4, 6], d[5, 6]], 0.0, atol=1e-10)
+    assert d[4, 7] == pytest.approx(np.sqrt(6.0), abs=1e-10)
+
+
+def _random_lloyd_case(rng):
+    n, p, k = int(rng.integers(5, 50)), int(rng.integers(1, 8)), int(rng.integers(1, 5))
+    x = rng.normal(size=(n, p))
+    return x, x[rng.choice(n, size=k, replace=False)]
+
+
+def _assert_lloyd_matches_loops(got, x, start, max_iter, tol):
+    labels, cent, wcss = got
+    ref_labels, ref_cent, ref_wcss = lloyd_loops(x, start, max_iter, tol)
+    assert np.array_equal(labels, ref_labels)
+    np.testing.assert_allclose(cent, ref_cent, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(wcss, ref_wcss, rtol=1e-9, atol=1e-9)
 
 
 def test_lloyd_numpy_matches_python_reference():
-    # same cases as test_lloyd_parity, against the plain-Python loop kernel
+    # one restart, a (k, p) start
     rng = np.random.default_rng(29)
     for _ in range(15):
-        n, p, k = int(rng.integers(5, 50)), int(rng.integers(1, 8)), int(rng.integers(1, 5))
-        x = rng.normal(size=(n, p))
-        centroids = x[rng.choice(n, size=k, replace=False)]
-        la, ca, wa = backend.lloyd_numpy(x, centroids, 100, 1e-10)
-        lb, cb, wb = backend._lloyd_python(x, centroids, 100, 1e-10)
-        assert np.array_equal(la, lb)
-        np.testing.assert_allclose(ca, cb, rtol=1e-9, atol=1e-9)
-        np.testing.assert_allclose(wa, wb, rtol=1e-9)
+        x, start = _random_lloyd_case(rng)
+        labels, cent, wcss = backend.lloyd(x, start, 100, 1e-10)
+        assert labels.shape == (x.shape[0],) and cent.shape == start.shape
+        assert isinstance(wcss, float)
+        _assert_lloyd_matches_loops((labels, cent, wcss), x, start, 100, 1e-10)
+
+
+def test_lloyd_parity():
+    # several restarts in one call, an (r, k, p) start
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        x, _ = _random_lloyd_case(rng)
+        n = x.shape[0]
+        k = int(rng.integers(1, min(n, 5) + 1))
+        starts = np.stack([x[rng.choice(n, size=k, replace=False)] for _ in range(4)])
+        starts[1::2, -1] = starts[1::2, 0]  # restarts 1 and 3 repair an empty cluster
+        labels, cent, wcss = backend.lloyd(x, starts, 100, 1e-10)
+        assert labels.shape == (4, n) and cent.shape == starts.shape and wcss.shape == (4,)
+        for r in range(4):
+            _assert_lloyd_matches_loops((labels[r], cent[r], wcss[r]), x, starts[r], 100, 1e-10)
+
+
+def test_lloyd_lockstep_restarts_follow_their_own_paths(monkeypatch):
+    # restart 0 starts at the blob means and stops after one step; restart 1
+    # starts with a duplicate centroid, so its cluster 1 is empty and
+    # repaired; restart 2 starts inside one blob and needs several steps
+    rng = np.random.default_rng(3)
+    blobs = [rng.normal(c, 0.3, size=(10, 2)) for c in (0.0, 6.0, 12.0)]
+    x = np.vstack(blobs)
+    starts = np.stack([
+        np.stack([b.mean(axis=0) for b in blobs]),
+        np.vstack([x[0], x[0], x[25]]),
+        np.vstack([x[0], x[1], x[2]]),
+    ])
+    active_per_step = []
+    sq_dists_to = backend._sq_dists_to
+
+    def recording(x_, xsq, cent):
+        active_per_step.append(cent.shape[0])
+        return sq_dists_to(x_, xsq, cent)
+
+    monkeypatch.setattr(backend, "_sq_dists_to", recording)
+    labels, cent, wcss = backend.lloyd(x, starts, 100, 1e-9)
+    monkeypatch.undo()
+    # restart 0 leaves after the first step; the last call is the final
+    # assignment over all three
+    assert active_per_step[:2] == [3, 2] and active_per_step[-1] == 3
+    assert len(active_per_step) > 3
+    for r in range(3):
+        _assert_lloyd_matches_loops((labels[r], cent[r], wcss[r]), x, starts[r], 100, 1e-9)
+        lab, c, w = backend.lloyd(x, starts[r], 100, 1e-9)
+        assert np.array_equal(labels[r], lab)
+        np.testing.assert_allclose(cent[r], c, rtol=1e-12, atol=1e-12)
+        assert wcss[r] == pytest.approx(w, rel=1e-12, abs=1e-12)
 
 
 def test_lloyd_repairs_empty_clusters():
@@ -108,72 +162,37 @@ def test_lloyd_repairs_empty_clusters():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(12, 2))
     centroids = np.vstack([x[0], x[0], x[5]])
-    for impl in (backend.lloyd_numpy, backend.lloyd):
-        labels, cent, wcss = impl(x, centroids, 50, 1e-10)
-        assert sorted(np.unique(labels).tolist()) == [0, 1, 2]
-        assert wcss >= 0.0
-
-
-def test_dispatch_matches_flag():
-    # numba is used only when it is importable and not disabled by the flag
-    disabled = os.environ.get("OMICSFUSE_DISABLE_NUMBA", "").strip().lower() in {
-        "1", "true", "yes", "on"}
-    importable = importlib.util.find_spec("numba") is not None
-    if disabled or not importable:
-        assert backend.backend_name() == "numpy"
-        assert backend.project_rows is backend.project_rows_numpy
-        assert backend.lloyd is backend.lloyd_numpy
-    else:
-        assert backend.backend_name() == "numba"
-        assert backend.project_rows is not backend.project_rows_numpy
-
-
-def test_disable_flag_selects_numpy_backend():
-    code = (
-        "from omicsfuse import backend\n"
-        "assert backend.backend_name() == 'numpy'\n"
-        "assert backend.project_rows is backend.project_rows_numpy\n"
-        "assert backend.lloyd is backend.lloyd_numpy\n"
-        "import numpy as np\n"
-        "v = np.array([[0.3, 2.0, -1.0]])\n"
-        "out = backend.project_rows(v)\n"
-        "assert abs(out.sum() - 1.0) < 1e-12\n"
-        "print('numpy backend ok')\n"
-    )
-    env = dict(os.environ, OMICSFUSE_DISABLE_NUMBA="1")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert "numpy backend ok" in proc.stdout
-
-
-def test_missing_numba_selects_numpy_backend():
-    # the ImportError fallback, exercised also where numba is installed
-    code = (
-        "import sys\n"
-        "sys.modules['numba'] = None\n"
-        "from omicsfuse import backend\n"
-        "assert backend.backend_name() == 'numpy'\n"
-        "assert backend.project_rows is backend.project_rows_numpy\n"
-        "assert backend.lloyd is backend.lloyd_numpy\n"
-        "print('numpy fallback ok')\n"
-    )
-    env = dict(os.environ)
-    env.pop("OMICSFUSE_DISABLE_NUMBA", None)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert "numpy fallback ok" in proc.stdout
+    labels, cent, wcss = backend.lloyd(x, centroids, 50, 1e-10)
+    assert sorted(np.unique(labels).tolist()) == [0, 1, 2]
+    assert wcss >= 0.0
+    _assert_lloyd_matches_loops((labels, cent, wcss), x, centroids, 50, 1e-10)
 
 
 def test_public_names_agree_with_reference():
-    # the dispatched functions must match the numpy reference regardless
-    # of which backend is active
+    # the four kernels a profiler wraps by name exist as module attributes
+    # and agree with their loop references
     rng = np.random.default_rng(41)
     x = rng.normal(size=(18, 6))
     np.testing.assert_allclose(
-        backend.pairwise_sq_dists(x), backend.pairwise_sq_dists_numpy(x),
-        rtol=1e-10, atol=1e-10)
+        backend.pairwise_sq_dists(x), pairwise_sq_dists_loops(x), rtol=1e-10, atol=1e-10)
     v = rng.normal(size=(9, 14))
+    np.testing.assert_allclose(backend.project_rows(v), project_rows_loops(v), atol=1e-12)
+    observed = rng.random(x.shape) > 0.2
     np.testing.assert_allclose(
-        backend.project_rows(v), backend.project_rows_numpy(v), atol=1e-12)
+        backend.masked_pairwise_dists(x, observed),
+        masked_pairwise_dists_loops(x, observed), rtol=1e-10, atol=1e-10)
+    _assert_lloyd_matches_loops(backend.lloyd(x, x[:3], 20, 1e-10), x, x[:3], 20, 1e-10)
+
+
+def test_import_loads_no_numba():
+    code = (
+        "import sys\n"
+        "import omicsfuse\n"
+        "from omicsfuse import backend\n"
+        "loaded = [m for m in sys.modules if m == 'numba' or m.startswith('numba.')]\n"
+        "assert not loaded, loaded\n"
+        "print('no numba')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "no numba" in proc.stdout

@@ -164,6 +164,24 @@ def test_unlabeled_run_fuses_one_stage3_candidate(dataset, monkeypatch):
     assert len(stage3_calls) == 9
 
 
+def test_k3_equal_to_clusters_reuses_the_final_partition(dataset, monkeypatch):
+    mats, _, recs = dataset
+    calls = []
+    kmeans_pp = pipeline.kmeans_pp
+
+    def counting_kmeans(points, k, **kwargs):
+        calls.append(k)
+        return kmeans_pp(points, k, **kwargs)
+
+    monkeypatch.setattr(pipeline, "kmeans_pp", counting_kmeans)
+    res = run_pipeline(mats, recs, config=CONFIG)
+    assert calls == [3, 4, 5]
+    assert res.partitions_by_k3[3] is res.final_partition
+    monkeypatch.undo()
+    again = kmeans_pp(res.fusion.s_final, 3, seed=CONFIG.seed, restarts=CONFIG.restarts)
+    assert np.array_equal(again.labels, res.final_partition.labels)
+
+
 def test_all_censored_survival_fails_before_preprocessing(dataset, monkeypatch):
     mats, _, recs = dataset
     censored = [SurvivalRecord(r.sample_id, r.time, 0) for r in recs]
