@@ -16,7 +16,6 @@ from .fusion import (
     ThreeStageResult,
     fuse_affinities,
     gamma_from_neighbors,
-    rr_select_k2,
     three_stage_fuse,
 )
 from .pipeline import PipelineConfig, PipelineResult, align_inputs, run_pipeline
@@ -54,7 +53,6 @@ __all__ = [
     "local_scales",
     "logrank_test",
     "nmi",
-    "rr_select_k2",
     "run_pipeline",
     "sweep_k2_metrics",
     "three_stage_fuse",

@@ -141,9 +141,11 @@ def build_parser() -> CliParser:
     p.add_argument("--cumulative-target", dest="cumulative_target", type=float)
     p.add_argument("--max-components", dest="max_components", type=int)
     p.add_argument("--k1", type=int)
-    p.add_argument("--stage1-k2", dest="stage1_k2", type=_int_pair, metavar="LO,HI")
-    p.add_argument("--stage2-k2", dest="stage2_k2", type=_int_pair, metavar="LO,HI")
-    p.add_argument("--stage3-k2", dest="stage3_k2", type=_int_pair, metavar="LO,HI")
+    for stage, lo_role in ((1, "only validated"), (2, "only validated"),
+                           (3, "the bottom of the candidate grid")):
+        p.add_argument(f"--stage{stage}-k2", dest=f"stage{stage}_k2", type=_int_pair,
+                       metavar="LO,HI",
+                       help=f"HI, clamped to n - 2, is the k2 used; LO is {lo_role}")
     p.add_argument("--k3-set", dest="k3_set", type=_int_tuple, metavar="K,K,...")
     p.add_argument("--clusters", type=int)
     p.add_argument("--cluster-on", dest="cluster_on", choices=("network", "spectral"))
@@ -213,8 +215,6 @@ def _stage_payload(stage) -> dict:
     return {
         "k2": stage.k2,
         "gamma": stage.gamma,
-        "k2_grid": stage.k2_grid.tolist(),
-        "rr_values": stage.rr_values.tolist(),
         "alpha": stage.state.alpha.tolist(),
         "objective_trace": stage.state.objective_trace.tolist(),
         "converged": stage.state.converged,

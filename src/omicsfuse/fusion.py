@@ -7,9 +7,13 @@ One fusion step minimizes, by exact block-coordinate descent,
     + beta ||S||_F^2 + lam * tr(F' (I - S) F) + gamma sum_l alpha_l log alpha_l
 
 over row-stochastic S, orthonormal F (n x c), and simplex weights alpha,
-with beta = gamma set by the neighborhood-gap statistic of the step's
+with beta = lam = gamma set by the neighborhood-gap statistic of the step's
 distance matrix.  Every block update is an exact minimizer, so the
 objective trace never increases.
+
+Each stage reads that statistic at the top of its clamped k2 range: the
+paper's rr scan over k2 never decreases on sorted rows, and where it ties,
+gamma is the same at the tied pick and at the top.
 """
 
 from __future__ import annotations
@@ -29,12 +33,10 @@ GAMMA_FLOOR = 1e-8
 
 @dataclass
 class FusionConfig:
-    """Knobs of one fusion step.  ``trace_weight`` defaults to gamma."""
+    """Knobs of one fusion step."""
 
     c: int
     gamma: float
-    k2: int = 0
-    trace_weight: float | None = None
     max_iter: int = 100
     tol: float = 1e-6
 
@@ -43,10 +45,6 @@ class FusionConfig:
             raise ValueError(f"c must be >= 2, got {self.c}")
         if not np.isfinite(self.gamma) or self.gamma <= 0.0:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
-        if self.trace_weight is None:
-            self.trace_weight = self.gamma
-        if self.trace_weight <= 0.0:
-            raise ValueError(f"trace_weight must be positive, got {self.trace_weight}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.tol <= 0.0:
@@ -67,13 +65,11 @@ class FusionState:
 
 @dataclass
 class StageRecord:
-    """One scheduled fusion stage: the rr-selected neighbor count, the
-    derived scale, the rr scan itself, and the fused state."""
+    """One scheduled fusion stage: its neighbor count (the top of the
+    clamped k2 range), the derived scale, and the fused state."""
 
     k2: int
     gamma: float
-    k2_grid: np.ndarray
-    rr_values: np.ndarray
     state: FusionState
 
 
@@ -107,9 +103,10 @@ class Stage3Inputs:
 
 @dataclass
 class ThreeStageResult:
-    """Both scheduled stages and stage 3.  ``selected`` is the rr-selected
-    stage-3 candidate and backs ``s_final``; ``candidates``, one record per
-    k2 of the stage-3 grid, is fused on first read and then cached."""
+    """Both scheduled stages and stage 3.  ``selected`` is the stage-3
+    candidate at the top of the k2 range and backs ``s_final``;
+    ``candidates``, one record per k2 of the stage-3 grid, is fused on first
+    read and then cached."""
 
     stage1: StageRecord
     stage2: StageRecord
@@ -167,30 +164,6 @@ def gamma_from_neighbors(d: np.ndarray, k2: int) -> float:
     sum_{n<=k2} (s_{j,k2+1}^2 - s_{j,n}^2) on ascending sorted off-diagonal
     distances."""
     return _gap_scale(_sorted_distances(d), k2)
-
-
-def _rr_scan(s: np.ndarray, k2_range: tuple[int, int]) -> tuple[int, np.ndarray]:
-    n = s.shape[0]
-    lo, hi = int(k2_range[0]), int(k2_range[1])
-    if lo > hi:
-        raise ValueError(f"empty k2 range [{lo}, {hi}]")
-    if lo < 2 or hi > n - 2:
-        raise ValueError(f"k2 range [{lo}, {hi}] outside [2, {n - 2}]")
-    csum = np.cumsum(s, axis=1)
-    scores = np.empty(hi - lo + 1)
-    for pos, i in enumerate(range(lo, hi + 1)):
-        # sum_{l=2}^{i+1} s_{j,l} = csum[:, i] - s[:, 0] (1-indexed l)
-        tail = csum[:, i] - s[:, 0]
-        scores[pos] = float((i * s[:, i] - tail).mean() / 2.0)
-    best = lo + int(np.argmax(scores))
-    return best, scores
-
-
-def rr_select_k2(d: np.ndarray, k2_range: tuple[int, int]) -> tuple[int, np.ndarray]:
-    """Scan candidate neighbor counts and score each by
-    rr(i) = mean_j (i * s_{j,i+1} - sum_{l=2}^{i+1} s_{j,l}) / 2;
-    returns (argmax, scores), smallest index on ties."""
-    return _rr_scan(_sorted_distances(d), k2_range)
 
 
 # One BLAS pool in the fusion loop: sym_eig uses scipy's own OpenBLAS, and numpy
@@ -254,7 +227,7 @@ def fuse_affinities(
 
     L = len(affs)
     beta = config.gamma
-    lam = float(config.trace_weight)
+    lam = config.gamma
     gamma = config.gamma
     fro2 = np.array([float(np.einsum("ij,ij->", a, a)) for a in affs])
 
@@ -303,7 +276,7 @@ def closed_form_alpha(errs: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def step_distance(affinities: list[np.ndarray]) -> np.ndarray:
-    """Dissimilarity read by the rr scan and the gap scale: one minus the
+    """Dissimilarity read by the gap scale: one minus the
     symmetrized mean affinity, zero diagonal."""
     mean_aff = np.mean(affinities, axis=0)
     mean_aff = 0.5 * (mean_aff + mean_aff.T)
@@ -343,22 +316,13 @@ def _fuse_stage(
     stage: str,
 ) -> StageRecord:
     n = affs[0].shape[0]
-    lo, hi = _clamp_range(k2_range, n, stage)
+    _, k2 = _clamp_range(k2_range, n, stage)
     try:
-        s = _sorted_distances(step_distance(affs))
-        k2, rr = _rr_scan(s, (lo, hi))
-        gamma = max(_gap_scale(s, k2), GAMMA_FLOOR)
-        cfg = FusionConfig(c=c, gamma=gamma, k2=k2, max_iter=max_iter, tol=tol)
-        state = fuse_affinities(affs, cfg)
+        gamma = max(_gap_scale(_sorted_distances(step_distance(affs)), k2), GAMMA_FLOOR)
+        state = fuse_affinities(affs, FusionConfig(c=c, gamma=gamma, max_iter=max_iter, tol=tol))
     except (NumericalFailure, ValueError) as exc:
         raise type(exc)(f"{stage}: {exc}") from exc
-    return StageRecord(
-        k2=k2,
-        gamma=gamma,
-        k2_grid=np.arange(lo, hi + 1),
-        rr_values=rr,
-        state=state,
-    )
+    return StageRecord(k2=k2, gamma=gamma, state=state)
 
 
 def three_stage_fuse(
@@ -373,9 +337,9 @@ def three_stage_fuse(
     tol: float = 1e-6,
 ) -> ThreeStageResult:
     """Fuse the three within-dataset networks, the six cross-dataset
-    networks, and then their re-kernelized outputs.  The stage-3 neighbor
-    count is rr-selected over ``stage3_k2_range`` and only that candidate is
-    fused here; the result's ``candidates`` fuses the rest of the grid when
+    networks, and then their re-kernelized outputs.  Each stage fuses at the
+    top of its clamped k2 range; stage 3 fuses only that candidate here, and
+    the result's ``candidates`` fuses the rest of ``stage3_k2_range`` when
     first read."""
     if len(intra) != 3:
         raise ValueError(f"expected 3 intra-dataset affinities, got {len(intra)}")
@@ -402,7 +366,6 @@ def three_stage_fuse(
 
     d3 = _sorted_distances(step_distance([re1, re2]))
     lo, hi = _clamp_range(stage3_k2_range, n, "stage 3")
-    selected_k2, _ = _rr_scan(d3, (lo, hi))
 
     try:
         start = _uniform_start([re1, re2], c)
@@ -413,7 +376,7 @@ def three_stage_fuse(
         affinities=[re1, re2], start=start, sorted_distances=d3,
         c=c, max_iter=max_iter, tol=tol, k2_range=(lo, hi),
     )
-    selected = _fuse_candidate(stage3, selected_k2)
+    selected = _fuse_candidate(stage3, hi)
     if selected.s is None:
         raise NumericalFailure(selected.error)
     return ThreeStageResult(
@@ -425,8 +388,7 @@ def _fuse_candidate(stage3: Stage3Inputs, k2: int) -> CandidateRecord:
     """Fuse one stage-3 candidate; a numerical failure is recorded, not raised."""
     gamma = max(_gap_scale(stage3.sorted_distances, k2), GAMMA_FLOOR)
     try:
-        cfg = FusionConfig(c=stage3.c, gamma=gamma, k2=k2,
-                           max_iter=stage3.max_iter, tol=stage3.tol)
+        cfg = FusionConfig(c=stage3.c, gamma=gamma, max_iter=stage3.max_iter, tol=stage3.tol)
         state = fuse_affinities(stage3.affinities, cfg, start=stage3.start)
     except NumericalFailure as exc:
         return CandidateRecord(k2=k2, gamma=gamma, s=None, alpha=None, objective=np.nan,

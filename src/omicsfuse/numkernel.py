@@ -1,5 +1,5 @@
-"""Shared numeric primitives: thin SVD, symmetric eigenpairs, simplex
-projection, and the chi-square survival function.
+"""Shared numeric primitives: thin SVD, symmetric eigenpairs, and the
+chi-square survival function.
 
 Thin wrappers over numpy.linalg, scipy.linalg (the partial symmetric
 eigensolve) and scipy.special, with a stable error taxonomy so callers
@@ -13,15 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from . import backend
 from .errors import NumericalFailure
 
 __all__ = [
     "SvdFactors",
     "svd_thin",
     "sym_eig",
-    "project_row_simplex",
-    "project_rows_simplex",
     "chi_square_sf",
 ]
 
@@ -84,26 +81,6 @@ def sym_eig(a: np.ndarray, c: int, which: str = "smallest") -> tuple[np.ndarray,
     if which == "smallest":
         return vals, vecs
     return vals[::-1], vecs[:, ::-1]
-
-
-def project_row_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a vector onto the probability simplex."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"project_row_simplex expects a non-empty vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("project_row_simplex expects finite entries")
-    return backend.project_rows(v[None, :])[0]
-
-
-def project_rows_simplex(m: np.ndarray) -> np.ndarray:
-    """Row-wise simplex projection of a matrix."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.size == 0:
-        raise ValueError(f"project_rows_simplex expects a non-empty matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("project_rows_simplex expects finite entries")
-    return backend.project_rows(m)
 
 
 def chi_square_sf(x: float, df: int) -> float:

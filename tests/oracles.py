@@ -112,6 +112,30 @@ def simplex_project_grid(v: np.ndarray, steps: int = 2000) -> np.ndarray:
     return cand[np.argmin(errs)]
 
 
+# -- the paper's rr scan over neighbor counts --------------------------------
+
+
+def rr_scan_reference(d: np.ndarray, lo: int, hi: int) -> tuple[int, np.ndarray]:
+    """Score each neighbor count i in [lo, hi] by
+    rr(i) = mean_j (i * s_{j,i+1} - sum_{l=2}^{i+1} s_{j,l}) / 2 on the
+    ascending sorted off-diagonal rows s_j of d (1-indexed l); returns
+    (argmax, scores), smallest index on ties.  The fusion schedule uses the
+    top of the range instead, which this scan never scores lower."""
+    d = np.asarray(d, dtype=np.float64)
+    n = d.shape[0]
+    if lo > hi:
+        raise ValueError(f"empty k2 range [{lo}, {hi}]")
+    if lo < 2 or hi > n - 2:
+        raise ValueError(f"k2 range [{lo}, {hi}] outside [2, {n - 2}]")
+    s = np.sort(d[~np.eye(n, dtype=bool)].reshape(n, n - 1), axis=1)
+    csum = np.cumsum(s, axis=1)
+    scores = np.empty(hi - lo + 1)
+    for pos, i in enumerate(range(lo, hi + 1)):
+        # sum_{l=2}^{i+1} s_{j,l} = csum[:, i] - s[:, 0]
+        scores[pos] = float((i * s[:, i] - (csum[:, i] - s[:, 0])).mean() / 2.0)
+    return lo + int(np.argmax(scores)), scores
+
+
 # -- partition metrics by pair enumeration -----------------------------------
 
 

@@ -17,7 +17,6 @@ from omicsfuse.fusion import (
     FusionConfig,
     fuse_affinities,
     gamma_from_neighbors,
-    rr_select_k2,
     step_distance,
 )
 from omicsfuse.pipeline import PipelineConfig, run_pipeline
@@ -156,9 +155,9 @@ def test_c4_fusion_soundness(e2e_run):
             np.fill_diagonal(a, 0.0)
             affs.append(a)
         d = step_distance(affs)
-        k2, _ = rr_select_k2(d, (2, n - 2))
+        k2 = n - 2
         gamma = max(gamma_from_neighbors(d, k2), 1e-8)
-        check_state(fuse_affinities(affs, FusionConfig(c=c, gamma=gamma, k2=k2)))
+        check_state(fuse_affinities(affs, FusionConfig(c=c, gamma=gamma)))
 
     result, _ = e2e_run
     for stage in (result.fusion.stage1, result.fusion.stage2):
@@ -181,9 +180,9 @@ def test_c5_planted_block_recovery():
     block = np.where(labels[:, None] == labels[None, :], 1.0, 0.01)
     affs = [block.copy(), block.copy()]
     d = step_distance(affs)
-    k2, _ = rr_select_k2(d, (2, n - 2))
+    k2 = n - 2
     gamma = gamma_from_neighbors(d, k2)
-    st = fuse_affinities(affs, FusionConfig(c=2, gamma=gamma, k2=k2))
+    st = fuse_affinities(affs, FusionConfig(c=2, gamma=gamma))
     off_mass = st.s[labels[:, None] != labels[None, :]].sum()
     assert off_mass < 1e-6
     part = kmeans_pp(st.s, 2, seed=0)

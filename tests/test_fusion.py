@@ -27,10 +27,11 @@ from omicsfuse.fusion import (
     fuse_affinities,
     gamma_from_neighbors,
     rekernelize,
-    rr_select_k2,
     step_distance,
     three_stage_fuse,
 )
+
+from oracles import rr_scan_reference
 
 
 def profile_12_matrix():
@@ -143,29 +144,31 @@ class TestGammaFromNeighbors:
 
 
 class TestRrSelect:
+    # the paper's k2 rule, kept as a test reference for the range-top pick
+
     def test_hand_values_k6_profile(self):
         d = k6_profile_matrix()
-        best, scores = rr_select_k2(d, (2, 4))
+        best, scores = rr_scan_reference(d, 2, 4)
         # (2*4 - (2+4))/2 = 1, (3*8 - 14)/2 = 5, (4*20 - 34)/2 = 23
         assert scores.tolist() == [1.0, 5.0, 23.0]
         assert best == 4
 
-        best, scores = rr_select_k2(d, (2, 2))
+        best, scores = rr_scan_reference(d, 2, 2)
         assert best == 2 and scores.tolist() == [1.0]
 
-        best, _ = rr_select_k2(d, (2, 3))
+        best, _ = rr_scan_reference(d, 2, 3)
         assert best == 3
 
     def test_constant_distances_pick_range_minimum(self):
         d = 3.0 * (np.ones((9, 9)) - np.eye(9))
-        best, scores = rr_select_k2(d, (2, 7))
+        best, scores = rr_scan_reference(d, 2, 7)
         assert best == 2
         assert np.all(scores == 0.0)
 
     def test_matches_brute_force(self):
         for seed in range(4):
             d = random_distance(30, seed + 100)
-            best, scores = rr_select_k2(d, (2, 28))
+            best, scores = rr_scan_reference(d, 2, 28)
             brute = np.array([rr_brute(d, i) for i in range(2, 29)])
             np.testing.assert_allclose(scores, brute, atol=1e-12)
             assert best == 2 + int(np.argmax(brute))
@@ -173,17 +176,17 @@ class TestRrSelect:
     def test_range_validation(self):
         d = random_distance(10, 3)
         with pytest.raises(ValueError):
-            rr_select_k2(d, (5, 4))
+            rr_scan_reference(d, 5, 4)
         with pytest.raises(ValueError):
-            rr_select_k2(d, (1, 6))
+            rr_scan_reference(d, 1, 6)
         with pytest.raises(ValueError):
-            rr_select_k2(d, (2, 9))
+            rr_scan_reference(d, 2, 9)
 
 
 @st.composite
 def dyadic_distance_matrices(draw, distinct):
-    # multiples of 1/64 keep every sum in the rr scan exact, so the scan's
-    # ordering is tested without rounding
+    # multiples of 1/64 keep every sum in the rr scan and the gap scale
+    # exact, so ordering and equality are tested without rounding
     n = draw(st.integers(5, 16))
     m = n * (n - 1) // 2
     if distinct:
@@ -196,20 +199,23 @@ def dyadic_distance_matrices(draw, distinct):
 
 
 class TestRrScanOrdering:
-    # rr(i+1) - rr(i) = i * mean_j (s_{j,i+2} - s_{j,i+1}) / 2 >= 0 on sorted rows
+    # Why each stage may fuse at the top of its range: on sorted rows
+    # rr(i+1) - rr(i) = i * mean_j (s_{j,i+2} - s_{j,i+1}) / 2 >= 0, and a tie
+    # makes every row flat from the pick up, which leaves gamma unchanged.
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(d=dyadic_distance_matrices(distinct=False))
-    def test_scores_never_decrease(self, d):
+    def test_tied_pick_gives_the_range_top_gamma(self, d):
         n = d.shape[0]
-        _, scores = rr_select_k2(d, (2, n - 2))
+        best, scores = rr_scan_reference(d, 2, n - 2)
         assert np.all(np.diff(scores) >= 0.0)
+        assert gamma_from_neighbors(d, best) == gamma_from_neighbors(d, n - 2)
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(d=dyadic_distance_matrices(distinct=True))
     def test_distinct_distances_select_range_top(self, d):
         n = d.shape[0]
-        best, scores = rr_select_k2(d, (2, n - 2))
+        best, scores = rr_scan_reference(d, 2, n - 2)
         assert np.all(np.diff(scores) > 0.0)
         assert best == n - 2
 
@@ -287,9 +293,8 @@ class TestFuseAffinities:
         a, labels = planted_two_block(20)
         affs = [a.copy() for _ in range(3)]
         d = step_distance(affs)
-        k2, _ = rr_select_k2(d, (2, 18))
-        gamma = gamma_from_neighbors(d, k2)
-        st = fuse_affinities(affs, FusionConfig(c=3, gamma=gamma, k2=k2))
+        gamma = gamma_from_neighbors(d, 18)
+        st = fuse_affinities(affs, FusionConfig(c=3, gamma=gamma))
         off_mask = labels[:, None] != labels[None, :]
         assert st.s[off_mask].sum() < 1e-6
         part = kmeans_pp(st.s, 2, seed=0)
@@ -302,8 +307,6 @@ class TestFuseAffinities:
             FusionConfig(c=2, gamma=0.0)
         with pytest.raises(ValueError):
             FusionConfig(c=2, gamma=-1.0)
-        with pytest.raises(ValueError):
-            FusionConfig(c=2, gamma=0.5, trace_weight=0.0)
         with pytest.raises(ValueError):
             FusionConfig(c=2, gamma=0.5, max_iter=0)
         with pytest.raises(ValueError):
@@ -382,13 +385,18 @@ class TestThreeStage:
         part = kmeans_pp(res.s_final, 2, seed=0)
         assert ari(part, Partition(labels, 2)) == 1.0
 
-    def test_rr_grids_recorded(self):
-        a, _ = planted_two_block(16)
+    def test_stage_k2_is_the_range_cap(self):
+        n = 16
+        a, _ = planted_two_block(n)
         res = three_stage_fuse([a] * 3, [a] * 6, cluster_count=3)
-        assert res.stage1.k2_grid.tolist() == list(range(2, 15))
-        assert res.stage1.rr_values.shape == (13,)
-        assert res.stage2.k2_grid[0] == 2 and res.stage2.k2_grid[-1] == 14
+        assert res.stage1.k2 == min(100, n - 2)
+        assert res.stage2.k2 == n - 2
+        assert res.selected_k2 == min(100, n - 2)
         assert res.stage1.gamma > 0.0 and res.stage2.gamma > 0.0
+
+        res = three_stage_fuse([a] * 3, [a] * 6, cluster_count=3, stage1_k2_range=(2, 7),
+                               stage2_k2_range=(2, 7), stage3_k2_range=(2, 7))
+        assert res.stage1.k2 == res.stage2.k2 == res.selected_k2 == 7
 
     def test_deterministic(self):
         a, _ = planted_two_block(14)
@@ -428,7 +436,7 @@ class TestThreeStage:
         re2 = rekernelize(res.stage2.state.s, k1)
         assert [c.k2 for c in res.candidates] == list(range(2, 8))
         for cand in res.candidates:
-            cfg = FusionConfig(c=res.eigenvector_count, gamma=cand.gamma, k2=cand.k2)
+            cfg = FusionConfig(c=res.eigenvector_count, gamma=cand.gamma)
             alone = fuse_affinities([re1, re2], cfg)
             assert np.array_equal(cand.s, alone.s)
             assert np.array_equal(cand.objective, alone.objective_trace[-1])
@@ -438,13 +446,13 @@ class TestThreeStage:
         n, k1 = 16, 5
         intra, inter = random_affinities(n, 3, 51), random_affinities(n, 6, 52)
         calls = []
+        fuse_candidate = fusion._fuse_candidate
 
-        def counting_fuse(affinities, config, start=None):
-            if len(affinities) == 2:
-                calls.append(config.k2)
-            return fuse_affinities(affinities, config, start=start)
+        def counting_candidate(stage3, k2):
+            calls.append(k2)
+            return fuse_candidate(stage3, k2)
 
-        monkeypatch.setattr(fusion, "fuse_affinities", counting_fuse)
+        monkeypatch.setattr(fusion, "_fuse_candidate", counting_candidate)
         res = three_stage_fuse(intra, inter, cluster_count=3, stage3_k2_range=(2, 7), k1=k1)
         assert calls == [res.selected_k2]
 
@@ -461,7 +469,7 @@ class TestThreeStage:
         assert [c.k2 for c in cands] == list(range(2, 8))
         for cand in cands:
             gamma = max(gamma_from_neighbors(d3, cand.k2), fusion.GAMMA_FLOOR)
-            cfg = FusionConfig(c=res.eigenvector_count, gamma=gamma, k2=cand.k2)
+            cfg = FusionConfig(c=res.eigenvector_count, gamma=gamma)
             eager = fuse_affinities([re1, re2], cfg)
             assert cand.gamma == gamma
             assert np.array_equal(cand.s, eager.s)
@@ -474,18 +482,29 @@ class TestThreeStage:
         selected_k2 = three_stage_fuse([a] * 3, [a] * 6, cluster_count=2).selected_k2
         other_k2 = 2 if selected_k2 != 2 else 3
 
-        def failing_fuse(fail_k2):
+        fuse_candidate = fusion._fuse_candidate
+
+        def fail_at(fail_k2):
+            # the fusion config carries no k2, so note each candidate's on entry
+            fusing = []
+
+            def candidate(stage3, k2):
+                fusing.append(k2)
+                return fuse_candidate(stage3, k2)
+
             def fuse(affinities, config, start=None):
-                if len(affinities) == 2 and config.k2 == fail_k2:
+                if len(affinities) == 2 and fusing[-1] == fail_k2:
                     raise NumericalFailure("boom")
                 return fuse_affinities(affinities, config, start=start)
-            return fuse
 
-        monkeypatch.setattr(fusion, "fuse_affinities", failing_fuse(selected_k2))
+            monkeypatch.setattr(fusion, "_fuse_candidate", candidate)
+            monkeypatch.setattr(fusion, "fuse_affinities", fuse)
+
+        fail_at(selected_k2)
         with pytest.raises(NumericalFailure, match=f"stage 3 candidate k2={selected_k2}: boom"):
             three_stage_fuse([a] * 3, [a] * 6, cluster_count=2)
 
-        monkeypatch.setattr(fusion, "fuse_affinities", failing_fuse(other_k2))
+        fail_at(other_k2)
         res = three_stage_fuse([a] * 3, [a] * 6, cluster_count=2)
         failed = [c for c in res.candidates if c.error is not None]
         assert [c.k2 for c in failed] == [other_k2]

@@ -150,14 +150,13 @@ def test_runs_without_survival_or_labels(dataset):
 def test_unlabeled_run_fuses_one_stage3_candidate(dataset, monkeypatch):
     mats, _, recs = dataset
     stage3_calls = []
-    fuse = fusion.fuse_affinities
+    fuse_candidate = fusion._fuse_candidate
 
-    def counting_fuse(affinities, config, start=None):
-        if len(affinities) == 2:
-            stage3_calls.append(config.k2)
-        return fuse(affinities, config, start=start)
+    def counting_candidate(stage3, k2):
+        stage3_calls.append(k2)
+        return fuse_candidate(stage3, k2)
 
-    monkeypatch.setattr(fusion, "fuse_affinities", counting_fuse)
+    monkeypatch.setattr(fusion, "_fuse_candidate", counting_candidate)
     res = run_pipeline(mats, recs, config=CONFIG)
     assert stage3_calls == [res.fusion.selected_k2]
     assert [c.k2 for c in res.fusion.candidates] == list(range(2, 11))
