@@ -63,10 +63,14 @@ def _local_scales(d: np.ndarray, k1: int | None) -> np.ndarray:
         k1 = min(max(default_neighbor_count(n), 1), n - 1)
     if not 1 <= k1 <= n - 1:
         raise ValueError(f"k1={k1} outside [1, {n - 1}]")
-    off = d.copy()
-    np.fill_diagonal(off, np.inf)  # self excluded
-    nearest = np.sort(off, axis=1)[:, :k1]
-    return nearest.mean(axis=1)
+    return sorted_off_diagonal(d)[:, :k1].mean(axis=1)
+
+
+def sorted_off_diagonal(d: np.ndarray) -> np.ndarray:
+    """Rows of the square matrix d with the diagonal removed, each sorted
+    ascending."""
+    n = d.shape[0]
+    return np.sort(d[~np.eye(n, dtype=bool)].reshape(n, n - 1), axis=1)
 
 
 def affinity_from_distance(d: np.ndarray, k1: int | None = None) -> np.ndarray:

@@ -49,7 +49,7 @@ class GmmModel:
         return r
 
 
-def _elbo(x, r, log_rho_norm, alpha, alpha0, kappa, kappa0, m, m0, a, a0, b, b0):
+def _elbo(log_rho_norm, alpha, alpha0, kappa, kappa0, m, m0, a, a0, b, b0):
     # log_rho_norm = per-sample logsumexp of log rho, i.e. the reassembled
     # expected log-likelihood + assignment entropy
     ll = float(log_rho_norm.sum())
@@ -156,7 +156,7 @@ def fit_bayesian_gmm(
         r = rho / norm
         log_rho_norm = np.log(norm[:, 0]) + shift[:, 0]
 
-        elbo = _elbo(values, r, log_rho_norm, alpha, alpha0, kappa, kappa0, m, m0, a, a0, b, b0)
+        elbo = _elbo(log_rho_norm, alpha, alpha0, kappa, kappa0, m, m0, a, a0, b, b0)
         if not np.isfinite(elbo):
             raise NumericalFailure(f"ELBO became non-finite after {len(trace) + 1} iterations")
         trace.append(elbo)

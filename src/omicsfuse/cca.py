@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backend
+from .affinity import euclidean_distance_matrix
 from .errors import AlignmentError, DegenerateInputError
 from .numkernel import svd_thin
 from .preprocess import OmicsMatrix
@@ -96,14 +96,7 @@ def cca_fit(x: np.ndarray, y: np.ndarray) -> CcaResult:
 def canonical_distance_matrix(result: CcaResult) -> np.ndarray:
     """Euclidean distances between samples in the concatenated canonical
     coordinates of both blocks."""
-    joint = np.hstack([result.x_variates, result.y_variates])
-    d2 = backend.pairwise_sq_dists(joint) if joint.shape[1] else np.zeros(
-        (joint.shape[0], joint.shape[0])
-    )
-    d = np.sqrt(np.maximum(d2, 0.0))
-    d = 0.5 * (d + d.T)
-    np.fill_diagonal(d, 0.0)
-    return d
+    return euclidean_distance_matrix(np.hstack([result.x_variates, result.y_variates]))
 
 
 def all_directed_pair_distances(

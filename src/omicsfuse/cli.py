@@ -38,7 +38,7 @@ from .io import (
     write_survival_csv,
     write_table_csv,
 )
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import PipelineConfig, align_by_id, run_pipeline
 from .survival import SIGNIFICANCE_NEG_LOG10_P, logrank_test
 from .synthgen import SynthSpec, generate
 
@@ -194,17 +194,7 @@ def _resolve_outdir(flag_value) -> Path:
 
 def _align_labels_to(order: list[str], label_path) -> Partition:
     ids, labels = read_labels_csv(label_path)
-    by_id = dict(zip(ids, labels))
-    if len(by_id) != len(ids):
-        raise AlignmentError(f"{label_path}: duplicate sample IDs")
-    if set(by_id) != set(order):
-        missing = sorted(set(order) - set(by_id))[:10]
-        extra = sorted(set(by_id) - set(order))[:10]
-        raise AlignmentError(
-            f"{label_path}: sample IDs do not match the matrices"
-            f" (missing: {missing}, unexpected: {extra})"
-        )
-    return Partition.from_labels([by_id[sid] for sid in order])
+    return Partition.from_labels(align_by_id(order, ids, labels, str(label_path)))
 
 
 def _write_square_csv(path, ids: list[str], matrix: np.ndarray) -> None:
@@ -281,7 +271,8 @@ def cmd_pipeline(args) -> int:
     cand_dir.mkdir(exist_ok=True)
     cand_rows = []
     for cand in fusion.candidates:
-        cand_rows.append([cand.k2, cand.gamma, cand.objective, cand.n_iter,
+        trace = [np.nan] if cand.state is None else cand.state.objective_trace
+        cand_rows.append([cand.k2, cand.gamma, float(trace[-1]), len(trace) - 1,
                           cand.error or ""])
         if cand.s is not None:
             _write_square_csv(cand_dir / f"s_k2_{cand.k2:03d}.csv", ids, cand.s)

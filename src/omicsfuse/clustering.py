@@ -182,8 +182,8 @@ def sweep_k2_metrics(
         k = true_labels.k
     rows: list[SweepRow] = []
     for cand in candidates:
-        if getattr(cand, "error", None) is not None or getattr(cand, "s", None) is None:
-            rows.append(SweepRow(k2=cand.k2, error=cand.error or "no fused network"))
+        if cand.error is not None:
+            rows.append(SweepRow(k2=cand.k2, error=cand.error))
             continue
         try:
             part = kmeans_pp(cand.s, k, seed=seed, restarts=restarts)

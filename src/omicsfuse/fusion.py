@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import backend
-from .affinity import affinity_from_distance, check_distance_matrix
+from .affinity import affinity_from_distance, check_distance_matrix, sorted_off_diagonal
 from .errors import NumericalFailure
 from .numkernel import sym_eig
 from .preprocess import default_neighbor_count
@@ -65,71 +65,75 @@ class FusionState:
 
 @dataclass
 class StageRecord:
-    """One scheduled fusion stage: its neighbor count (the top of the
-    clamped k2 range), the derived scale, and the fused state."""
+    """One fusion at one neighbor count k2: the derived scale and the fused
+    state, or the numerical failure that felled it.  ``s`` is the fused
+    network, None on error."""
 
     k2: int
     gamma: float
-    state: FusionState
-
-
-@dataclass
-class CandidateRecord:
-    """One stage-3 candidate: fused network and diagnostics, or the error
-    that felled it."""
-
-    k2: int
-    gamma: float
-    s: np.ndarray | None
-    alpha: np.ndarray | None
-    objective: float
-    n_iter: int
+    state: FusionState | None
     error: str | None = None
+    s: np.ndarray | None = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.s = None if self.state is None else self.state.s
 
 
 @dataclass
-class Stage3Inputs:
-    """What fusing a stage-3 candidate reads: the re-kernelized stage outputs,
-    their shared start, their sorted step distances, settings and k2 grid."""
+class FusionStep:
+    """What fusing one stage's networks reads at any k2: the affinities,
+    their shared start, their sorted step distances and the settings.
+    ``stage`` prefixes its errors."""
 
+    stage: str
     affinities: list[np.ndarray]
     start: tuple[np.ndarray, np.ndarray]
     sorted_distances: np.ndarray
     c: int
     max_iter: int
     tol: float
-    k2_range: tuple[int, int]
+
+    def fuse(self, k2: int) -> StageRecord:
+        """Fuse at k2 from the shared start; a numerical failure is recorded,
+        not raised."""
+        gamma = max(_gap_scale(self.sorted_distances, k2), GAMMA_FLOOR)
+        cfg = FusionConfig(c=self.c, gamma=gamma, max_iter=self.max_iter, tol=self.tol)
+        try:
+            state = fuse_affinities(self.affinities, cfg, start=self.start)
+        except NumericalFailure as exc:
+            return StageRecord(k2, gamma, None, error=f"{self.stage} k2={k2}: {exc}")
+        return StageRecord(k2, gamma, state)
 
 
 @dataclass
 class ThreeStageResult:
-    """Both scheduled stages and stage 3.  ``selected`` is the stage-3
-    candidate at the top of the k2 range and backs ``s_final``;
-    ``candidates``, one record per k2 of the stage-3 grid, is fused on first
-    read and then cached."""
+    """Both scheduled stages and stage 3, each fused at the top of its k2
+    range; ``stage3`` backs ``s_final``.  ``candidates``, one record per k2
+    of the stage-3 grid from ``stage3_lo`` up, is fused on first read and
+    then cached."""
 
     stage1: StageRecord
     stage2: StageRecord
-    selected: CandidateRecord
-    stage3: Stage3Inputs
+    stage3: StageRecord
+    step3: FusionStep
+    stage3_lo: int
     eigenvector_count: int
-    _candidates: list[CandidateRecord] | None = field(default=None, init=False, repr=False)
+    _candidates: list[StageRecord] | None = field(default=None, init=False, repr=False)
 
     @property
     def selected_k2(self) -> int:
-        return self.selected.k2
+        return self.stage3.k2
 
     @property
     def s_final(self) -> np.ndarray:
-        return self.selected.s
+        return self.stage3.s
 
     @property
-    def candidates(self) -> list[CandidateRecord]:
+    def candidates(self) -> list[StageRecord]:
         if self._candidates is None:
-            lo, hi = self.stage3.k2_range
             self._candidates = [
-                self.selected if k2 == self.selected.k2 else _fuse_candidate(self.stage3, k2)
-                for k2 in range(lo, hi + 1)
+                self.stage3 if k2 == self.stage3.k2 else self.step3.fuse(k2)
+                for k2 in range(self.stage3_lo, self.stage3.k2 + 1)
             ]
         return self._candidates
 
@@ -140,15 +144,6 @@ def eigenvector_count(cluster_count: int) -> int:
     if cluster_count < 2:
         raise ValueError(f"cluster count must be >= 2, got {cluster_count}")
     return 3 if cluster_count == 2 else cluster_count
-
-
-def _sorted_distances(d: np.ndarray) -> np.ndarray:
-    """Rows of the checked distance matrix d with the diagonal removed,
-    each sorted ascending."""
-    d = check_distance_matrix(d)
-    n = d.shape[0]
-    off = d[~np.eye(n, dtype=bool)].reshape(n, n - 1)
-    return np.sort(off, axis=1)
 
 
 def _gap_scale(s: np.ndarray, k2: int) -> float:
@@ -163,7 +158,7 @@ def gamma_from_neighbors(d: np.ndarray, k2: int) -> float:
     """Neighborhood-gap scale: mean over samples of
     sum_{n<=k2} (s_{j,k2+1}^2 - s_{j,n}^2) on ascending sorted off-diagonal
     distances."""
-    return _gap_scale(_sorted_distances(d), k2)
+    return _gap_scale(sorted_off_diagonal(check_distance_matrix(d)), k2)
 
 
 # One BLAS pool in the fusion loop: sym_eig uses scipy's own OpenBLAS, and numpy
@@ -276,27 +271,17 @@ def closed_form_alpha(errs: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def step_distance(affinities: list[np.ndarray]) -> np.ndarray:
-    """Dissimilarity read by the gap scale: one minus the
-    symmetrized mean affinity, zero diagonal."""
+    """Dissimilarity read by the gap scale and by re-kernelization: one minus
+    the symmetrized mean affinity over its maximum, zero diagonal."""
     mean_aff = np.mean(affinities, axis=0)
     mean_aff = 0.5 * (mean_aff + mean_aff.T)
-    d = 1.0 - mean_aff / mean_aff.max()
+    m = mean_aff.max()
+    if m <= 0.0:
+        raise NumericalFailure("mean affinity has no positive entries")
+    d = 1.0 - mean_aff / m
     np.maximum(d, 0.0, out=d)
     np.fill_diagonal(d, 0.0)
     return d
-
-
-def rekernelize(s: np.ndarray, k1: int | None = None) -> np.ndarray:
-    """Turn a fused row-stochastic network back into an affinity matrix:
-    symmetrize, rescale to a dissimilarity, re-kernelize."""
-    s_sym = 0.5 * (s + s.T)
-    m = s_sym.max()
-    if m <= 0.0:
-        raise NumericalFailure("fused network has no positive entries")
-    d = 1.0 - s_sym / m
-    np.maximum(d, 0.0, out=d)
-    np.fill_diagonal(d, 0.0)
-    return affinity_from_distance(d, k1)
 
 
 def _clamp_range(k2_range: tuple[int, int], n: int, stage: str) -> tuple[int, int]:
@@ -307,22 +292,19 @@ def _clamp_range(k2_range: tuple[int, int], n: int, stage: str) -> tuple[int, in
     return lo, hi
 
 
-def _fuse_stage(
-    affs: list[np.ndarray],
-    k2_range: tuple[int, int],
-    c: int,
-    max_iter: int,
-    tol: float,
-    stage: str,
-) -> StageRecord:
-    n = affs[0].shape[0]
-    _, k2 = _clamp_range(k2_range, n, stage)
+def _fusion_step(affs: list[np.ndarray], c: int, max_iter: int, tol: float,
+                 stage: str) -> FusionStep:
     try:
-        gamma = max(_gap_scale(_sorted_distances(step_distance(affs)), k2), GAMMA_FLOOR)
-        state = fuse_affinities(affs, FusionConfig(c=c, gamma=gamma, max_iter=max_iter, tol=tol))
+        d = sorted_off_diagonal(check_distance_matrix(step_distance(affs)))
+        return FusionStep(stage, affs, _uniform_start(affs, c), d, c, max_iter, tol)
     except (NumericalFailure, ValueError) as exc:
         raise type(exc)(f"{stage}: {exc}") from exc
-    return StageRecord(k2=k2, gamma=gamma, state=state)
+
+
+def _raise_failure(record: StageRecord) -> StageRecord:
+    if record.error is not None:
+        raise NumericalFailure(record.error)
+    return record
 
 
 def three_stage_fuse(
@@ -355,44 +337,19 @@ def three_stage_fuse(
     if stage2_k2_range is None:
         stage2_k2_range = (2, n + 2)
 
-    stage1 = _fuse_stage(intra, stage1_k2_range, c, max_iter, tol, "stage 1 (intra)")
-    stage2 = _fuse_stage(inter, stage2_k2_range, c, max_iter, tol, "stage 2 (inter)")
+    stages = []
+    for affs, k2_range, stage in ((intra, stage1_k2_range, "stage 1 (intra)"),
+                                  (inter, stage2_k2_range, "stage 2 (inter)")):
+        _, k2 = _clamp_range(k2_range, n, stage)
+        stages.append(_raise_failure(_fusion_step(affs, c, max_iter, tol, stage).fuse(k2)))
 
     try:
-        re1 = rekernelize(stage1.state.s, k1)
-        re2 = rekernelize(stage2.state.s, k1)
+        rekernelized = [affinity_from_distance(step_distance([st.s]), k1) for st in stages]
     except (NumericalFailure, ValueError) as exc:
         raise type(exc)(f"stage 3 re-kernelization: {exc}") from exc
-
-    d3 = _sorted_distances(step_distance([re1, re2]))
     lo, hi = _clamp_range(stage3_k2_range, n, "stage 3")
-
-    try:
-        start = _uniform_start([re1, re2], c)
-    except NumericalFailure as exc:
-        raise NumericalFailure(f"stage 3 start: {exc}") from exc
-
-    stage3 = Stage3Inputs(
-        affinities=[re1, re2], start=start, sorted_distances=d3,
-        c=c, max_iter=max_iter, tol=tol, k2_range=(lo, hi),
-    )
-    selected = _fuse_candidate(stage3, hi)
-    if selected.s is None:
-        raise NumericalFailure(selected.error)
+    step3 = _fusion_step(rekernelized, c, max_iter, tol, "stage 3 candidate")
     return ThreeStageResult(
-        stage1=stage1, stage2=stage2, selected=selected, stage3=stage3, eigenvector_count=c
+        stage1=stages[0], stage2=stages[1], stage3=_raise_failure(step3.fuse(hi)),
+        step3=step3, stage3_lo=lo, eigenvector_count=c,
     )
-
-
-def _fuse_candidate(stage3: Stage3Inputs, k2: int) -> CandidateRecord:
-    """Fuse one stage-3 candidate; a numerical failure is recorded, not raised."""
-    gamma = max(_gap_scale(stage3.sorted_distances, k2), GAMMA_FLOOR)
-    try:
-        cfg = FusionConfig(c=stage3.c, gamma=gamma, max_iter=stage3.max_iter, tol=stage3.tol)
-        state = fuse_affinities(stage3.affinities, cfg, start=stage3.start)
-    except NumericalFailure as exc:
-        return CandidateRecord(k2=k2, gamma=gamma, s=None, alpha=None, objective=np.nan,
-                               n_iter=0, error=f"stage 3 candidate k2={k2}: {exc}")
-    return CandidateRecord(k2=k2, gamma=gamma, s=state.s, alpha=state.alpha,
-                           objective=float(state.objective_trace[-1]),
-                           n_iter=len(state.objective_trace) - 1)

@@ -18,7 +18,6 @@ from .cca import all_directed_pair_distances
 from .clustering import Partition, SweepRow, ari, kmeans_pp, nmi, sweep_k2_metrics
 from .errors import AlignmentError, DegenerateInputError
 from .fusion import ThreeStageResult, eigenvector_count, three_stage_fuse
-from .numkernel import sym_eig
 from .preprocess import (
     OmicsMatrix,
     apply_power_transform,
@@ -108,8 +107,7 @@ def _id_mismatch(reference, other, what: str):
     missing = sorted(ref_set - other_set)[:10]
     extra = sorted(other_set - ref_set)[:10]
     return AlignmentError(
-        f"{what}: sample IDs do not match the first matrix"
-        f" (missing: {missing}, unexpected: {extra})"
+        f"{what}: sample IDs do not match (missing: {missing}, unexpected: {extra})"
     )
 
 
@@ -141,15 +139,20 @@ def align_inputs(
         if set(m.sample_ids) != set(order):
             raise _id_mismatch(order, m.sample_ids, f"{m.kind} matrix")
         aligned.append(_reorder_matrix(m, order))
-    aligned_records = None
     if records is not None:
-        by_id = {r.sample_id: r for r in records}
-        if len(by_id) != len(records):
-            raise AlignmentError("survival file: duplicate sample IDs")
-        if set(by_id) != set(order):
-            raise _id_mismatch(order, list(by_id), "survival file")
-        aligned_records = [by_id[sid] for sid in order]
-    return aligned, aligned_records
+        records = align_by_id(order, [r.sample_id for r in records], records, "survival file")
+    return aligned, records
+
+
+def align_by_id(order: list[str], ids: list[str], values: list, what: str) -> list:
+    """``values``, one per entry of ``ids``, reordered to ``order``; the IDs
+    must be unique and cover exactly the samples of ``order``."""
+    by_id = dict(zip(ids, values))
+    if len(by_id) != len(ids):
+        raise AlignmentError(f"{what}: duplicate sample IDs")
+    if set(by_id) != set(order):
+        raise _id_mismatch(order, list(by_id), what)
+    return [by_id[sid] for sid in order]
 
 
 def preprocess_matrix(
@@ -190,12 +193,8 @@ def preprocess_matrix(
 
 
 def _cluster_points(fusion: ThreeStageResult, config: PipelineConfig) -> np.ndarray:
-    if config.cluster_on == "network":
-        return fusion.s_final
-    s_sym = 0.5 * (fusion.s_final + fusion.s_final.T)
-    n = s_sym.shape[0]
-    _, f = sym_eig(np.eye(n) - s_sym, fusion.eigenvector_count, which="smallest")
-    return f
+    # the last F-step of stage 3 solved I - sym(S_final) for these eigenvectors
+    return fusion.s_final if config.cluster_on == "network" else fusion.stage3.state.f
 
 
 def run_pipeline(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from omicsfuse.clustering import Partition, ari, kmeans_pp, nmi, sweep_k2_metrics
-from omicsfuse.fusion import CandidateRecord
+from omicsfuse.fusion import FusionState, StageRecord
 
 from oracles import ari_brute, nmi_brute
 
@@ -194,13 +194,15 @@ class TestSweep:
         labels = np.repeat(np.arange(2), 8)
         s = np.where(labels[:, None] == labels[None, :], 0.12, 0.001)
         s = s / s.sum(axis=1, keepdims=True)
-        good = CandidateRecord(k2=2, gamma=1.0, s=s, alpha=None, objective=0.0, n_iter=3)
-        noisy = CandidateRecord(
-            k2=3, gamma=1.0, s=rng.uniform(size=(16, 16)), alpha=None, objective=0.0, n_iter=3
-        )
-        failed = CandidateRecord(
-            k2=4, gamma=1.0, s=None, alpha=None, objective=np.nan, n_iter=0, error="diverged"
-        )
+
+        def fused(k2, s):
+            state = FusionState(s=s, f=None, alpha=None, objective_trace=np.zeros(4),
+                                converged=True)
+            return StageRecord(k2=k2, gamma=1.0, state=state)
+
+        good = fused(2, s)
+        noisy = fused(3, rng.uniform(size=(16, 16)))
+        failed = StageRecord(k2=4, gamma=1.0, state=None, error="diverged")
         return [good, noisy, failed], Partition(labels, 2)
 
     def test_one_row_per_candidate_and_errors_kept(self):

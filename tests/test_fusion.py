@@ -17,21 +17,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omicsfuse import fusion
+from omicsfuse.affinity import affinity_from_distance
 from omicsfuse.clustering import Partition, ari, kmeans_pp
 from omicsfuse.errors import NumericalFailure
 from omicsfuse.fusion import (
-    CandidateRecord,
     FusionConfig,
     closed_form_alpha,
     eigenvector_count,
     fuse_affinities,
     gamma_from_neighbors,
-    rekernelize,
+    StageRecord,
     step_distance,
     three_stage_fuse,
 )
 
 from oracles import rr_scan_reference
+
+
+def rekernelized(s, k1=None):
+    # how stage 3 turns a fused network back into an affinity
+    return affinity_from_distance(step_distance([s]), k1)
 
 
 def profile_12_matrix():
@@ -346,14 +351,14 @@ class TestStepDistanceAndRekernelize:
     def test_rekernelize_gives_affinity(self):
         affs = random_affinities(12, 2, 13)
         st = fuse_affinities(affs, FusionConfig(c=2, gamma=0.5))
-        a = rekernelize(st.s, k1=3)
+        a = rekernelized(st.s, k1=3)
         assert np.array_equal(a, a.T)
         np.testing.assert_allclose(np.diag(a), np.ones(12), atol=0)
         assert a.min() > 0.0 and a.max() <= 1.0
 
     def test_rekernelize_rejects_nonpositive(self):
         with pytest.raises(NumericalFailure):
-            rekernelize(np.zeros((5, 5)))
+            rekernelized(np.zeros((5, 5)))
 
 
 class TestThreeStage:
@@ -432,39 +437,39 @@ class TestThreeStage:
         n, k1 = 16, 5
         res = three_stage_fuse(random_affinities(n, 3, 51), random_affinities(n, 6, 52),
                                cluster_count=3, stage3_k2_range=(2, 7), k1=k1)
-        re1 = rekernelize(res.stage1.state.s, k1)
-        re2 = rekernelize(res.stage2.state.s, k1)
+        re1 = rekernelized(res.stage1.state.s, k1)
+        re2 = rekernelized(res.stage2.state.s, k1)
         assert [c.k2 for c in res.candidates] == list(range(2, 8))
         for cand in res.candidates:
             cfg = FusionConfig(c=res.eigenvector_count, gamma=cand.gamma)
             alone = fuse_affinities([re1, re2], cfg)
             assert np.array_equal(cand.s, alone.s)
-            assert np.array_equal(cand.objective, alone.objective_trace[-1])
-            assert cand.n_iter == len(alone.objective_trace) - 1
+            assert np.array_equal(cand.state.objective_trace, alone.objective_trace)
 
     def test_candidates_fused_on_first_read(self, monkeypatch):
         n, k1 = 16, 5
         intra, inter = random_affinities(n, 3, 51), random_affinities(n, 6, 52)
         calls = []
-        fuse_candidate = fusion._fuse_candidate
+        fuse = fusion.FusionStep.fuse
 
-        def counting_candidate(stage3, k2):
-            calls.append(k2)
-            return fuse_candidate(stage3, k2)
+        def counting_fuse(step, k2):
+            if len(step.affinities) == 2:
+                calls.append(k2)
+            return fuse(step, k2)
 
-        monkeypatch.setattr(fusion, "_fuse_candidate", counting_candidate)
+        monkeypatch.setattr(fusion.FusionStep, "fuse", counting_fuse)
         res = three_stage_fuse(intra, inter, cluster_count=3, stage3_k2_range=(2, 7), k1=k1)
         assert calls == [res.selected_k2]
 
         cands = res.candidates
         assert sorted(calls) == list(range(2, 8))
-        assert cands[res.selected_k2 - 2] is res.selected
-        assert res.selected.s is res.s_final
+        assert cands[res.selected_k2 - 2] is res.stage3
+        assert res.stage3.s is res.s_final
         assert res.candidates is cands
         assert len(calls) == 6
 
-        re1 = rekernelize(res.stage1.state.s, k1)
-        re2 = rekernelize(res.stage2.state.s, k1)
+        re1 = rekernelized(res.stage1.state.s, k1)
+        re2 = rekernelized(res.stage2.state.s, k1)
         d3 = step_distance([re1, re2])
         assert [c.k2 for c in cands] == list(range(2, 8))
         for cand in cands:
@@ -473,8 +478,7 @@ class TestThreeStage:
             eager = fuse_affinities([re1, re2], cfg)
             assert cand.gamma == gamma
             assert np.array_equal(cand.s, eager.s)
-            assert cand.objective == eager.objective_trace[-1]
-            assert cand.n_iter == len(eager.objective_trace) - 1
+            assert np.array_equal(cand.state.objective_trace, eager.objective_trace)
             assert cand.error is None
 
     def test_candidate_failures(self, monkeypatch):
@@ -482,22 +486,22 @@ class TestThreeStage:
         selected_k2 = three_stage_fuse([a] * 3, [a] * 6, cluster_count=2).selected_k2
         other_k2 = 2 if selected_k2 != 2 else 3
 
-        fuse_candidate = fusion._fuse_candidate
+        fuse_step = fusion.FusionStep.fuse
 
         def fail_at(fail_k2):
-            # the fusion config carries no k2, so note each candidate's on entry
+            # the fusion config carries no k2, so note each fusion's on entry
             fusing = []
 
-            def candidate(stage3, k2):
+            def step_fuse(step, k2):
                 fusing.append(k2)
-                return fuse_candidate(stage3, k2)
+                return fuse_step(step, k2)
 
             def fuse(affinities, config, start=None):
                 if len(affinities) == 2 and fusing[-1] == fail_k2:
                     raise NumericalFailure("boom")
                 return fuse_affinities(affinities, config, start=start)
 
-            monkeypatch.setattr(fusion, "_fuse_candidate", candidate)
+            monkeypatch.setattr(fusion.FusionStep, "fuse", step_fuse)
             monkeypatch.setattr(fusion, "fuse_affinities", fuse)
 
         fail_at(selected_k2)
@@ -521,9 +525,8 @@ class TestThreeStage:
         assert [c.k2 for c in again.candidates] == [c.k2 for c in res.candidates]
 
     def test_failed_candidate_is_recorded(self):
-        rec = CandidateRecord(k2=5, gamma=1.0, s=None, alpha=None,
-                              objective=np.nan, n_iter=0, error="boom")
-        assert rec.error == "boom"
+        rec = StageRecord(k2=5, gamma=1.0, state=None, error="boom")
+        assert rec.error == "boom" and rec.s is None
 
 
 # functions run inside the fusion loop, between eigensolves

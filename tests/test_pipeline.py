@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from omicsfuse import fusion, pipeline
-from omicsfuse.clustering import Partition
+from omicsfuse.clustering import Partition, kmeans_pp
 from omicsfuse.errors import AlignmentError, DegenerateInputError
+from omicsfuse.numkernel import sym_eig
 from omicsfuse.pipeline import PipelineConfig, align_inputs, run_pipeline
 from omicsfuse.preprocess import OmicsMatrix
 from omicsfuse.survival import SurvivalRecord
@@ -150,13 +151,14 @@ def test_runs_without_survival_or_labels(dataset):
 def test_unlabeled_run_fuses_one_stage3_candidate(dataset, monkeypatch):
     mats, _, recs = dataset
     stage3_calls = []
-    fuse_candidate = fusion._fuse_candidate
+    fuse = fusion.FusionStep.fuse
 
-    def counting_candidate(stage3, k2):
-        stage3_calls.append(k2)
-        return fuse_candidate(stage3, k2)
+    def counting_fuse(step, k2):
+        if len(step.affinities) == 2:
+            stage3_calls.append(k2)
+        return fuse(step, k2)
 
-    monkeypatch.setattr(fusion, "_fuse_candidate", counting_candidate)
+    monkeypatch.setattr(fusion.FusionStep, "fuse", counting_fuse)
     res = run_pipeline(mats, recs, config=CONFIG)
     assert stage3_calls == [res.fusion.selected_k2]
     assert [c.k2 for c in res.fusion.candidates] == list(range(2, 11))
@@ -198,6 +200,11 @@ def test_spectral_clustering_input(dataset):
     cfg = PipelineConfig(clusters=3, stage3_k2=(2, 10), cluster_on="spectral", seed=0)
     res = run_pipeline(mats, recs, labels, cfg)
     assert res.final_ari == 1.0
+    # the embedding is the bottom eigenvectors of I - sym(S_final), as a fresh solve gives them
+    s_sym = 0.5 * (res.fusion.s_final + res.fusion.s_final.T)
+    _, f = sym_eig(np.eye(s_sym.shape[0]) - s_sym, res.fusion.eigenvector_count)
+    again = kmeans_pp(f, cfg.clusters, seed=cfg.seed, restarts=cfg.restarts)
+    assert np.array_equal(again.labels, res.final_partition.labels)
 
 
 def test_k3_larger_than_n_is_skipped(dataset):
