@@ -14,6 +14,13 @@ its own centroid shift and repairs its own empty clusters, so it follows
 the path it would follow alone.  Its within-cluster sum of squares is the
 1-D sum ``d2[rows, labels].sum()`` over that restart's point-to-centroid
 distances, the same summation whether it ran alone or with others.
+
+k-means runs between the fusion's eigensolves in the stage-3 candidate
+stream, so its products call scipy's BLAS, the library ``sym_eig`` uses,
+not numpy's: two OpenBLAS thread pools taking turns on the same cores
+made the interleaved loop about twice as slow.  The BLAS routines get
+transposed views of C-contiguous arrays, which are F-contiguous, so the
+wrappers copy nothing.
 """
 
 from __future__ import annotations
@@ -77,10 +84,14 @@ def masked_pairwise_dists(x: np.ndarray, observed: np.ndarray) -> np.ndarray:
 def _sq_dists_to(x: np.ndarray, xsq: np.ndarray, cent: np.ndarray) -> np.ndarray:
     """(n, r, k) squared distances from the rows of x to r sets of k
     centroids, from one GEMM, clamped at 0."""
+    # imported here to keep scipy.linalg off the `import omicsfuse` path
+    from scipy.linalg import blas
+
     r, k, p = cent.shape
     flat = cent.reshape(r * k, p)
     csq = np.einsum("ij,ij->i", flat, flat)
-    d2 = xsq[:, None] + csq[None, :] - 2.0 * (x @ flat.T)
+    xc = blas.dgemm(1.0, flat.T, x.T, trans_a=1).T  # x @ flat.T, C-contiguous
+    d2 = xsq[:, None] + csq[None, :] - 2.0 * xc
     np.maximum(d2, 0.0, out=d2)
     return d2.reshape(-1, r, k)
 
@@ -94,7 +105,9 @@ def lloyd(x, centroids, max_iter, tol):
     (n,), (k, p) and a float for one restart; (r, n), (r, k, p) and an
     (r,) array for r restarts.
     """
-    x = np.asarray(x, dtype=np.float64)
+    from scipy.linalg import blas
+
+    x = np.ascontiguousarray(x, dtype=np.float64)
     cent = np.array(centroids, dtype=np.float64)
     single = cent.ndim == 2
     if single:
@@ -123,7 +136,8 @@ def lloyd(x, centroids, max_iter, tol):
         # one-hot GEMM: column a*k + c sums the rows of cluster c of restart a
         onehot = np.zeros((n, active.size * k))
         onehot[rows[None, :], labels + (k * np.arange(active.size))[:, None]] = 1.0
-        newcent = (onehot.T @ x).reshape(-1, k, p) / counts[:, :, None]
+        sums = blas.dgemm(1.0, x.T, onehot.T, trans_b=1).T  # onehot.T @ x
+        newcent = sums.reshape(-1, k, p) / counts[:, :, None]
         shift = np.sqrt(((newcent - cent[active]) ** 2).sum(axis=2)).max(axis=1)
         cent[active] = newcent
         active = active[shift >= tol]

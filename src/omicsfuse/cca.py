@@ -1,10 +1,10 @@
 """Canonical correlation analysis between omics blocks and the
 sample-level distances derived from the paired canonical variates.
 
-Each block is centered and whitened through its thin SVD; the canonical
-structure is the SVD of the whitened cross-product, so correlations are
-singular values of an orthonormal core and land in [0, 1] by
-construction.
+Each block is centered and whitened through its thin SVD, once however
+many pairs use it; the canonical structure is the SVD of the whitened
+cross-product, so correlations are singular values of an orthonormal core
+and land in [0, 1] by construction.
 """
 
 from __future__ import annotations
@@ -66,22 +66,23 @@ def _center_and_whiten(block: np.ndarray, name: str) -> np.ndarray:
     return factors.u[:, keep]
 
 
-def cca_fit(x: np.ndarray, y: np.ndarray) -> CcaResult:
-    """Canonical correlation analysis of two sample-aligned blocks."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 2:
+def _checked_blocks(*blocks: np.ndarray) -> list[np.ndarray]:
+    out = [np.asarray(b, dtype=np.float64) for b in blocks]
+    if any(b.ndim != 2 for b in out):
         raise ValueError("cca_fit expects 2-D blocks")
-    if x.shape[0] != y.shape[0]:
-        raise ValueError(f"sample counts differ: {x.shape[0]} vs {y.shape[0]}")
-    n = x.shape[0]
+    n = out[0].shape[0]
+    for b in out[1:]:
+        if b.shape[0] != n:
+            raise ValueError(f"sample counts differ: {n} vs {b.shape[0]}")
     if n < 3:
         raise ValueError(f"cca_fit needs at least 3 samples, got {n}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+    if not all(np.all(np.isfinite(b)) for b in out):
         raise ValueError("cca_fit expects finite, fully observed blocks")
+    return out
 
-    ux = _center_and_whiten(x, "x")
-    uy = _center_and_whiten(y, "y")
+
+def _fit_whitened(ux: np.ndarray, uy: np.ndarray) -> CcaResult:
+    """CCA of two blocks from their whitened bases."""
     core = svd_thin(ux.T @ uy)
     corr = np.clip(core.singular_values, 0.0, 1.0)
     if corr.size and corr[0] > 0.0:
@@ -91,6 +92,12 @@ def cca_fit(x: np.ndarray, y: np.ndarray) -> CcaResult:
     wx = ux @ core.u[:, :rank]
     wy = uy @ core.vt[:rank, :].T
     return CcaResult(x_variates=wx, y_variates=wy, correlations=corr[:rank], rank=rank)
+
+
+def cca_fit(x: np.ndarray, y: np.ndarray) -> CcaResult:
+    """Canonical correlation analysis of two sample-aligned blocks."""
+    x, y = _checked_blocks(x, y)
+    return _fit_whitened(_center_and_whiten(x, "x"), _center_and_whiten(y, "y"))
 
 
 def canonical_distance_matrix(result: CcaResult) -> np.ndarray:
@@ -135,9 +142,10 @@ def all_directed_pair_distances(
         # disambiguate repeated kinds by position
         names = {id(m): f"{m.kind}{i}" for i, m in enumerate(omics)}
 
+    blocks = _checked_blocks(*(m.values for m in omics))
+    bases = {id(m): _center_and_whiten(b, names[id(m)]) for m, b in zip(omics, blocks)}
     out = []
     for pred, resp in pairs:
-        res = cca_fit(pred.values, resp.values)
-        dist = canonical_distance_matrix(res)
+        dist = canonical_distance_matrix(_fit_whitened(bases[id(pred)], bases[id(resp)]))
         out.append((DirectedPair(predictor=names[id(pred)], response=names[id(resp)]), dist))
     return out

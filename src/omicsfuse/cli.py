@@ -238,11 +238,24 @@ def cmd_pipeline(args) -> int:
         read_matrix_csv(paths["methylation"], kind="methylation"),
     ]
     records = read_survival_csv(paths["survival"])
+    ids = list(matrices[0].sample_ids)  # the pipeline's sample order
     true_labels = None
     if paths["labels"]:
-        true_labels = _align_labels_to(matrices[0].sample_ids, paths["labels"])
+        true_labels = _align_labels_to(ids, paths["labels"])
 
-    result = run_pipeline(matrices, records, true_labels, config)
+    # each stage-3 candidate is written as it is fused, then dropped
+    cand_dir = outdir / "stage3_candidates"
+    cand_rows = []
+
+    def write_candidate(cand) -> None:
+        trace = [np.nan] if cand.state is None else cand.state.objective_trace
+        cand_rows.append([cand.k2, cand.gamma, float(trace[-1]), len(trace) - 1,
+                          cand.error or ""])
+        cand_dir.mkdir(exist_ok=True)
+        if cand.s is not None:
+            _write_square_csv(cand_dir / f"s_k2_{cand.k2:03d}.csv", ids, cand.s)
+
+    result = run_pipeline(matrices, records, true_labels, config, on_candidate=write_candidate)
 
     echo = asdict(config)
     echo.update({k: paths[k] for k in _PATH_KEYS if paths[k] and k != "outdir"})
@@ -251,7 +264,6 @@ def cmd_pipeline(args) -> int:
     write_json(outdir / "preprocess_report.json",
                {rep.kind: asdict(rep) for rep in result.preprocess})
 
-    ids = result.sample_ids
     aff_dir = outdir / "affinities"
     aff_dir.mkdir(exist_ok=True)
     for kind, a in result.intra_affinities.items():
@@ -267,15 +279,6 @@ def cmd_pipeline(args) -> int:
                    "eigenvector_count": fusion.eigenvector_count},
     })
 
-    cand_dir = outdir / "stage3_candidates"
-    cand_dir.mkdir(exist_ok=True)
-    cand_rows = []
-    for cand in fusion.candidates:
-        trace = [np.nan] if cand.state is None else cand.state.objective_trace
-        cand_rows.append([cand.k2, cand.gamma, float(trace[-1]), len(trace) - 1,
-                          cand.error or ""])
-        if cand.s is not None:
-            _write_square_csv(cand_dir / f"s_k2_{cand.k2:03d}.csv", ids, cand.s)
     write_table_csv(outdir / "stage3_candidates.csv",
                     ["k2", "gamma", "objective", "n_iter", "error"], cand_rows)
     _write_square_csv(outdir / "s_final.csv", ids, fusion.s_final)
@@ -328,11 +331,9 @@ def cmd_synth(args) -> int:
 
 def cmd_survival(args) -> int:
     records = read_survival_csv(args.survival)
-    order = [r.sample_id for r in records]
-    if len(set(order)) != len(order):
-        raise AlignmentError(f"{args.survival}: duplicate sample IDs")
-    part = _align_labels_to(order, args.labels)
-    report = logrank_test(part, records)
+    ids, labels = read_labels_csv(args.labels)
+    records = align_by_id(ids, [r.sample_id for r in records], records, str(args.survival))
+    report = logrank_test(Partition.from_labels(labels), records)
     outdir = _resolve_outdir(args.outdir)
     payload = asdict(report)
     payload["threshold_neg_log10_p"] = SIGNIFICANCE_NEG_LOG10_P

@@ -52,10 +52,13 @@ def _dsq_seed(
     """Distance-squared-weighted seeding of k initial centroids; distances
     come from the cached row norms, clamped at 0, and are exactly 0 at each
     chosen row."""
+    # scipy's BLAS, as in backend.lloyd; points is C-contiguous
+    from scipy.linalg import blas
+
     n = points.shape[0]
 
     def sq_dists_to(i: int) -> np.ndarray:
-        d2 = sq_norms + sq_norms[i] - 2.0 * (points @ points[i])
+        d2 = sq_norms + sq_norms[i] - 2.0 * blas.dgemv(1.0, points.T, points[i], trans=1)
         np.maximum(d2, 0.0, out=d2)
         d2[i] = 0.0
         return d2
@@ -85,7 +88,7 @@ def kmeans_pp(
     """k-means++ with Lloyd refinement; best of ``restarts`` runs by
     within-cluster sum of squares (the first on ties), deterministic given
     the seed.  All seedings are drawn first, then refined in lockstep."""
-    points = np.asarray(points, dtype=np.float64)
+    points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2 or points.size == 0:
         raise ValueError(f"points must be a non-empty 2-D array, got shape {points.shape}")
     if not np.all(np.isfinite(points)):

@@ -18,6 +18,7 @@ gamma is the same at the tied pick and at the top.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,9 +109,13 @@ class FusionStep:
 @dataclass
 class ThreeStageResult:
     """Both scheduled stages and stage 3, each fused at the top of its k2
-    range; ``stage3`` backs ``s_final``.  ``candidates``, one record per k2
-    of the stage-3 grid from ``stage3_lo`` up, is fused on first read and
-    then cached."""
+    range; ``stage3`` backs ``s_final``.
+
+    The stage-3 candidates, one record per k2 of the stage-3 grid from
+    ``stage3_lo`` up, come from ``iter_candidates``, which fuses each when
+    it is reached and keeps none.  ``candidates`` is the compatibility
+    path: the same records as a list, fused on first read and then cached,
+    which holds one n x n network per candidate."""
 
     stage1: StageRecord
     stage2: StageRecord
@@ -128,13 +133,21 @@ class ThreeStageResult:
     def s_final(self) -> np.ndarray:
         return self.stage3.s
 
+    def iter_candidates(self) -> Iterator[StageRecord]:
+        """The stage-3 candidates in k2 order, each fused when reached; the
+        last is ``stage3``.  Reads the cached list instead once
+        ``candidates`` has built it."""
+        if self._candidates is not None:
+            yield from self._candidates
+            return
+        for k2 in range(self.stage3_lo, self.stage3.k2):
+            yield self.step3.fuse(k2)
+        yield self.stage3
+
     @property
     def candidates(self) -> list[StageRecord]:
         if self._candidates is None:
-            self._candidates = [
-                self.stage3 if k2 == self.stage3.k2 else self.step3.fuse(k2)
-                for k2 in range(self.stage3_lo, self.stage3.k2 + 1)
-            ]
+            self._candidates = list(self.iter_candidates())
         return self._candidates
 
 

@@ -8,6 +8,8 @@ reordered to the first matrix's order before any computation.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +19,7 @@ from .bgmm import fit_bayesian_gmm
 from .cca import all_directed_pair_distances
 from .clustering import Partition, SweepRow, ari, kmeans_pp, nmi, sweep_k2_metrics
 from .errors import AlignmentError, DegenerateInputError
-from .fusion import ThreeStageResult, eigenvector_count, three_stage_fuse
+from .fusion import StageRecord, ThreeStageResult, three_stage_fuse
 from .preprocess import (
     OmicsMatrix,
     apply_power_transform,
@@ -65,6 +67,12 @@ class PipelineConfig:
             raise ValueError(f"clusters must be >= 2, got {self.clusters}")
         if any(k3 < 2 for k3 in self.k3_set):
             raise ValueError(f"every k3 must be >= 2, got {self.k3_set}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not self.tol > 0.0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
 
 
 @dataclass
@@ -144,12 +152,19 @@ def align_inputs(
     return aligned, records
 
 
+def _duplicates(ids: list[str]) -> list[str]:
+    return sorted(sid for sid, count in Counter(ids).items() if count > 1)[:10]
+
+
 def align_by_id(order: list[str], ids: list[str], values: list, what: str) -> list:
-    """``values``, one per entry of ``ids``, reordered to ``order``; the IDs
-    must be unique and cover exactly the samples of ``order``."""
+    """``values``, one per entry of ``ids``, reordered to ``order``; both ID
+    lists must be unique, and ``ids`` must cover exactly the samples of
+    ``order``."""
+    if dup := _duplicates(ids):
+        raise AlignmentError(f"{what}: duplicate sample IDs {dup}")
+    if dup := _duplicates(order):
+        raise AlignmentError(f"duplicate sample IDs {dup} in the samples {what} is aligned to")
     by_id = dict(zip(ids, values))
-    if len(by_id) != len(ids):
-        raise AlignmentError(f"{what}: duplicate sample IDs")
     if set(by_id) != set(order):
         raise _id_mismatch(order, list(by_id), what)
     return [by_id[sid] for sid in order]
@@ -197,14 +212,31 @@ def _cluster_points(fusion: ThreeStageResult, config: PipelineConfig) -> np.ndar
     return fusion.s_final if config.cluster_on == "network" else fusion.stage3.state.f
 
 
+def _candidate_stream(
+    fusion: ThreeStageResult, on_candidate: Callable[[StageRecord], None] | None
+) -> Iterator[StageRecord]:
+    # each candidate goes to on_candidate when the consumer asks for the
+    # next one, done with it, so only one non-selected network is alive
+    for cand in fusion.iter_candidates():
+        yield cand
+        if on_candidate is not None:
+            on_candidate(cand)
+
+
 def run_pipeline(
     omics: list[OmicsMatrix],
     records: list[SurvivalRecord] | None = None,
     true_labels: Partition | None = None,
     config: PipelineConfig | None = None,
+    on_candidate: Callable[[StageRecord], None] | None = None,
 ) -> PipelineResult:
     """Full labeled or unlabeled run.  ``true_labels`` must follow the first
-    matrix's sample order."""
+    matrix's sample order.
+
+    The stage-3 candidates are fused one at a time and dropped in a single
+    pass, which the k2 sweep scores when ``true_labels`` is given and which
+    hands each record to ``on_candidate`` when one is passed.  Without
+    either, only the selected candidate is fused."""
     config = config or PipelineConfig()
     omics, records = align_inputs(omics, records)
     if records is not None and not any(r.event for r in records):
@@ -250,9 +282,10 @@ def run_pipeline(
 
     metrics_rows = None
     final_ari = final_nmi = None
+    stream = _candidate_stream(fusion, on_candidate)
     if true_labels is not None:
         metrics_rows = sweep_k2_metrics(
-            fusion.candidates,
+            stream,
             true_labels,
             k=config.clusters,
             seed=config.seed,
@@ -260,6 +293,9 @@ def run_pipeline(
         )
         final_ari = ari(final_partition, true_labels)
         final_nmi = nmi(final_partition, true_labels)
+    elif on_candidate is not None:
+        for _ in stream:
+            pass
 
     partitions_by_k3 = {}
     survival_by_k3 = {}

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from omicsfuse import cca
 from omicsfuse.cca import (
     CcaResult,
     DIRECTED_PAIR_ORDER,
@@ -156,6 +157,23 @@ class TestDirectedPairs:
         # same sample geometry either way: both symmetric, zero diagonal
         assert np.allclose(d_ab, d_ab.T)
         assert np.allclose(np.diag(d_ba), 0.0)
+
+    def test_each_block_whitened_once(self, monkeypatch):
+        omics = self.three_omics()
+        by_kind = {m.kind: m for m in omics}
+        whitened = []
+        whiten = cca._center_and_whiten
+
+        def counting(block, name):
+            whitened.append(name)
+            return whiten(block, name)
+
+        monkeypatch.setattr(cca, "_center_and_whiten", counting)
+        pairs = all_directed_pair_distances(omics)
+        assert sorted(whitened) == ["gene_expression", "methylation", "mirna"]
+        for pair, d in pairs:
+            alone = cca_fit(by_kind[pair.predictor].values, by_kind[pair.response].values)
+            assert np.array_equal(d, canonical_distance_matrix(alone))
 
     def test_misaligned_samples_raise(self):
         omics = self.three_omics()

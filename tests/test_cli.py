@@ -3,11 +3,13 @@
 import filecmp
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from omicsfuse import cli, fusion
 from omicsfuse.cli import main
 from omicsfuse.clustering import Partition, ari
 from omicsfuse.io import (
@@ -306,6 +308,79 @@ def test_box_cox_exits_one_before_reading_inputs(tmp_path, capsys):
                  "--config", str(config), "--outdir", str(tmp_path / "out")])
     assert code == 1
     assert "z-scores before the power transform" in capsys.readouterr().err
+
+
+def test_bad_loop_setting_exits_one_before_reading_inputs(tmp_path, monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr(cli, "read_matrix_csv", unreachable)
+    missing = str(tmp_path / "absent.csv")
+    code = main(["pipeline", "--gene-expression", missing, "--mirna", missing,
+                 "--methylation", missing, "--survival", missing,
+                 "--max-iter", "0", "--outdir", str(tmp_path / "out")])
+    assert code == 1
+    assert "max_iter must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_pipeline_streams_the_candidates(tmp_path, data_dir, pipeline_out, monkeypatch):
+    refs, peak = [], [0]
+    fuse = fusion.FusionStep.fuse
+
+    def watching_fuse(step, k2):
+        if len(step.affinities) == 2:
+            peak[0] = max(peak[0], sum(ref() is not None for ref in refs))
+        record = fuse(step, k2)
+        if len(step.affinities) == 2 and k2 != 10:  # 10: the selected candidate
+            refs.append(weakref.ref(record.state))
+        return record
+
+    results = []
+    run = cli.run_pipeline
+
+    def recording_run(*args, **kwargs):
+        results.append(run(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(fusion.FusionStep, "fuse", watching_fuse)
+    monkeypatch.setattr(cli, "run_pipeline", recording_run)
+    out = tmp_path / "out"
+    assert run_pipeline_cli(data_dir, out) == 0
+    assert len(refs) == 8 and peak[0] <= 1
+    assert results[0].fusion._candidates is None
+    assert _tree_bytes(out) == _tree_bytes(pipeline_out)
+
+
+def test_failed_candidate_gets_a_row_and_no_file(tmp_path, data_dir, monkeypatch):
+    fuse = fusion.FusionStep.fuse
+
+    def failing_fuse(step, k2):
+        if len(step.affinities) == 2 and k2 == 4:
+            return fusion.StageRecord(k2, 0.5, None, error=f"stage 3 candidate k2={k2}: boom")
+        return fuse(step, k2)
+
+    monkeypatch.setattr(fusion.FusionStep, "fuse", failing_fuse)
+    out = tmp_path / "out"
+    assert run_pipeline_cli(data_dir, out) == 0
+    _, rows = read_table_csv(out / "stage3_candidates.csv")
+    assert [int(r[0]) for r in rows] == list(range(2, 11))
+    assert [r[4] for r in rows if r[4]] == ["stage 3 candidate k2=4: boom"]
+    written = sorted(p.name for p in (out / "stage3_candidates").iterdir())
+    assert written == [f"s_k2_{k2:03d}.csv" for k2 in range(2, 11) if k2 != 4]
+    _, sweep = read_table_csv(out / "metrics_k2_sweep.csv")
+    assert [r[3] for r in sweep if r[3]] == ["stage 3 candidate k2=4: boom"]
+
+
+def test_duplicate_survival_ids_exit_two(tmp_path, data_dir, capsys):
+    lines = (data_dir / "survival.csv").read_text(encoding="utf-8").splitlines()
+    dup = tmp_path / "dup.csv"
+    first_id = lines[1].split(",")[0]
+    lines[2] = first_id + "," + lines[2].split(",", 1)[1]
+    dup.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["survival", "--labels", str(data_dir / "labels.csv"),
+                 "--survival", str(dup), "--outdir", str(tmp_path / "out")])
+    assert code == 2
+    assert f"{dup}: duplicate sample IDs ['{first_id}']" in capsys.readouterr().err
 
 
 def test_box_cox_flag_is_an_invalid_choice(tmp_path, capsys):

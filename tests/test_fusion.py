@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omicsfuse import fusion
+from omicsfuse import backend, clustering, fusion
 from omicsfuse.affinity import affinity_from_distance
 from omicsfuse.clustering import Partition, ari, kmeans_pp
 from omicsfuse.errors import NumericalFailure
@@ -524,23 +524,46 @@ class TestThreeStage:
         again = pickle.loads(pickle.dumps(res))
         assert [c.k2 for c in again.candidates] == [c.k2 for c in res.candidates]
 
+    def test_candidate_stream_matches_the_list(self):
+        n = 16
+        intra, inter = random_affinities(n, 3, 51), random_affinities(n, 6, 52)
+        streamed = three_stage_fuse(intra, inter, cluster_count=3, stage3_k2_range=(2, 7))
+        records = list(streamed.iter_candidates())
+        assert streamed._candidates is None  # the stream caches nothing
+        assert records[-1] is streamed.stage3
+        listed = three_stage_fuse(intra, inter, cluster_count=3, stage3_k2_range=(2, 7))
+        assert len(records) == len(listed.candidates) == 6
+        for mine, theirs in zip(records, listed.candidates):
+            assert (mine.k2, mine.gamma, mine.error) == (theirs.k2, theirs.gamma, theirs.error)
+            assert np.array_equal(mine.s, theirs.s)
+            assert np.array_equal(mine.state.objective_trace, theirs.state.objective_trace)
+        # once the list exists, the stream reads it instead of fusing again
+        assert all(a is b for a, b in zip(listed.iter_candidates(), listed.candidates))
+
     def test_failed_candidate_is_recorded(self):
         rec = StageRecord(k2=5, gamma=1.0, state=None, error="boom")
         assert rec.error == "boom" and rec.s is None
 
 
-# functions run inside the fusion loop, between eigensolves
-SINGLE_POOL_FUNCTIONS = ("fuse_affinities", "_objective", "_inner_products")
+# functions the stage-3 candidate loop runs between eigensolves: the fusion
+# and the k2 sweep's k-means
+SINGLE_POOL_FUNCTIONS = {
+    fusion: ("fuse_affinities", "_objective", "_inner_products"),
+    backend: ("lloyd", "_sq_dists_to"),
+    clustering: ("_dsq_seed",),
+}
 NUMPY_BLAS_NAMES = {"vdot", "dot", "matmul", "linalg"}
 
 
 def test_fusion_loop_makes_no_numpy_blas_call():
     # scipy's eigensolver runs its own OpenBLAS pool; a numpy BLAS call in
     # the loop makes the two pools contend for the cores
-    tree = ast.parse(inspect.getsource(fusion))
-    funcs = [node for node in ast.walk(tree)
-             if isinstance(node, ast.FunctionDef) and node.name in SINGLE_POOL_FUNCTIONS]
-    assert sorted(f.name for f in funcs) == sorted(SINGLE_POOL_FUNCTIONS)
+    funcs = []
+    for module, names in SINGLE_POOL_FUNCTIONS.items():
+        found = [node for node in ast.walk(ast.parse(inspect.getsource(module)))
+                 if isinstance(node, ast.FunctionDef) and node.name in names]
+        assert sorted(f.name for f in found) == sorted(names), module.__name__
+        funcs += found
     for func in funcs:
         for node in ast.walk(func):
             assert not isinstance(getattr(node, "op", None), ast.MatMult), (

@@ -1,10 +1,12 @@
 """End-to-end orchestration: alignment, preprocessing reports, determinism."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from omicsfuse import fusion, pipeline
-from omicsfuse.clustering import Partition, kmeans_pp
+from omicsfuse.clustering import Partition, kmeans_pp, sweep_k2_metrics
 from omicsfuse.errors import AlignmentError, DegenerateInputError
 from omicsfuse.numkernel import sym_eig
 from omicsfuse.pipeline import PipelineConfig, align_inputs, run_pipeline
@@ -127,7 +129,8 @@ def test_duplicate_survival_ids_raise(dataset):
     mats, labels, recs = dataset
     dup = list(recs)
     dup[1] = SurvivalRecord(recs[0].sample_id, recs[1].time, recs[1].event)
-    with pytest.raises(AlignmentError, match="duplicate"):
+    expected = rf"survival file: duplicate sample IDs \['{recs[0].sample_id}'\]"
+    with pytest.raises(AlignmentError, match=expected):
         align_inputs(mats, dup)
 
 
@@ -163,6 +166,52 @@ def test_unlabeled_run_fuses_one_stage3_candidate(dataset, monkeypatch):
     assert stage3_calls == [res.fusion.selected_k2]
     assert [c.k2 for c in res.fusion.candidates] == list(range(2, 11))
     assert len(stage3_calls) == 9
+
+
+def _watch_candidates(monkeypatch, selected_k2):
+    """Weak references to the state of every non-selected stage-3 candidate
+    as it is fused, and the most of them alive as any fusion begins."""
+    refs, peak = [], [0]
+    fuse = fusion.FusionStep.fuse
+
+    def watching_fuse(step, k2):
+        if len(step.affinities) != 2:
+            return fuse(step, k2)
+        peak[0] = max(peak[0], len(_alive_states(refs)))
+        record = fuse(step, k2)
+        if k2 != selected_k2 and record.state is not None:
+            refs.append(weakref.ref(record.state))
+        return record
+
+    monkeypatch.setattr(fusion.FusionStep, "fuse", watching_fuse)
+    return refs, peak
+
+
+def _alive_states(refs):
+    return [state for state in (ref() for ref in refs) if state is not None]
+
+
+def test_labeled_run_streams_the_candidates(dataset, monkeypatch):
+    mats, labels, recs = dataset
+    refs, peak = _watch_candidates(monkeypatch, selected_k2=10)
+    handed = []
+
+    def on_candidate(cand):
+        alive = _alive_states(refs)
+        handed.append(cand.k2)
+        # the candidate just handed over is the only one alive, if it is not the selected one
+        assert all(state is cand.state for state in alive), cand.k2
+
+    res = run_pipeline(mats, recs, labels, CONFIG, on_candidate=on_candidate)
+    assert res.fusion._candidates is None
+    assert handed == list(range(2, 11))
+    assert len(refs) == 8 and peak[0] <= 1
+    # the streamed sweep scores what the cached list gives
+    monkeypatch.undo()
+    rows = sweep_k2_metrics(res.fusion.candidates, labels, k=CONFIG.clusters,
+                            seed=CONFIG.seed, restarts=CONFIG.restarts)
+    assert [(r.k2, r.ari, r.nmi, r.error) for r in res.metrics_rows] == \
+        [(r.k2, r.ari, r.nmi, r.error) for r in rows]
 
 
 def test_k3_equal_to_clusters_reuses_the_final_partition(dataset, monkeypatch):
@@ -236,6 +285,13 @@ def test_config_validation():
         PipelineConfig(transform="box_cox")
     with pytest.raises(ValueError):
         PipelineConfig(cumulative_target=1.5)
+    with pytest.raises(ValueError, match="max_iter"):
+        PipelineConfig(max_iter=0)
+    for tol in (0.0, -1e-6, float("nan")):
+        with pytest.raises(ValueError, match="tol"):
+            PipelineConfig(tol=tol)
+    with pytest.raises(ValueError, match="restarts"):
+        PipelineConfig(restarts=0)
 
 
 def test_requires_three_matrices(dataset):
