@@ -6,13 +6,13 @@ against live in ``tests/oracles.py``.  Callers reach the kernels through
 the module attributes (``backend.lloyd(...)``), so a profiler can wrap
 them by name.
 
-``lloyd`` runs several k-means restarts in lockstep.  It takes one start
-as a (k, p) array or r starts as an (r, k, p) array; every iteration does
-one ``x @ C.T`` product over the centroids of all restarts still moving
-and one one-hot product for their centroid sums.  Each restart stops on
-its own centroid shift and repairs its own empty clusters, so it follows
-the path it would follow alone.  Its within-cluster sum of squares is the
-1-D sum ``d2[rows, labels].sum()`` over that restart's point-to-centroid
+``lloyd`` runs several k-means restarts in lockstep.  It takes r starts
+as an (r, k, p) array; every iteration does one ``x @ C.T`` product over
+the centroids of all restarts still moving and one one-hot product for
+their centroid sums.  Each restart stops on its own centroid shift and
+repairs its own empty clusters, so it follows the path it would follow
+alone.  Its within-cluster sum of squares is the 1-D sum
+``d2[rows, labels].sum()`` over that restart's point-to-centroid
 distances, the same summation whether it ran alone or with others.
 
 k-means runs between the fusion's eigensolves in the stage-3 candidate
@@ -97,21 +97,16 @@ def _sq_dists_to(x: np.ndarray, xsq: np.ndarray, cent: np.ndarray) -> np.ndarray
 
 
 def lloyd(x, centroids, max_iter, tol):
-    """Lloyd iterations from seeded centroids, one or r restarts at once.
+    """Lloyd iterations from seeded centroids, r restarts at once.
 
-    ``centroids`` is (k, p) for one restart or (r, k, p) for r restarts.
-    An empty cluster takes the point farthest from its own centroid among
-    clusters with more than one point.  Returns (labels, centroids, wcss):
-    (n,), (k, p) and a float for one restart; (r, n), (r, k, p) and an
-    (r,) array for r restarts.
+    ``centroids`` is (r, k, p).  An empty cluster takes the point farthest
+    from its own centroid among clusters with more than one point.  Returns
+    (labels, centroids, wcss) of shapes (r, n), (r, k, p) and (r,).
     """
     from scipy.linalg import blas
 
     x = np.ascontiguousarray(x, dtype=np.float64)
     cent = np.array(centroids, dtype=np.float64)
-    single = cent.ndim == 2
-    if single:
-        cent = cent[None]
     r, k, p = cent.shape
     n = x.shape[0]
     rows = np.arange(n)
@@ -146,6 +141,4 @@ def lloyd(x, centroids, max_iter, tol):
     d2 = _sq_dists_to(x, xsq, cent)
     labels = np.ascontiguousarray(np.argmin(d2, axis=2).T)
     wcss = np.array([d2[rows, a, lab].sum() for a, lab in enumerate(labels)])
-    if single:
-        return labels[0], cent[0], float(wcss[0])
     return labels, cent, wcss

@@ -18,6 +18,8 @@ from .errors import DegenerateInputError, NumericalFailure
 
 VARIANCE_FLOOR = 1e-6
 WEIGHT_CUTOFF = 1e-3
+MAX_ITER = 500
+ELBO_TOL = 1e-6  # converged once the ELBO moves by less than this
 
 
 @dataclass
@@ -32,21 +34,6 @@ class GmmModel:
     effective_components: int
     elbo_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
     converged: bool = False
-
-    def log_density(self, values: np.ndarray) -> np.ndarray:
-        """Per-sample, per-component log of weight * diagonal Gaussian."""
-        x = np.asarray(values, dtype=np.float64)
-        var = self.diag_variances
-        quad = ((x[:, None, :] - self.means[None, :, :]) ** 2 / var[None, :, :]).sum(axis=2)
-        norm = (np.log(2.0 * np.pi * var)).sum(axis=1)
-        return np.log(np.maximum(self.weights, 1e-300))[None, :] - 0.5 * (norm[None, :] + quad)
-
-    def responsibilities(self, values: np.ndarray) -> np.ndarray:
-        logp = self.log_density(values)
-        logp -= logp.max(axis=1, keepdims=True)
-        r = np.exp(logp)
-        r /= r.sum(axis=1, keepdims=True)
-        return r
 
 
 def _elbo(log_rho_norm, alpha, alpha0, kappa, kappa0, m, m0, a, a0, b, b0):
@@ -86,13 +73,7 @@ def _elbo(log_rho_norm, alpha, alpha0, kappa, kappa0, m, m0, a, a0, b, b0):
     return ll - kl_dir - float(kl_norm) - float(kl_gam)
 
 
-def fit_bayesian_gmm(
-    x,
-    max_components: int = 10,
-    seed: int = 0,
-    max_iter: int = 500,
-    tol: float = 1e-6,
-) -> GmmModel:
+def fit_bayesian_gmm(x, max_components: int = 10, seed: int = 0) -> GmmModel:
     """Fit the variational mixture to the rows of ``x`` (an OmicsMatrix or
     a plain 2-D array)."""
     values = getattr(x, "values", x)
@@ -124,7 +105,7 @@ def fit_bayesian_gmm(
     trace = []
     prev = -np.inf
     converged = False
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         # M-step: exact updates of q(pi) and q(mu, tau) given r
         nk = r.sum(axis=0)
         sx = r.T @ values
@@ -160,7 +141,7 @@ def fit_bayesian_gmm(
         if not np.isfinite(elbo):
             raise NumericalFailure(f"ELBO became non-finite after {len(trace) + 1} iterations")
         trace.append(elbo)
-        if np.isfinite(prev) and abs(elbo - prev) < tol:
+        if np.isfinite(prev) and abs(elbo - prev) < ELBO_TOL:
             converged = True
             break
         prev = elbo
@@ -189,24 +170,17 @@ def feature_relevance(model: GmmModel, values: np.ndarray) -> tuple[np.ndarray, 
     return score, marginal
 
 
-def select_features_bgmm(
-    x,
-    cumulative_target: float = 0.95,
-    max_components: int = 10,
-    seed: int = 0,
-    model: GmmModel | None = None,
-):
-    """Keep the smallest prefix of relevance-ranked features reaching the
-    cumulative-relevance target; returns (matrix, selected indices) with the
-    selection in original feature order."""
+def select_features_bgmm(x, model: GmmModel, cumulative_target: float = 0.95):
+    """Keep the smallest prefix of features, ranked by their relevance under
+    ``model`` (fitted to ``x``), that reaches the cumulative-relevance
+    target; returns (matrix, selected indices) with the selection in
+    original feature order."""
     from .preprocess import OmicsMatrix  # local import to avoid a cycle
 
     if not 0.0 < cumulative_target <= 1.0:
         raise ValueError(f"cumulative_target must be in (0, 1], got {cumulative_target}")
     if not isinstance(x, OmicsMatrix):
         raise ValueError("select_features_bgmm expects an OmicsMatrix")
-    if model is None:
-        model = fit_bayesian_gmm(x, max_components=max_components, seed=seed)
     score, marginal = feature_relevance(model, x.values)
     if score.sum() <= 0.0:
         # single effective component: degrade to variance ranking

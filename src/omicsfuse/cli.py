@@ -82,7 +82,6 @@ def _int_triple(text: str) -> tuple[int, int, int]:
 _KNOB_PARSERS = {
     "zero_fraction_threshold": float,
     "impute_k": int,
-    "transform": str,
     "cumulative_target": float,
     "max_components": int,
     "k1": int,
@@ -137,7 +136,6 @@ def build_parser() -> CliParser:
     p.add_argument("--config", help="flat key = value config file; flags override")
     p.add_argument("--zero-fraction-threshold", dest="zero_fraction_threshold", type=float)
     p.add_argument("--impute-k", dest="impute_k", type=int)
-    p.add_argument("--transform", choices=("yeo_johnson",))
     p.add_argument("--cumulative-target", dest="cumulative_target", type=float)
     p.add_argument("--max-components", dest="max_components", type=int)
     p.add_argument("--k1", type=int)

@@ -14,6 +14,9 @@ import numpy as np
 
 from . import backend
 
+LLOYD_MAX_ITER = 300
+LLOYD_TOL = 1e-8  # a restart stops once every centroid moves less than this
+
 
 @dataclass
 class Partition:
@@ -77,14 +80,7 @@ def _dsq_seed(
     return points[np.asarray(idx)]
 
 
-def kmeans_pp(
-    points: np.ndarray,
-    k: int,
-    seed: int = 0,
-    restarts: int = 10,
-    max_iter: int = 300,
-    tol: float = 1e-8,
-) -> Partition:
+def kmeans_pp(points: np.ndarray, k: int, seed: int = 0, restarts: int = 10) -> Partition:
     """k-means++ with Lloyd refinement; best of ``restarts`` runs by
     within-cluster sum of squares (the first on ties), deterministic given
     the seed.  All seedings are drawn first, then refined in lockstep."""
@@ -102,7 +98,7 @@ def kmeans_pp(
     rng = np.random.default_rng(seed)
     sq_norms = np.einsum("ij,ij->i", points, points)
     starts = np.stack([_dsq_seed(points, sq_norms, k, rng) for _ in range(restarts)])
-    labels, _, wcss = backend.lloyd(points, starts, max_iter, tol)
+    labels, _, wcss = backend.lloyd(points, starts, LLOYD_MAX_ITER, LLOYD_TOL)
     return Partition(labels=labels[int(np.argmin(wcss))], k=k)
 
 

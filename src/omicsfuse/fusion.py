@@ -195,7 +195,7 @@ def _uniform_start(affs: list[np.ndarray], c: int) -> tuple[np.ndarray, np.ndarr
     eigenvectors F of I - sym(S)."""
     alpha = np.full(len(affs), 1.0 / len(affs))
     s = backend.project_rows(sum(a_l * a for a_l, a in zip(alpha, affs)))
-    _, f = sym_eig(np.eye(s.shape[0]) - 0.5 * (s + s.T), c, which="smallest")
+    _, f = sym_eig(np.eye(s.shape[0]) - 0.5 * (s + s.T), c)
     return s, f
 
 
@@ -254,7 +254,7 @@ def fuse_affinities(
         s_sym = 0.5 * (s + s.T)
 
         # F: c bottom eigenvectors of I - sym(S)
-        _, f = sym_eig(eye - s_sym, config.c, which="smallest")
+        _, f = sym_eig(eye - s_sym, config.c)
         ff = np.einsum("ik,jk->ij", f, f)
 
         # alpha: entropic closed form

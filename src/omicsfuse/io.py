@@ -3,8 +3,9 @@
 Matrix CSV: header row "sample_id" followed by feature IDs, one row per
 sample, empty cell = missing value, comma separated, UTF-8. Survival
 CSV: sample_id,time,event with event 0/1. Labels CSV: sample_id,label.
-Numbers are serialized with 12 significant digits, which round-trips
-exactly through float parsing.
+Numbers are written with 12 significant digits.  Reading them back is
+not lossless (a value below 10 in magnitude can move by up to 5e-12), but
+writing what was read gives the same bytes.
 """
 
 from __future__ import annotations
@@ -27,14 +28,9 @@ def _fmt(x: float) -> str:
 
 
 def write_matrix_csv(path, matrix: OmicsMatrix) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", *matrix.feature_ids])
-        masked = matrix.values.copy()
-        masked[matrix.missing_mask] = np.nan
-        for sid, row in zip(matrix.sample_ids, masked):
-            writer.writerow([sid, *(_fmt(float(v)) for v in row)])
+    masked = np.where(matrix.missing_mask, np.nan, matrix.values)
+    write_table_csv(path, ["sample_id", *matrix.feature_ids], masked,
+                    row_ids=matrix.sample_ids)
 
 
 def read_matrix_csv(path, kind: str = "other") -> OmicsMatrix:

@@ -48,13 +48,12 @@ def svd_thin(a: np.ndarray) -> SvdFactors:
     return SvdFactors(u=u, singular_values=s, vt=vt)
 
 
-def sym_eig(a: np.ndarray, c: int, which: str = "smallest") -> tuple[np.ndarray, np.ndarray]:
-    """c eigenpairs of the symmetrized (a + a.T)/2.
+def sym_eig(a: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """The c smallest eigenpairs of the symmetrized (a + a.T)/2.
 
     Only the c requested pairs are computed (LAPACK's MRRR routine
-    ``dsyevr``).  Returns (values, vectors) with vectors in columns; values
-    ascending for ``which="smallest"``, descending for ``which="largest"``.
-    Non-finite entries raise NumericalFailure.
+    ``dsyevr``).  Returns (values, vectors) with values ascending and
+    vectors in columns.  Non-finite entries raise NumericalFailure.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -62,25 +61,20 @@ def sym_eig(a: np.ndarray, c: int, which: str = "smallest") -> tuple[np.ndarray,
     n = a.shape[0]
     if not 1 <= c <= n:
         raise ValueError(f"sym_eig: c={c} outside [1, {n}]")
-    if which not in ("smallest", "largest"):
-        raise ValueError(f"sym_eig: which must be 'smallest' or 'largest', got {which!r}")
     # imported here to keep scipy.linalg off the `import omicsfuse` path
     from scipy import linalg
 
     sym = 0.5 * (a + a.T)
     if not np.all(np.isfinite(sym)):
         raise NumericalFailure(f"eigendecomposition of a {n}x{n} matrix with non-finite entries")
-    lo = 0 if which == "smallest" else n - c
     try:
         vals, vecs = linalg.eigh(
-            sym, subset_by_index=[lo, lo + c - 1], driver="evr",
+            sym, subset_by_index=[0, c - 1], driver="evr",
             overwrite_a=True, check_finite=False,
         )
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition failed for a {n}x{n} matrix") from exc
-    if which == "smallest":
-        return vals, vecs
-    return vals[::-1], vecs[:, ::-1]
+    return vals, vecs
 
 
 def chi_square_sf(x: float, df: int) -> float:

@@ -38,7 +38,6 @@ CLUSTER_INPUTS = ("network", "spectral")
 class PipelineConfig:
     zero_fraction_threshold: float = 0.20
     impute_k: int | None = None  # None -> round(sqrt(n))
-    transform: str = "yeo_johnson"
     cumulative_target: float = 0.95
     max_components: int = 10
     k1: int | None = None  # None -> round(sqrt(n))
@@ -56,11 +55,22 @@ class PipelineConfig:
     def __post_init__(self):
         if self.cluster_on not in CLUSTER_INPUTS:
             raise ValueError(f"cluster_on must be one of {CLUSTER_INPUTS}, got {self.cluster_on!r}")
-        if self.transform != "yeo_johnson":
+        if not 0.0 <= self.zero_fraction_threshold <= 1.0:
             raise ValueError(
-                f"transform must be yeo_johnson, got {self.transform!r}: the pipeline"
-                " z-scores before the power transform, and box_cox needs positive values"
+                f"zero_fraction_threshold must be in [0, 1], got {self.zero_fraction_threshold}"
             )
+        if self.impute_k is not None and self.impute_k < 2:
+            raise ValueError(f"impute_k must be >= 2, got {self.impute_k}")
+        if self.max_components < 1:
+            raise ValueError(f"max_components must be >= 1, got {self.max_components}")
+        if self.k1 is not None and self.k1 < 1:
+            raise ValueError(f"k1 must be >= 1, got {self.k1}")
+        for name in ("stage1_k2", "stage2_k2", "stage3_k2"):
+            pair = getattr(self, name)
+            if pair is not None and pair[1] < max(2, pair[0]):
+                raise ValueError(f"{name}: HI must be >= max(2, LO), got {pair}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.cumulative_target <= 1.0:
             raise ValueError(f"cumulative_target must be in (0, 1], got {self.cumulative_target}")
         if self.clusters < 2:
@@ -182,22 +192,18 @@ def preprocess_matrix(
     imputed, n_imputed = knn_impute(filtered, config.impute_k)
     standardized, constant_dropped = zscore_standardize(imputed)
 
-    params = fit_power_transform(standardized, config.transform)
+    params = fit_power_transform(standardized)
     transformed = apply_power_transform(standardized, params)
 
     model = fit_bayesian_gmm(transformed, max_components=config.max_components, seed=seed)
-    selected, _ = select_features_bgmm(
-        transformed,
-        cumulative_target=config.cumulative_target,
-        model=model,
-    )
+    selected, _ = select_features_bgmm(transformed, model, config.cumulative_target)
     report = PreprocessReport(
         kind=m.kind,
         features_in=features_in,
         sparse_removed=sparse_removed,
         imputed_cells=n_imputed,
         constant_dropped=constant_dropped,
-        transform_method=config.transform,
+        transform_method=params.method,
         lambda_min=float(params.lambdas.min()),
         lambda_max=float(params.lambdas.max()),
         power_grid_fallbacks=params.grid_fallbacks,

@@ -8,6 +8,7 @@ enumeration, and survival p-values from label permutations.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -526,3 +527,18 @@ def lloyd_loops(x: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float)
         labels[i], bestd = nearest(i)
         wcss += bestd
     return labels, cent, wcss
+
+
+# -- per-cell matrix CSV writer ----------------------------------------------
+
+
+def write_matrix_csv_cells(path, matrix) -> None:
+    """A matrix CSV written through csv.writer one cell at a time: 12
+    significant digits, missing cells empty."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sample_id", *matrix.feature_ids])
+        masked = matrix.values.copy()
+        masked[matrix.missing_mask] = np.nan
+        for sid, row in zip(matrix.sample_ids, masked):
+            writer.writerow([sid, *("" if math.isnan(v) else f"{v:.12g}" for v in row.tolist())])

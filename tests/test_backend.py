@@ -5,6 +5,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from omicsfuse import backend
 from oracles import (
@@ -24,6 +27,17 @@ def test_project_rows_parity():
         np.testing.assert_allclose(a, b, atol=1e-12)
         np.testing.assert_allclose(a.sum(axis=1), 1.0, atol=1e-10)
         assert (a >= 0).all()
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 12)),
+              elements=st.floats(-50.0, 50.0)))
+def test_project_rows_lands_on_the_simplex_and_stays(v):
+    once = backend.project_rows(v)
+    assert (once >= 0.0).all()
+    np.testing.assert_allclose(once.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(once, project_rows_loops(v), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(backend.project_rows(once), once, rtol=0.0, atol=1e-12)
 
 
 def test_pairwise_sq_dists_parity():
@@ -97,15 +111,21 @@ def _assert_lloyd_matches_loops(got, x, start, max_iter, tol):
     np.testing.assert_allclose(wcss, ref_wcss, rtol=1e-9, atol=1e-9)
 
 
+def _lloyd_one(x, start, max_iter, tol):
+    """One restart through backend.lloyd, as a (1, k, p) start."""
+    labels, cent, wcss = backend.lloyd(x, start[None], max_iter, tol)
+    return labels[0], cent[0], wcss[0]
+
+
 def test_lloyd_numpy_matches_python_reference():
-    # one restart, a (k, p) start
+    # one restart, a (1, k, p) start
     rng = np.random.default_rng(29)
     for _ in range(15):
         x, start = _random_lloyd_case(rng)
-        labels, cent, wcss = backend.lloyd(x, start, 100, 1e-10)
-        assert labels.shape == (x.shape[0],) and cent.shape == start.shape
-        assert isinstance(wcss, float)
-        _assert_lloyd_matches_loops((labels, cent, wcss), x, start, 100, 1e-10)
+        labels, cent, wcss = backend.lloyd(x, start[None], 100, 1e-10)
+        assert labels.shape == (1, x.shape[0]) and cent.shape == (1, *start.shape)
+        assert wcss.shape == (1,)
+        _assert_lloyd_matches_loops((labels[0], cent[0], wcss[0]), x, start, 100, 1e-10)
 
 
 def test_lloyd_parity():
@@ -151,7 +171,7 @@ def test_lloyd_lockstep_restarts_follow_their_own_paths(monkeypatch):
     assert len(active_per_step) > 3
     for r in range(3):
         _assert_lloyd_matches_loops((labels[r], cent[r], wcss[r]), x, starts[r], 100, 1e-9)
-        lab, c, w = backend.lloyd(x, starts[r], 100, 1e-9)
+        lab, c, w = _lloyd_one(x, starts[r], 100, 1e-9)
         assert np.array_equal(labels[r], lab)
         np.testing.assert_allclose(cent[r], c, rtol=1e-12, atol=1e-12)
         assert wcss[r] == pytest.approx(w, rel=1e-12, abs=1e-12)
@@ -162,7 +182,7 @@ def test_lloyd_repairs_empty_clusters():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(12, 2))
     centroids = np.vstack([x[0], x[0], x[5]])
-    labels, cent, wcss = backend.lloyd(x, centroids, 50, 1e-10)
+    labels, cent, wcss = _lloyd_one(x, centroids, 50, 1e-10)
     assert sorted(np.unique(labels).tolist()) == [0, 1, 2]
     assert wcss >= 0.0
     _assert_lloyd_matches_loops((labels, cent, wcss), x, centroids, 50, 1e-10)
@@ -181,7 +201,7 @@ def test_public_names_agree_with_reference():
     np.testing.assert_allclose(
         backend.masked_pairwise_dists(x, observed),
         masked_pairwise_dists_loops(x, observed), rtol=1e-10, atol=1e-10)
-    _assert_lloyd_matches_loops(backend.lloyd(x, x[:3], 20, 1e-10), x, x[:3], 20, 1e-10)
+    _assert_lloyd_matches_loops(_lloyd_one(x, x[:3], 20, 1e-10), x, x[:3], 20, 1e-10)
 
 
 def test_import_loads_no_numba():

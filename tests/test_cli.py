@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, artifacts, exit codes, determinism."""
 
+import dataclasses
 import filecmp
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from omicsfuse.io import (
     read_survival_csv,
     read_table_csv,
 )
+from omicsfuse.pipeline import PipelineConfig
 
 SYNTH_ARGS = ["--n", "36", "--k", "3", "--dims", "12,10,11",
               "--separation", "8", "--missing-rate", "0.05", "--seed", "1"]
@@ -184,6 +186,16 @@ def test_config_echo_and_file_merge(tmp_path, data_dir):
     assert not (out / "metrics_final.json").exists()  # no labels given
 
 
+def test_pipeline_settings_are_declared_consistently():
+    # every PipelineConfig field is a pipeline flag and a config-file key,
+    # and nothing else is
+    fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+    flags = set(vars(cli.build_parser().parse_args(["pipeline"])))
+    flags -= {"command", "config", *cli._PATH_KEYS}
+    assert flags == fields == set(cli._KNOB_PARSERS)
+    assert "transform" not in fields
+
+
 def test_unknown_config_key_fails_usage(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("verbosity = 3\n", encoding="utf-8")
@@ -307,10 +319,22 @@ def test_box_cox_exits_one_before_reading_inputs(tmp_path, capsys):
                  "--methylation", missing, "--survival", missing,
                  "--config", str(config), "--outdir", str(tmp_path / "out")])
     assert code == 1
-    assert "z-scores before the power transform" in capsys.readouterr().err
+    # the pipeline always fits Yeo-Johnson, so transform is no setting
+    assert "unknown config key 'transform'" in capsys.readouterr().err
 
 
-def test_bad_loop_setting_exits_one_before_reading_inputs(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("flag, value, message", [
+    ("--max-iter", "0", "max_iter must be >= 1, got 0"),
+    ("--seed", "-1", "seed must be >= 0, got -1"),
+    ("--max-components", "0", "max_components must be >= 1, got 0"),
+    ("--impute-k", "1", "impute_k must be >= 2, got 1"),
+    ("--zero-fraction-threshold", "2", "zero_fraction_threshold must be in [0, 1], got 2.0"),
+    ("--k1", "0", "k1 must be >= 1, got 0"),
+    ("--stage3-k2", "50,10", "stage3_k2: HI must be >= max(2, LO), got (50, 10)"),
+], ids=["max_iter", "seed", "max_components", "impute_k", "zero_fraction_threshold", "k1",
+        "stage3_k2"])
+def test_bad_loop_setting_exits_one_before_reading_inputs(
+        tmp_path, monkeypatch, capsys, flag, value, message):
     def unreachable(*args, **kwargs):
         raise AssertionError("an input was read")
 
@@ -318,9 +342,9 @@ def test_bad_loop_setting_exits_one_before_reading_inputs(tmp_path, monkeypatch,
     missing = str(tmp_path / "absent.csv")
     code = main(["pipeline", "--gene-expression", missing, "--mirna", missing,
                  "--methylation", missing, "--survival", missing,
-                 "--max-iter", "0", "--outdir", str(tmp_path / "out")])
+                 flag, value, "--outdir", str(tmp_path / "out")])
     assert code == 1
-    assert "max_iter must be >= 1, got 0" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_pipeline_streams_the_candidates(tmp_path, data_dir, pipeline_out, monkeypatch):
@@ -383,14 +407,14 @@ def test_duplicate_survival_ids_exit_two(tmp_path, data_dir, capsys):
     assert f"{dup}: duplicate sample IDs ['{first_id}']" in capsys.readouterr().err
 
 
-def test_box_cox_flag_is_an_invalid_choice(tmp_path, capsys):
+def test_transform_flag_is_unrecognized(tmp_path, capsys):
     missing = str(tmp_path / "absent.csv")
     with pytest.raises(SystemExit) as exc:
         main(["pipeline", "--gene-expression", missing, "--mirna", missing,
               "--methylation", missing, "--survival", missing,
               "--transform", "box_cox", "--outdir", str(tmp_path / "out")])
     assert exc.value.code == 1
-    assert "invalid choice: 'box_cox'" in capsys.readouterr().err
+    assert "unrecognized arguments: --transform box_cox" in capsys.readouterr().err
 
 
 def test_unreadable_input_exits_four(tmp_path, data_dir):

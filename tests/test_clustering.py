@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omicsfuse.clustering import Partition, ari, kmeans_pp, nmi, sweep_k2_metrics
 from omicsfuse.fusion import FusionState, StageRecord
@@ -127,6 +129,29 @@ class TestNmi:
             va, vb = nmi(a, b), nmi(b, a)
             assert va == pytest.approx(vb, abs=1e-12)
             assert -1e-12 <= va <= 1.0 + 1e-12
+
+
+@st.composite
+def relabelled_pairs(draw):
+    """Two labelings of n samples, each also under a permutation of its
+    label values."""
+    n = draw(st.integers(2, 30))
+    labelings = [np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+                 for _ in range(2)]
+    perms = [np.array(draw(st.permutations(range(5)))) for _ in range(2)]
+    return [(Partition.from_labels(lab), Partition.from_labels(perm[lab]))
+            for lab, perm in zip(labelings, perms)]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(relabelled_pairs())
+def test_ari_nmi_symmetric_and_relabelling_invariant(pairs):
+    (a, a_relabelled), (b, b_relabelled) = pairs
+    for metric in (ari, nmi):
+        value = metric(a, b)
+        assert metric(b, a) == pytest.approx(value, rel=0.0, abs=1e-12)
+        assert metric(a_relabelled, b) == pytest.approx(value, rel=0.0, abs=1e-12)
+        assert metric(a, b_relabelled) == pytest.approx(value, rel=0.0, abs=1e-12)
 
 
 class TestKmeansPp:

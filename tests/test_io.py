@@ -15,6 +15,7 @@ from omicsfuse.io import (
 from omicsfuse.preprocess import OmicsMatrix
 from omicsfuse.survival import SurvivalRecord
 from omicsfuse.synthgen import SynthSpec, generate
+from oracles import write_matrix_csv_cells
 
 
 def sample_matrix():
@@ -54,6 +55,22 @@ class TestMatrixCsv:
         write_matrix_csv(p1, mats[0])
         write_matrix_csv(p2, read_matrix_csv(p1, kind=mats[0].kind))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_matches_the_per_cell_reference(self, tmp_path):
+        sample_ids = ["plain", "a,b", 'q"x', "new\nline", "", " lead", "cr\r"]
+        feature_ids = ["f,1", 'f"2', "f 3", "f\n4", ""]
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=(7, 5)) * 10.0 ** rng.integers(-8, 8, (7, 5))
+        values[0] = [np.nan, -0.0, 0.0, 1.0 / 3.0, np.nan]
+        missing = np.isnan(values)
+        missing[2, 1] = True  # a masked cell that holds a finite value
+        m = OmicsMatrix(values=values, sample_ids=sample_ids, feature_ids=feature_ids,
+                        missing_mask=missing)
+        got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+        write_matrix_csv(got, m)
+        write_matrix_csv_cells(ref, m)
+        assert got.read_bytes() == ref.read_bytes()
+        assert b",-0," in got.read_bytes()
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -55,7 +55,7 @@ class TestSvdThin:
 
 class TestSymEig:
     def test_diagonal(self):
-        vals, vecs = sym_eig(np.diag([3.0, 1.0, 2.0]), 1, which="smallest")
+        vals, vecs = sym_eig(np.diag([3.0, 1.0, 2.0]), 1)
         assert vals[0] == pytest.approx(1.0)
         assert abs(vecs[1, 0]) == pytest.approx(1.0)
 
@@ -63,17 +63,12 @@ class TestSymEig:
         rng = np.random.default_rng(21)
         a = rng.normal(size=(6, 6))
         a = 0.5 * (a + a.T)
-        vals, vecs = sym_eig(a, 6, which="smallest")
+        vals, vecs = sym_eig(a, 6)
         oracle = eig_by_charpoly(a)
         assert np.allclose(np.sort(vals), oracle, atol=1e-8)
         # residual against the symmetrized operator
         resid = a @ vecs - vecs * vals[None, :]
         assert np.linalg.norm(resid) <= 1e-8 * max(1.0, np.linalg.norm(a))
-
-    def test_largest(self):
-        a = np.diag([5.0, -1.0, 2.0])
-        vals, _ = sym_eig(a, 2, which="largest")
-        assert np.allclose(vals, [5.0, 2.0])
 
     def test_symmetrizes_input(self):
         a = np.array([[1.0, 2.0], [0.0, 1.0]])
@@ -87,29 +82,25 @@ class TestSymEig:
             sym_eig(np.eye(3), 0)
 
     @staticmethod
-    def _check_against_full(a, c, which):
+    def _check_against_full(a, c):
         """Compare with the full np.linalg.eigh; the projector F F' is
         compared only where a spectral gap makes it unique.  Returns
         whether it was."""
         n = a.shape[0]
-        vals, vecs = sym_eig(a, c, which=which)
+        vals, vecs = sym_eig(a, c)
         full_vals, full_vecs = np.linalg.eigh(0.5 * (a + a.T))
-        idx = np.arange(c) if which == "smallest" else np.arange(n - 1, n - 1 - c, -1)
-        np.testing.assert_allclose(vals, full_vals[idx], rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(vals, full_vals[:c], rtol=0.0, atol=1e-10)
         np.testing.assert_allclose(vecs.T @ vecs, np.eye(c), atol=1e-10)
-        ends = full_vals if which == "smallest" else full_vals[::-1]
-        gapped = c == n or abs(ends[c] - ends[c - 1]) > 1e-3
+        gapped = c == n or abs(full_vals[c] - full_vals[c - 1]) > 1e-3
         if gapped:
-            ref = full_vecs[:, idx]
+            ref = full_vecs[:, :c]
             np.testing.assert_allclose(vecs @ vecs.T, ref @ ref.T, rtol=0.0, atol=1e-8)
         return gapped
 
     def test_partial_matches_full_eigh(self):
         rng = np.random.default_rng(22)
         for n, c in [(8, 1), (12, 3), (40, 5), (90, 4), (6, 6)]:
-            a = rng.normal(size=(n, n))
-            for which in ("smallest", "largest"):
-                self._check_against_full(a, c, which)
+            self._check_against_full(rng.normal(size=(n, n)), c)
 
     def test_repeated_top_eigenvalue_of_block_stochastic(self):
         # three connected symmetric doubly-stochastic blocks: eigenvalue 1
@@ -123,12 +114,12 @@ class TestSymEig:
             s[start:start + m, start:start + m] = 0.5 * (0.5 * (q + q.T) + 1.0 / m)
             start += m
         np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-12)
-        vals, _ = sym_eig(s, 3, which="largest")
-        np.testing.assert_allclose(vals, 1.0, atol=1e-10)
-        for a, which in ((s, "largest"), (np.eye(18) - s, "smallest")):
-            assert not self._check_against_full(a, 2, which)
-            assert self._check_against_full(a, 3, which)
-            self._check_against_full(a, 4, which)
+        a = np.eye(18) - s
+        vals, _ = sym_eig(a, 3)
+        np.testing.assert_allclose(vals, 0.0, atol=1e-10)
+        assert not self._check_against_full(a, 2)
+        assert self._check_against_full(a, 3)
+        self._check_against_full(a, 4)
 
     def test_non_finite_input_is_numerical_failure(self):
         a = np.eye(3)

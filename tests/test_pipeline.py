@@ -280,10 +280,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         PipelineConfig(k3_set=(3, 1))
     with pytest.raises(ValueError):
-        PipelineConfig(transform="identity")
-    with pytest.raises(ValueError, match="z-scores before the power transform"):
-        PipelineConfig(transform="box_cox")
-    with pytest.raises(ValueError):
         PipelineConfig(cumulative_target=1.5)
     with pytest.raises(ValueError, match="max_iter"):
         PipelineConfig(max_iter=0)
@@ -292,6 +288,24 @@ def test_config_validation():
             PipelineConfig(tol=tol)
     with pytest.raises(ValueError, match="restarts"):
         PipelineConfig(restarts=0)
+    for bad, message in (
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"max_components": 0}, "max_components must be >= 1"),
+        ({"k1": 0}, "k1 must be >= 1"),
+        ({"impute_k": 1}, "impute_k must be >= 2"),
+        ({"zero_fraction_threshold": 2.0}, "zero_fraction_threshold must be in"),
+        ({"zero_fraction_threshold": -0.1}, "zero_fraction_threshold must be in"),
+        ({"zero_fraction_threshold": float("nan")}, "zero_fraction_threshold must be in"),
+        ({"stage1_k2": (2, 1)}, "stage1_k2"),
+        ({"stage2_k2": (5, 4)}, "stage2_k2"),
+        ({"stage3_k2": (50, 10)}, "stage3_k2"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig(**bad)
+    # the edges of each range are accepted
+    PipelineConfig(seed=0, max_components=1, k1=1, impute_k=2, zero_fraction_threshold=0.0,
+                   stage1_k2=(0, 2), stage2_k2=(7, 7), stage3_k2=(2, 2))
+    PipelineConfig(zero_fraction_threshold=1.0)
 
 
 def test_requires_three_matrices(dataset):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from omicsfuse.clustering import Partition
 from omicsfuse.errors import DegenerateInputError
@@ -119,6 +121,21 @@ class TestInvariances:
         rep1 = logrank_test(labels, records(times, events))
         rep2 = logrank_test(np.array(["g%d" % (2 - l) for l in labels]), records(times, events))
         assert rep1.chi2 == pytest.approx(rep2.chi2, abs=1e-9)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.integers(4, 30).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(1, 8), min_size=n, max_size=n),  # tied times
+        st.lists(st.integers(0, 1), min_size=n, max_size=n),
+        st.lists(st.integers(0, 3), min_size=n, max_size=n),
+        st.permutations(range(4)),
+    )))
+    def test_chi2_invariant_under_group_relabelling(self, case):
+        times, events, labels, perm = case
+        assume(sum(events) > 0 and len(set(labels)) > 1)  # TestErrors covers the rest
+        recs = records(times, events)
+        chi2 = logrank_test(np.array(labels), recs).chi2
+        relabelled = logrank_test(np.array(perm)[labels], recs).chi2
+        assert relabelled == pytest.approx(chi2, rel=1e-10, abs=1e-12)
 
     def test_monotone_time_transform(self):
         times, events, labels = self._base()
