@@ -16,7 +16,7 @@ import numpy as np
 from .affinity import euclidean_distance_matrix
 from .errors import AlignmentError, DegenerateInputError
 from .numkernel import svd_thin
-from .preprocess import OmicsMatrix
+from .preprocess import OmicsMatrix, require_paper_kinds
 
 RELATIVE_RANK_TOL = 1e-10
 
@@ -29,9 +29,6 @@ DIRECTED_PAIR_ORDER = [
     ("gene_expression", "methylation"),
     ("methylation", "gene_expression"),
 ]
-
-# same pattern by input position, used when kinds are not the canonical three
-_POSITIONAL_ORDER = [(1, 0), (0, 1), (1, 2), (2, 1), (0, 2), (2, 0)]
 
 
 @dataclass
@@ -110,9 +107,9 @@ def all_directed_pair_distances(
     omics: list[OmicsMatrix],
 ) -> list[tuple[DirectedPair, np.ndarray]]:
     """Canonical-variate distance matrices for all six directed pairs of
-    the three omics blocks, in canonical report order."""
-    if len(omics) != 3:
-        raise ValueError(f"expected exactly 3 omics matrices, got {len(omics)}")
+    the three omics blocks, one of each of the paper's kinds, in canonical
+    report order."""
+    require_paper_kinds(omics)
     ids0 = omics[0].sample_ids
     for other in omics[1:]:
         if other.sample_ids != ids0:
@@ -132,20 +129,9 @@ def all_directed_pair_distances(
         if m.missing_mask.any():
             raise ValueError(f"{m.kind} still has missing cells; impute first")
 
-    kinds = [m.kind for m in omics]
-    if set(kinds) == {"gene_expression", "mirna", "methylation"}:
-        by_kind = {m.kind: m for m in omics}
-        pairs = [(by_kind[p], by_kind[r]) for p, r in DIRECTED_PAIR_ORDER]
-        names = {id(m): m.kind for m in omics}
-    else:
-        pairs = [(omics[i], omics[j]) for i, j in _POSITIONAL_ORDER]
-        # disambiguate repeated kinds by position
-        names = {id(m): f"{m.kind}{i}" for i, m in enumerate(omics)}
-
     blocks = _checked_blocks(*(m.values for m in omics))
-    bases = {id(m): _center_and_whiten(b, names[id(m)]) for m, b in zip(omics, blocks)}
-    out = []
-    for pred, resp in pairs:
-        dist = canonical_distance_matrix(_fit_whitened(bases[id(pred)], bases[id(resp)]))
-        out.append((DirectedPair(predictor=names[id(pred)], response=names[id(resp)]), dist))
-    return out
+    bases = {m.kind: _center_and_whiten(b, m.kind) for m, b in zip(omics, blocks)}
+    return [
+        (DirectedPair(p, r), canonical_distance_matrix(_fit_whitened(bases[p], bases[r])))
+        for p, r in DIRECTED_PAIR_ORDER
+    ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +96,7 @@ _KNOB_PARSERS = {
     "max_iter": int,
     "tol": float,
 }
+_METAVARS = {_int_pair: "LO,HI", _int_tuple: "K,K,..."}
 _PATH_KEYS = ("gene_expression", "mirna", "methylation", "survival", "labels", "outdir")
 
 
@@ -134,37 +135,28 @@ def build_parser() -> CliParser:
     p.add_argument("--labels", help="optional true labels CSV for evaluation")
     p.add_argument("--outdir", help=f"output directory (default ${OUTDIR_ENV})")
     p.add_argument("--config", help="flat key = value config file; flags override")
-    p.add_argument("--zero-fraction-threshold", dest="zero_fraction_threshold", type=float)
-    p.add_argument("--impute-k", dest="impute_k", type=int)
-    p.add_argument("--cumulative-target", dest="cumulative_target", type=float)
-    p.add_argument("--max-components", dest="max_components", type=int)
-    p.add_argument("--k1", type=int)
-    for stage, lo_role in ((1, "only validated"), (2, "only validated"),
-                           (3, "the bottom of the candidate grid")):
-        p.add_argument(f"--stage{stage}-k2", dest=f"stage{stage}_k2", type=_int_pair,
-                       metavar="LO,HI",
-                       help=f"HI, clamped to n - 2, is the k2 used; LO is {lo_role}")
-    p.add_argument("--k3-set", dest="k3_set", type=_int_tuple, metavar="K,K,...")
-    p.add_argument("--clusters", type=int)
-    p.add_argument("--cluster-on", dest="cluster_on", choices=("network", "spectral"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--tol", type=float)
+    for name, parse in _KNOB_PARSERS.items():
+        help_text = None
+        if name.endswith("_k2"):
+            lo_role = ("the bottom of the candidate grid" if name == "stage3_k2"
+                       else "only validated")
+            help_text = f"HI, clamped to n - 2, is the k2 used; LO is {lo_role}"
+        p.add_argument("--" + name.replace("_", "-"), type=parse,
+                       metavar=_METAVARS.get(parse), help=help_text)
 
     s = sub.add_parser("synth", help="write a planted synthetic dataset")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--k", type=int, required=True)
-    s.add_argument("--dims", type=_int_triple, default=(60, 40, 50), metavar="D1,D2,D3")
-    s.add_argument("--separation", type=float, default=8.0)
-    s.add_argument("--noise-fraction", dest="noise_fraction", type=float, default=0.3)
-    s.add_argument("--missing-rate", dest="missing_rate", type=float, default=0.05)
-    s.add_argument("--hazard-ratio", dest="hazard_ratio", type=float, default=3.0)
-    s.add_argument("--high-missing-fraction", dest="high_missing_fraction",
-                   type=float, default=0.0)
-    s.add_argument("--high-missing-rate", dest="high_missing_rate",
-                   type=float, default=0.4)
-    s.add_argument("--seed", type=int, default=0)
+    # unset flags take SynthSpec's defaults
+    s.add_argument("--dims", type=_int_triple, metavar="D1,D2,D3")
+    s.add_argument("--separation", type=float)
+    s.add_argument("--noise-fraction", dest="noise_features_fraction", type=float,
+                   metavar="NOISE_FRACTION")
+    s.add_argument("--missing-rate", type=float)
+    s.add_argument("--hazard-ratio", type=float)
+    s.add_argument("--high-missing-fraction", type=float)
+    s.add_argument("--high-missing-rate", type=float)
+    s.add_argument("--seed", type=int)
     s.add_argument("--outdir", help=f"output directory (default ${OUTDIR_ENV})")
 
     v = sub.add_parser("survival", help="log-rank report for a labeling")
@@ -235,8 +227,9 @@ def cmd_pipeline(args) -> int:
         read_matrix_csv(paths["mirna"], kind="mirna"),
         read_matrix_csv(paths["methylation"], kind="methylation"),
     ]
-    records = read_survival_csv(paths["survival"])
     ids = list(matrices[0].sample_ids)  # the pipeline's sample order
+    records = read_survival_csv(paths["survival"])
+    records = align_by_id(ids, [r.sample_id for r in records], records, str(paths["survival"]))
     true_labels = None
     if paths["labels"]:
         true_labels = _align_labels_to(ids, paths["labels"])
@@ -305,18 +298,8 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = SynthSpec(
-        n=args.n,
-        k=args.k,
-        dims=args.dims,
-        separation=args.separation,
-        noise_features_fraction=args.noise_fraction,
-        missing_rate=args.missing_rate,
-        hazard_ratio=args.hazard_ratio,
-        seed=args.seed,
-        high_missing_fraction=args.high_missing_fraction,
-        high_missing_rate=args.high_missing_rate,
-    )
+    spec = SynthSpec(**{f.name: value for f in fields(SynthSpec)
+                        if (value := getattr(args, f.name, None)) is not None})
     outdir = _resolve_outdir(args.outdir)
     matrices, labels, records = generate(spec)
     for m in matrices:

@@ -27,7 +27,6 @@ from . import backend
 from .affinity import affinity_from_distance, check_distance_matrix, sorted_off_diagonal
 from .errors import NumericalFailure
 from .numkernel import sym_eig
-from .preprocess import default_neighbor_count
 
 GAMMA_FLOOR = 1e-8
 
@@ -297,7 +296,7 @@ def step_distance(affinities: list[np.ndarray]) -> np.ndarray:
     return d
 
 
-def _clamp_range(k2_range: tuple[int, int], n: int, stage: str) -> tuple[int, int]:
+def clamp_k2_range(k2_range: tuple[int, int], n: int, stage: str) -> tuple[int, int]:
     lo = max(2, int(k2_range[0]))
     hi = min(int(k2_range[1]), n - 2)
     if lo > hi:
@@ -345,22 +344,20 @@ def three_stage_fuse(
         if np.asarray(a).shape != (n, n):
             raise ValueError("all affinity matrices must share one square shape")
     c = eigenvector_count(cluster_count)
-    if k1 is None:
-        k1 = min(max(default_neighbor_count(n), 1), n - 1)
     if stage2_k2_range is None:
         stage2_k2_range = (2, n + 2)
 
     stages = []
     for affs, k2_range, stage in ((intra, stage1_k2_range, "stage 1 (intra)"),
                                   (inter, stage2_k2_range, "stage 2 (inter)")):
-        _, k2 = _clamp_range(k2_range, n, stage)
+        _, k2 = clamp_k2_range(k2_range, n, stage)
         stages.append(_raise_failure(_fusion_step(affs, c, max_iter, tol, stage).fuse(k2)))
 
     try:
         rekernelized = [affinity_from_distance(step_distance([st.s]), k1) for st in stages]
     except (NumericalFailure, ValueError) as exc:
         raise type(exc)(f"stage 3 re-kernelization: {exc}") from exc
-    lo, hi = _clamp_range(stage3_k2_range, n, "stage 3")
+    lo, hi = clamp_k2_range(stage3_k2_range, n, "stage 3")
     step3 = _fusion_step(rekernelized, c, max_iter, tol, "stage 3 candidate")
     return ThreeStageResult(
         stage1=stages[0], stage2=stages[1], stage3=_raise_failure(step3.fuse(hi)),

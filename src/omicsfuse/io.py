@@ -20,6 +20,9 @@ import numpy as np
 from .preprocess import OmicsMatrix
 from .survival import SurvivalRecord
 
+_SURVIVAL_HEADER = ["sample_id", "time", "event"]
+_LABELS_HEADER = ["sample_id", "label"]
+
 
 def _fmt(x: float) -> str:
     if isinstance(x, float) and math.isnan(x):
@@ -33,64 +36,66 @@ def write_matrix_csv(path, matrix: OmicsMatrix) -> None:
                     row_ids=matrix.sample_ids)
 
 
-def read_matrix_csv(path, kind: str = "other") -> OmicsMatrix:
+def _read_rows(path, header_ok, expected: str, parse=None) -> tuple[list[str], list]:
+    """The header and the rows of a CSV file, each row passed through
+    ``parse``.  The header must satisfy ``header_ok`` (else the error quotes
+    ``expected``), blank lines are skipped, every row has the header's
+    width, and there is at least one row.  A ValueError from ``parse`` gets
+    ``path:line`` in front."""
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "sample_id" or len(header) < 2:
-            raise ValueError(f"{path}: expected header 'sample_id,<feature ids...>'")
-        feature_ids = header[1:]
-        sample_ids = []
+        header = next(reader, [])
+        if not header_ok(header):
+            raise ValueError(f"{path}: expected header {expected!r}")
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}"
-                )
-            sample_ids.append(row[0])
-            rows.append([np.nan if cell == "" else float(cell) for cell in row[1:]])
+                raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
+            try:
+                rows.append(row if parse is None else parse(row))
+            except ValueError as exc:
+                raise type(exc)(f"{path}:{lineno}: {exc}") from None
     if not rows:
-        raise ValueError(f"{path}: no sample rows")
-    return OmicsMatrix(
-        values=np.asarray(rows, dtype=np.float64),
-        sample_ids=sample_ids,
-        feature_ids=feature_ids,
-        kind=kind,
-    )
+        raise ValueError(f"{path}: no rows after the header")
+    return header, rows
+
+
+def _matrix_row(row: list[str]) -> tuple[str, list[float]]:
+    return row[0], [np.nan if cell == "" else float(cell) for cell in row[1:]]
+
+
+def read_matrix_csv(path, kind: str = "other") -> OmicsMatrix:
+    header, rows = _read_rows(path, lambda h: len(h) >= 2 and h[0] == "sample_id",
+                              "sample_id,<feature ids...>", _matrix_row)
+    sample_ids, values = zip(*rows)
+    try:
+        return OmicsMatrix(np.asarray(values, dtype=np.float64), sample_ids, header[1:], kind)
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def write_survival_csv(path, records: list[SurvivalRecord]) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["sample_id", "time", "event"])
+        writer.writerow(_SURVIVAL_HEADER)
         for rec in records:
             writer.writerow([rec.sample_id, _fmt(rec.time), rec.event])
 
 
+def _survival_record(row: list[str]) -> SurvivalRecord:
+    event = row[2].strip()
+    if event not in ("0", "1"):
+        raise ValueError(f"event must be 0 or 1, got {event!r}")
+    return SurvivalRecord(row[0], float(row[1]), int(event))
+
+
 def read_survival_csv(path) -> list[SurvivalRecord]:
-    path = Path(path)
-    records = []
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["sample_id", "time", "event"]:
-            raise ValueError(f"{path}: expected header 'sample_id,time,event'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 cells, got {len(row)}")
-            event = row[2].strip()
-            if event not in ("0", "1"):
-                raise ValueError(f"{path}:{lineno}: event must be 0 or 1, got {event!r}")
-            records.append(SurvivalRecord(row[0], float(row[1]), int(event)))
-    if not records:
-        raise ValueError(f"{path}: no records")
-    return records
+    return _read_rows(path, lambda h: h == _SURVIVAL_HEADER, ",".join(_SURVIVAL_HEADER),
+                      _survival_record)[1]
 
 
 def write_labels_csv(path, sample_ids, labels) -> None:
@@ -101,28 +106,14 @@ def write_labels_csv(path, sample_ids, labels) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["sample_id", "label"])
+        writer.writerow(_LABELS_HEADER)
         for sid, lab in zip(sample_ids, labels):
             writer.writerow([sid, lab])
 
 
 def read_labels_csv(path) -> tuple[list[str], list[str]]:
-    path = Path(path)
-    sample_ids, labels = [], []
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["sample_id", "label"]:
-            raise ValueError(f"{path}: expected header 'sample_id,label'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 cells, got {len(row)}")
-            sample_ids.append(row[0])
-            labels.append(row[1])
-    if not sample_ids:
-        raise ValueError(f"{path}: no label rows")
+    _, rows = _read_rows(path, lambda h: h == _LABELS_HEADER, ",".join(_LABELS_HEADER))
+    sample_ids, labels = map(list, zip(*rows))
     return sample_ids, labels
 
 
@@ -159,22 +150,7 @@ def write_table_csv(path, header: list[str], rows, row_ids=None) -> None:
 
 def read_table_csv(path) -> tuple[list[str], list[list[str]]]:
     """Header plus rows of the cell text written by write_table_csv."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty table") from None
-        rows = []
-        for row in reader:
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: row {len(rows) + 2} has {len(row)} cells,"
-                    f" expected {len(header)}"
-                )
-            rows.append(row)
-    return header, rows
+    return _read_rows(path, bool, "<column names>")
 
 
 def _round_for_json(obj):

@@ -1,14 +1,14 @@
 """End-to-end orchestration: preprocessing, affinity construction,
 three-stage fusion, clustering, evaluation, and survival testing.
 
-Sample alignment contract: the three matrices (and the survival file,
-when given) must cover exactly the same sample IDs; everything is
-reordered to the first matrix's order before any computation.
+Input contract: one gene-expression, one miRNA and one methylation
+matrix (and the survival file, when given) cover exactly the same sample
+IDs; everything is reordered to the first matrix's order, and every
+setting is checked against the sample count, before any computation.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
@@ -19,13 +19,21 @@ from .bgmm import fit_bayesian_gmm
 from .cca import all_directed_pair_distances
 from .clustering import Partition, SweepRow, ari, kmeans_pp, nmi, sweep_k2_metrics
 from .errors import AlignmentError, DegenerateInputError
-from .fusion import StageRecord, ThreeStageResult, three_stage_fuse
+from .fusion import (
+    StageRecord,
+    ThreeStageResult,
+    clamp_k2_range,
+    eigenvector_count,
+    three_stage_fuse,
+)
 from .preprocess import (
     OmicsMatrix,
     apply_power_transform,
+    duplicate_ids,
     filter_sparse_features,
     fit_power_transform,
     knn_impute,
+    require_paper_kinds,
     select_features_bgmm,
     zscore_standardize,
 )
@@ -120,64 +128,62 @@ class PipelineResult:
     final_nmi: float | None = None
 
 
-def _id_mismatch(reference, other, what: str):
-    ref_set, other_set = set(reference), set(other)
-    missing = sorted(ref_set - other_set)[:10]
-    extra = sorted(other_set - ref_set)[:10]
-    return AlignmentError(
-        f"{what}: sample IDs do not match (missing: {missing}, unexpected: {extra})"
-    )
-
-
-def _reorder_matrix(m: OmicsMatrix, order: list[str]) -> OmicsMatrix:
-    if m.sample_ids == order:
-        return m
-    pos = {sid: i for i, sid in enumerate(m.sample_ids)}
-    idx = np.array([pos[sid] for sid in order])
-    return OmicsMatrix(
-        values=m.values[idx],
-        sample_ids=list(order),
-        feature_ids=list(m.feature_ids),
-        kind=m.kind,
-        missing_mask=m.missing_mask[idx],
-    )
-
-
 def align_inputs(
     omics: list[OmicsMatrix],
     records: list[SurvivalRecord] | None,
 ) -> tuple[list[OmicsMatrix], list[SurvivalRecord] | None]:
-    """Reorder every input to the first matrix's sample order; the ID sets
-    must already coincide."""
-    if len(omics) != 3:
-        raise ValueError(f"expected exactly 3 omics matrices, got {len(omics)}")
+    """Reorder every input to the first matrix's sample order.  There must
+    be one matrix of each of the paper's three kinds, and the ID sets must
+    already coincide."""
+    require_paper_kinds(omics)
     order = omics[0].sample_ids
-    aligned = [omics[0]]
-    for m in omics[1:]:
-        if set(m.sample_ids) != set(order):
-            raise _id_mismatch(order, m.sample_ids, f"{m.kind} matrix")
-        aligned.append(_reorder_matrix(m, order))
+    aligned = []
+    for m in omics:
+        idx = align_by_id(order, m.sample_ids, range(m.n_samples), f"{m.kind} matrix")
+        aligned.append(m if m.sample_ids == order else OmicsMatrix(
+            m.values[idx], order, m.feature_ids, m.kind, m.missing_mask[idx]))
     if records is not None:
         records = align_by_id(order, [r.sample_id for r in records], records, "survival file")
     return aligned, records
 
 
-def _duplicates(ids: list[str]) -> list[str]:
-    return sorted(sid for sid, count in Counter(ids).items() if count > 1)[:10]
-
-
-def align_by_id(order: list[str], ids: list[str], values: list, what: str) -> list:
+def align_by_id(order: list[str], ids: list[str], values, what: str) -> list:
     """``values``, one per entry of ``ids``, reordered to ``order``; both ID
     lists must be unique, and ``ids`` must cover exactly the samples of
     ``order``."""
-    if dup := _duplicates(ids):
+    if dup := duplicate_ids(ids):
         raise AlignmentError(f"{what}: duplicate sample IDs {dup}")
-    if dup := _duplicates(order):
+    if dup := duplicate_ids(order):
         raise AlignmentError(f"duplicate sample IDs {dup} in the samples {what} is aligned to")
     by_id = dict(zip(ids, values))
-    if set(by_id) != set(order):
-        raise _id_mismatch(order, list(by_id), what)
+    if by_id.keys() != set(order):
+        missing = sorted(set(order) - by_id.keys())[:10]
+        extra = sorted(by_id.keys() - set(order))[:10]
+        raise AlignmentError(
+            f"{what}: sample IDs do not match (missing: {missing}, unexpected: {extra})"
+        )
     return [by_id[sid] for sid in order]
+
+
+def _check_settings_fit(config: PipelineConfig, n: int) -> None:
+    """Reject, before any work, a setting that n samples rule out; each
+    stage checks its own bound again where it uses it."""
+    if n < config.max_components:
+        raise DegenerateInputError(
+            f"max_components={config.max_components}: need at least "
+            f"{config.max_components} samples, got {n}"
+        )
+    c = eigenvector_count(config.clusters)
+    if c > n:
+        raise ValueError(f"clusters={config.clusters} needs {c} eigenvectors, got {n} samples")
+    for name in ("k1", "impute_k"):
+        k = getattr(config, name)
+        if k is not None and k > n - 1:
+            raise ValueError(f"{name}={k} must be <= n - 1 = {n - 1}")
+    for name in ("stage1_k2", "stage2_k2", "stage3_k2"):
+        # the default stage-2 range is empty only where stage 1's is
+        if getattr(config, name) is not None:
+            clamp_k2_range(getattr(config, name), n, name)
 
 
 def preprocess_matrix(
@@ -252,6 +258,7 @@ def run_pipeline(
         raise AlignmentError(
             f"true labels cover {true_labels.n} samples, matrices have {len(order)}"
         )
+    _check_settings_fit(config, len(order))
 
     processed = []
     reports = []

@@ -9,14 +9,17 @@ re-exported here).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import backend
-from .errors import DegenerateInputError, DomainError
+from .errors import AlignmentError, DegenerateInputError, DomainError
 
-OMICS_KINDS = ("gene_expression", "mirna", "methylation", "other")
+# the three kinds the pipeline integrates, one matrix each, in the paper's order
+PAPER_KINDS = ("gene_expression", "mirna", "methylation")
+OMICS_KINDS = (*PAPER_KINDS, "other")
 
 TRANSFORM_METHODS = ("box_cox", "yeo_johnson")
 
@@ -50,8 +53,8 @@ class OmicsMatrix:
             raise ValueError(f"{len(self.sample_ids)} sample ids for {n} rows")
         if len(self.feature_ids) != p:
             raise ValueError(f"{len(self.feature_ids)} feature ids for {p} columns")
-        if len(set(self.sample_ids)) != n:
-            raise ValueError("sample ids must be unique")
+        if dup := duplicate_ids(self.sample_ids):
+            raise AlignmentError(f"duplicate sample IDs {dup}")
         if len(set(self.feature_ids)) != p:
             raise ValueError("feature ids must be unique")
         if self.kind not in OMICS_KINDS:
@@ -98,6 +101,19 @@ class PowerTransformParams:
         if self.method not in TRANSFORM_METHODS:
             raise ValueError(f"method must be one of {TRANSFORM_METHODS}, got {self.method!r}")
         self.lambdas = np.asarray(self.lambdas, dtype=np.float64)
+
+
+def require_paper_kinds(omics: list[OmicsMatrix]) -> None:
+    """Raise unless ``omics`` holds one matrix of each of PAPER_KINDS."""
+    if sorted(m.kind for m in omics) != sorted(PAPER_KINDS):
+        raise ValueError(
+            f"expected one matrix of each kind {PAPER_KINDS}, got {[m.kind for m in omics]}"
+        )
+
+
+def duplicate_ids(ids: list[str]) -> list[str]:
+    """The first ten IDs that occur more than once, sorted."""
+    return sorted(sid for sid, count in Counter(ids).items() if count > 1)[:10]
 
 
 def default_neighbor_count(n: int) -> int:
@@ -257,14 +273,6 @@ def _transform_columns(x, lam, method: str) -> np.ndarray:
     rows = np.ascontiguousarray(x.reshape(x.shape[0], -1).T)
     y = _transform(_split(rows, method), rows.shape, lam)
     return np.ascontiguousarray(y.T).reshape(x.shape)
-
-
-def _box_cox(col: np.ndarray, lam) -> np.ndarray:
-    return _transform_columns(col, lam, "box_cox")
-
-
-def _yeo_johnson(col: np.ndarray, lam) -> np.ndarray:
-    return _transform_columns(col, lam, "yeo_johnson")
 
 
 def _loglik(parts: list[tuple], shape, jac: np.ndarray, lam) -> np.ndarray:

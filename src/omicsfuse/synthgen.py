@@ -13,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import Partition
-from .preprocess import OmicsMatrix
+from .preprocess import PAPER_KINDS, OmicsMatrix
 from .survival import SurvivalRecord
 
-SYNTH_KINDS = ("gene_expression", "mirna", "methylation")
 _KIND_PREFIX = {"gene_expression": "ge", "mirna": "mi", "methylation": "me"}
 
 
@@ -102,7 +101,7 @@ def generate(spec: SynthSpec):
 
     matrices = [
         _synth_matrix(rng, spec, labels, kind, d, sample_ids)
-        for kind, d in zip(SYNTH_KINDS, spec.dims)
+        for kind, d in zip(PAPER_KINDS, spec.dims)
     ]
 
     # hazards span [1, hazard_ratio] across clusters; higher hazard, earlier death

@@ -199,11 +199,9 @@ class TestDirectedPairs:
         with pytest.raises(AlignmentError):
             all_directed_pair_distances([omics[0], omics[1], bad])
 
-    def test_other_kinds_use_positional_pattern(self):
-        omics = self.three_omics()
-        others = [
-            OmicsMatrix(m.values, m.sample_ids, m.feature_ids, "other") for m in omics
-        ]
-        pairs = all_directed_pair_distances(others)
-        assert len(pairs) == 6
-        assert pairs[0][0].predictor == "other1" and pairs[0][0].response == "other0"
+    def test_non_canonical_kinds_raise(self):
+        ge, mi, me = self.three_omics()
+        other = OmicsMatrix(me.values, me.sample_ids, me.feature_ids, "other")
+        for omics in ([ge, mi, other], [ge, mi, mi], [ge, mi], [ge, mi, me, other]):
+            with pytest.raises(ValueError, match="expected one matrix of each kind"):
+                all_directed_pair_distances(omics)

@@ -19,8 +19,11 @@ from omicsfuse.io import (
     read_matrix_csv,
     read_survival_csv,
     read_table_csv,
+    write_matrix_csv,
+    write_survival_csv,
 )
 from omicsfuse.pipeline import PipelineConfig
+from omicsfuse.synthgen import SynthSpec, generate
 
 SYNTH_ARGS = ["--n", "36", "--k", "3", "--dims", "12,10,11",
               "--separation", "8", "--missing-rate", "0.05", "--seed", "1"]
@@ -78,6 +81,17 @@ def test_synth_writes_all_files(data_dir):
 def test_synth_rerun_is_byte_identical(tmp_path, data_dir):
     again = run_synth(tmp_path / "again")
     assert _tree_bytes(data_dir) == _tree_bytes(again)
+
+
+def test_synth_flags_left_out_take_the_synthspec_defaults(tmp_path):
+    assert main(["synth", "--n", "12", "--k", "2", "--outdir", str(tmp_path / "cli")]) == 0
+    mats, _, records = generate(SynthSpec(n=12, k=2))
+    for m in mats:
+        write_matrix_csv(tmp_path / f"{m.kind}.csv", m)
+    write_survival_csv(tmp_path / "survival.csv", records)
+    for name in ("gene_expression", "mirna", "methylation", "survival"):
+        assert ((tmp_path / "cli" / f"{name}.csv").read_bytes()
+                == (tmp_path / f"{name}.csv").read_bytes())
 
 
 def test_pipeline_artifacts_present(pipeline_out):
@@ -405,6 +419,47 @@ def test_duplicate_survival_ids_exit_two(tmp_path, data_dir, capsys):
                  "--survival", str(dup), "--outdir", str(tmp_path / "out")])
     assert code == 2
     assert f"{dup}: duplicate sample IDs ['{first_id}']" in capsys.readouterr().err
+
+
+def _set_cell(row, col, text):
+    def edit(lines):
+        cells = lines[row].split(",")
+        cells[col:col + 1] = [text]
+        lines[row] = ",".join(cells)
+    return edit
+
+
+# input fault -> (file edited, edit of its lines, exit code, message after the path)
+INPUT_FAULTS = {
+    "bad_header": ("gene_expression", _set_cell(0, 0, "id"), 1,
+                   ": expected header 'sample_id,<feature ids...>'"),
+    "ragged_row": ("gene_expression", _set_cell(2, 13, "7"), 1, ":3: expected 13 cells, got 14"),
+    "text_cell": ("mirna", _set_cell(1, 1, "abc"), 1,
+                  ":2: could not convert string to float: 'abc'"),
+    "inf_cell": ("methylation", _set_cell(1, 1, "inf"), 1, ": observed cells must be finite"),
+    "duplicate_id": ("mirna", _set_cell(2, 0, "s0000"), 2, ": duplicate sample IDs ['s0000']"),
+    "bad_event": ("survival", _set_cell(1, 2, "yes"), 1, ":2: event must be 0 or 1, got 'yes'"),
+    "nonpositive_time": ("survival", _set_cell(1, 1, "-3"), 1,
+                         ":2: time must be finite and > 0, got -3.0"),
+    "unknown_survival_sample": ("survival", _set_cell(1, 0, "x9999"), 2,
+                                ": sample IDs do not match (missing: ['s0000'], "
+                                "unexpected: ['x9999'])"),
+    "missing_file": ("labels", None, 4, ""),
+}
+
+
+@pytest.mark.parametrize("fault", list(INPUT_FAULTS))
+def test_input_fault_exit_codes(tmp_path, data_dir, capsys, fault):
+    kind, edit, code, message = INPUT_FAULTS[fault]
+    bad = tmp_path / f"{kind}.csv"
+    if edit is not None:
+        lines = (data_dir / f"{kind}.csv").read_text(encoding="utf-8").splitlines()
+        edit(lines)
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run_pipeline_cli(data_dir, tmp_path / "out", extra=[f"--{kind.replace('_', '-')}",
+                                                               str(bad)]) == code
+    err = capsys.readouterr().err
+    assert str(bad) + message in err if message else str(bad) in err
 
 
 def test_transform_flag_is_unrecognized(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omicsfuse.io import (
     read_json,
@@ -16,6 +18,24 @@ from omicsfuse.preprocess import OmicsMatrix
 from omicsfuse.survival import SurvivalRecord
 from omicsfuse.synthgen import SynthSpec, generate
 from oracles import write_matrix_csv_cells
+
+# IDs drawn from letters and the characters that need CSV quoting
+ID_TEXT = st.text(alphabet="ab é,\"\n\r", max_size=6)
+
+
+@st.composite
+def csv_matrices(draw):
+    """Matrices with unique quoted-or-plain IDs whose cells are NaN, signed
+    zeros or magnitudes from 1e-8 to 1e8."""
+    n, p = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    sample_ids = draw(st.lists(ID_TEXT, min_size=n, max_size=n, unique=True))
+    feature_ids = draw(st.lists(ID_TEXT, min_size=p, max_size=p, unique=True))
+    magnitude = st.builds(lambda m, e, sign: sign * m * 10.0 ** e,
+                          st.floats(1.0, 9.999999), st.integers(-8, 8), st.sampled_from([-1, 1]))
+    cell = st.one_of(st.sampled_from([np.nan, -0.0, 0.0]), magnitude)
+    values = np.array(draw(st.lists(st.lists(cell, min_size=p, max_size=p),
+                                    min_size=n, max_size=n)))
+    return OmicsMatrix(values=values, sample_ids=sample_ids, feature_ids=feature_ids)
 
 
 def sample_matrix():
@@ -72,6 +92,18 @@ class TestMatrixCsv:
         assert got.read_bytes() == ref.read_bytes()
         assert b",-0," in got.read_bytes()
 
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(m=csv_matrices())
+    def test_rewrite_of_what_was_read_is_byte_identical(self, tmp_path_factory, m):
+        root = tmp_path_factory.mktemp("matrix")
+        p1, p2 = root / "a.csv", root / "b.csv"
+        write_matrix_csv(p1, m)
+        back = read_matrix_csv(p1)
+        write_matrix_csv(p2, back)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert back.sample_ids == m.sample_ids and back.feature_ids == m.feature_ids
+        assert np.array_equal(back.missing_mask, m.missing_mask)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("id,f1\nx,1\n")
@@ -110,6 +142,23 @@ class TestSurvivalCsv:
         write_survival_csv(p2, read_survival_csv(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(data=st.data())
+    def test_round_trip_of_any_records(self, tmp_path_factory, data):
+        ids = data.draw(st.lists(ID_TEXT, min_size=1, max_size=8, unique=True))
+        times = data.draw(st.lists(st.floats(1e-8, 1e8), min_size=len(ids), max_size=len(ids)))
+        events = data.draw(st.lists(st.integers(0, 1), min_size=len(ids), max_size=len(ids)))
+        recs = [SurvivalRecord(*rec) for rec in zip(ids, times, events)]
+        root = tmp_path_factory.mktemp("survival")
+        p1, p2 = root / "a.csv", root / "b.csv"
+        write_survival_csv(p1, recs)
+        back = read_survival_csv(p1)
+        write_survival_csv(p2, back)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert [(r.sample_id, r.event) for r in back] == [(r.sample_id, r.event) for r in recs]
+        for got, want in zip(back, recs):
+            assert got.time == pytest.approx(want.time, rel=1e-11)
+
     def test_bad_event_value(self, tmp_path):
         path = tmp_path / "surv.csv"
         path.write_text("sample_id,time,event\np1,2.0,yes\n")
@@ -130,6 +179,15 @@ class TestLabelsCsv:
         ids, labels = read_labels_csv(path)
         assert ids == ["p1", "p2", "p3"]
         assert labels == ["0", "1", "0"]
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(data=st.data())
+    def test_round_trip_of_any_labels(self, tmp_path_factory, data):
+        ids = data.draw(st.lists(ID_TEXT, min_size=1, max_size=8, unique=True))
+        labels = data.draw(st.lists(ID_TEXT, min_size=len(ids), max_size=len(ids)))
+        path = tmp_path_factory.mktemp("labels") / "labels.csv"
+        write_labels_csv(path, ids, labels)
+        assert read_labels_csv(path) == (ids, labels)
 
     def test_length_mismatch(self, tmp_path):
         with pytest.raises(ValueError):
@@ -155,6 +213,24 @@ class TestJson:
         back = read_json(p1)
         assert back["alpha"] == [2, True]
         assert back["nested"]["a"] == [0.1, 0.2]
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(obj=st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(-10**6, 10**6), st.text(max_size=4),
+                  st.floats(allow_infinity=False)),
+        lambda inner: st.one_of(st.lists(inner, max_size=4),
+                                st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+        max_leaves=12))
+    def test_deterministic_for_any_object(self, tmp_path_factory, obj):
+        root = tmp_path_factory.mktemp("json")
+        p1, p2, p3 = root / "a.json", root / "b.json", root / "c.json"
+        write_json(p1, obj)
+        write_json(p2, obj)
+        write_json(p3, read_json(p1))
+        assert p1.read_bytes() == p2.read_bytes() == p3.read_bytes()
+        if isinstance(obj, dict):  # key order does not reach the bytes
+            write_json(p2, dict(reversed(list(obj.items()))))
+            assert p2.read_bytes() == p1.read_bytes()
 
     def test_floats_rounded_to_12_digits(self, tmp_path):
         path = tmp_path / "a.json"

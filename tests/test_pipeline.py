@@ -244,6 +244,49 @@ def test_all_censored_survival_fails_before_preprocessing(dataset, monkeypatch):
         run_pipeline(mats, censored, config=CONFIG)
 
 
+def _forbid_preprocessing(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("preprocessing ran")
+
+    monkeypatch.setattr(pipeline, "preprocess_matrix", unreachable)
+
+
+def test_non_canonical_kinds_raise_before_preprocessing(dataset, monkeypatch):
+    mats, labels, recs = dataset
+    _forbid_preprocessing(monkeypatch)
+    for kinds in (("gene_expression", "mirna", "other"), ("gene_expression", "mirna", "mirna")):
+        relabelled = [OmicsMatrix(m.values, m.sample_ids, m.feature_ids, kind, m.missing_mask)
+                      for m, kind in zip(mats, kinds)]
+        with pytest.raises(ValueError, match="expected one matrix of each kind"):
+            run_pipeline(relabelled, recs, labels, CONFIG)
+
+
+@pytest.mark.parametrize("setting, error, message", [
+    ({"clusters": 40}, ValueError, "clusters=40 needs 40 eigenvectors, got 36 samples"),
+    ({"stage1_k2": (50, 60)}, ValueError, r"stage1_k2: k2 range \[50, 60\] is empty for n=36"),
+    ({"stage2_k2": (35, 40)}, ValueError, r"stage2_k2: k2 range \[35, 40\] is empty for n=36"),
+    ({"stage3_k2": (35, 40)}, ValueError, r"stage3_k2: k2 range \[35, 40\] is empty for n=36"),
+    ({"k1": 40}, ValueError, "k1=40 must be <= n - 1 = 35"),
+    ({"impute_k": 36}, ValueError, "impute_k=36 must be <= n - 1 = 35"),
+    ({"max_components": 37}, DegenerateInputError,
+     "max_components=37: need at least 37 samples, got 36"),
+], ids=["clusters", "stage1_k2", "stage2_k2", "stage3_k2", "k1", "impute_k", "max_components"])
+def test_settings_the_sample_count_rules_out_fail_before_preprocessing(
+        dataset, monkeypatch, setting, error, message):
+    mats, labels, recs = dataset
+    _forbid_preprocessing(monkeypatch)
+    config = PipelineConfig(**{"clusters": 3, "stage3_k2": (2, 10), **setting})
+    with pytest.raises(error, match=message):
+        run_pipeline(mats, recs, labels, config)
+
+
+def test_settings_at_the_sample_count_edges_pass_the_check():
+    pipeline._check_settings_fit(
+        PipelineConfig(clusters=36, k1=35, impute_k=35, max_components=36,
+                       stage1_k2=(34, 99), stage2_k2=(2, 34), stage3_k2=(34, 34)), 36)
+    pipeline._check_settings_fit(PipelineConfig(clusters=2, max_components=4), 4)  # k2 = 2
+
+
 def test_spectral_clustering_input(dataset):
     mats, labels, recs = dataset
     cfg = PipelineConfig(clusters=3, stage3_k2=(2, 10), cluster_on="spectral", seed=0)

@@ -17,9 +17,8 @@ from omicsfuse.preprocess import (
     fit_power_transform,
     knn_impute,
     zscore_standardize,
-    _yeo_johnson,
-    _box_cox,
     _golden_lockstep,
+    _transform_columns,
     _unimodal,
 )
 
@@ -188,32 +187,33 @@ class TestZscore:
 
 class TestPowerTransformCases:
     def test_neg_one_at_lambda_two(self):
-        assert _yeo_johnson(np.array([-1.0]), 2.0)[0] == pytest.approx(
+        assert _transform_columns(np.array([-1.0]), 2.0, "yeo_johnson")[0] == pytest.approx(
             -np.log(2.0), abs=1e-12
         )
 
     def test_nonneg_branch(self):
         # ((x+1)^lam - 1) / lam
-        assert _yeo_johnson(np.array([3.0]), 0.5)[0] == pytest.approx(2.0)
-        assert _yeo_johnson(np.array([np.e - 1.0]), 0.0)[0] == pytest.approx(1.0)
+        assert _transform_columns(np.array([3.0]), 0.5, "yeo_johnson")[0] == pytest.approx(2.0)
+        e_minus_one = _transform_columns(np.array([np.e - 1.0]), 0.0, "yeo_johnson")
+        assert e_minus_one[0] == pytest.approx(1.0)
 
     def test_negative_branch(self):
         # -(((-x+1)^(2-lam)) - 1) / (2-lam)
-        assert _yeo_johnson(np.array([-3.0]), 0.0)[0] == pytest.approx(-7.5)
+        assert _transform_columns(np.array([-3.0]), 0.0, "yeo_johnson")[0] == pytest.approx(-7.5)
 
     def test_continuity_at_zero(self):
         for lam in (-2.0, 0.0, 1.0, 2.0, 3.5):
-            left = _yeo_johnson(np.array([-1e-12]), lam)[0]
-            right = _yeo_johnson(np.array([1e-12]), lam)[0]
+            left = _transform_columns(np.array([-1e-12]), lam, "yeo_johnson")[0]
+            right = _transform_columns(np.array([1e-12]), lam, "yeo_johnson")[0]
             assert left == pytest.approx(right, abs=1e-10)
 
     def test_box_cox_cases(self):
-        assert _box_cox(np.array([3.0]), 2.0)[0] == pytest.approx(4.0)
-        assert _box_cox(np.array([np.e]), 0.0)[0] == pytest.approx(1.0)
+        assert _transform_columns(np.array([3.0]), 2.0, "box_cox")[0] == pytest.approx(4.0)
+        assert _transform_columns(np.array([np.e]), 0.0, "box_cox")[0] == pytest.approx(1.0)
 
     def test_identity_lambda_one(self):
         x = np.linspace(-4.0, 4.0, 9)
-        assert np.allclose(_yeo_johnson(x, 1.0), x)
+        assert np.allclose(_transform_columns(x, 1.0, "yeo_johnson"), x)
 
 
 class TestPowerTransformFit:
@@ -249,8 +249,8 @@ class TestPowerTransformFit:
         x2 = x1 + rng.exponential(scale=2.0, size=10_000) + 1e-9
         for lam in np.unique(np.round(lams, 1)):
             sel = np.abs(np.round(lams, 1) - lam) < 1e-9
-            t1 = _yeo_johnson(x1[sel], float(lam))
-            t2 = _yeo_johnson(x2[sel], float(lam))
+            t1 = _transform_columns(x1[sel], float(lam), "yeo_johnson")
+            t2 = _transform_columns(x2[sel], float(lam), "yeo_johnson")
             assert np.all(t2 > t1)
 
     def test_apply_checks_feature_match(self):
@@ -329,7 +329,8 @@ class TestBatchedFitMatchesColumns:
         out = apply_power_transform(m, PowerTransformParams("yeo_johnson", lambdas))
         assert np.array_equal(out.values, power_apply_columns(vals, lambdas, "yeo_johnson"))
         pos = np.abs(vals) + 0.5
-        assert np.array_equal(_box_cox(pos, lambdas), power_apply_columns(pos, lambdas, "box_cox"))
+        assert np.array_equal(_transform_columns(pos, lambdas, "box_cox"),
+                              power_apply_columns(pos, lambdas, "box_cox"))
 
     def test_golden_lockstep_stops_each_function_on_its_own_bracket(self):
         # every bracket shrinks by the same factor, but rounding differs by

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from omicsfuse.clustering import Partition, ari, kmeans_pp
-from omicsfuse.synthgen import SYNTH_KINDS, SynthSpec, generate
+from omicsfuse.preprocess import PAPER_KINDS
+from omicsfuse.synthgen import SynthSpec, generate
 
 
 class TestSpecValidation:
@@ -27,7 +28,7 @@ class TestGenerate:
     def test_shapes_kinds_and_alignment(self):
         spec = SynthSpec(n=30, k=3, dims=(12, 8, 10), seed=5)
         mats, labels, records = generate(spec)
-        assert [m.kind for m in mats] == list(SYNTH_KINDS)
+        assert [m.kind for m in mats] == list(PAPER_KINDS)
         assert [m.values.shape for m in mats] == [(30, 12), (30, 8), (30, 10)]
         ids = mats[0].sample_ids
         assert all(m.sample_ids == ids for m in mats)
