@@ -19,6 +19,7 @@ from .errors import DegenerateInputError, NumericalFailure
 VARIANCE_FLOOR = 1e-6
 WEIGHT_CUTOFF = 1e-3
 MAX_ITER = 500
+MAX_COMPONENTS = 10  # the mixture's component cap, and so its minimum sample count
 ELBO_TOL = 1e-6  # converged once the ELBO moves by less than this
 
 
@@ -73,7 +74,7 @@ def _elbo(log_rho_norm, alpha, alpha0, kappa, kappa0, m, m0, a, a0, b, b0):
     return ll - kl_dir - float(kl_norm) - float(kl_gam)
 
 
-def fit_bayesian_gmm(x, max_components: int = 10, seed: int = 0) -> GmmModel:
+def fit_bayesian_gmm(x, max_components: int = MAX_COMPONENTS, seed: int = 0) -> GmmModel:
     """Fit the variational mixture to the rows of ``x`` (an OmicsMatrix or
     a plain 2-D array)."""
     values = getattr(x, "values", x)

@@ -16,7 +16,7 @@ import numpy as np
 from .affinity import euclidean_distance_matrix
 from .errors import AlignmentError, DegenerateInputError
 from .numkernel import svd_thin
-from .preprocess import OmicsMatrix, require_paper_kinds
+from .preprocess import OmicsMatrix, align_by_id, require_paper_kinds
 
 RELATIVE_RANK_TOL = 1e-10
 
@@ -110,21 +110,11 @@ def all_directed_pair_distances(
     the three omics blocks, one of each of the paper's kinds, in canonical
     report order."""
     require_paper_kinds(omics)
-    ids0 = omics[0].sample_ids
-    for other in omics[1:]:
-        if other.sample_ids != ids0:
-            a, b = set(ids0), set(other.sample_ids)
-            only_a = sorted(a - b)
-            only_b = sorted(b - a)
-            if only_a or only_b:
-                raise AlignmentError(
-                    f"sample sets differ between {omics[0].kind} and {other.kind}: "
-                    f"only in {omics[0].kind}: {only_a[:10]}, "
-                    f"only in {other.kind}: {only_b[:10]}"
-                )
-            raise AlignmentError(
-                f"sample order differs between {omics[0].kind} and {other.kind}"
-            )
+    order = omics[0].sample_ids
+    for m in omics[1:]:
+        align_by_id(order, m.sample_ids, m.sample_ids, f"{m.kind} matrix")
+        if m.sample_ids != order:
+            raise AlignmentError(f"sample order differs between {omics[0].kind} and {m.kind}")
     for m in omics:
         if m.missing_mask.any():
             raise ValueError(f"{m.kind} still has missing cells; impute first")

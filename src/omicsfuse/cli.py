@@ -39,6 +39,7 @@ from .io import (
     write_table_csv,
 )
 from .pipeline import PipelineConfig, align_by_id, run_pipeline
+from .preprocess import PAPER_KINDS
 from .survival import SIGNIFICANCE_NEG_LOG10_P, logrank_test
 from .synthgen import SynthSpec, generate
 
@@ -67,12 +68,8 @@ def _int_pair(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _int_tuple(text: str) -> tuple[int, ...]:
-    return tuple(int(p.strip()) for p in text.split(","))
-
-
 def _int_triple(text: str) -> tuple[int, int, int]:
-    parts = _int_tuple(text)
+    parts = tuple(int(p.strip()) for p in text.split(","))
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected three counts, got {text!r}")
     return parts
@@ -80,30 +77,21 @@ def _int_triple(text: str) -> tuple[int, int, int]:
 
 # pipeline knobs: flag/config-file name -> parser from text
 _KNOB_PARSERS = {
-    "zero_fraction_threshold": float,
-    "impute_k": int,
-    "cumulative_target": float,
-    "max_components": int,
-    "k1": int,
     "stage1_k2": _int_pair,
     "stage2_k2": _int_pair,
     "stage3_k2": _int_pair,
-    "k3_set": _int_tuple,
     "clusters": int,
     "cluster_on": str,
     "seed": int,
-    "restarts": int,
-    "max_iter": int,
-    "tol": float,
 }
-_METAVARS = {_int_pair: "LO,HI", _int_tuple: "K,K,..."}
 _PATH_KEYS = ("gene_expression", "mirna", "methylation", "survival", "labels", "outdir")
 
 
 def read_config_file(path) -> dict:
-    """Flat ``key = value`` lines; '#' starts a comment; blank lines ignored."""
+    """Flat ``key = value`` lines; '#' starts a comment; blank lines and a
+    leading byte-order mark ignored."""
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -136,13 +124,13 @@ def build_parser() -> CliParser:
     p.add_argument("--outdir", help=f"output directory (default ${OUTDIR_ENV})")
     p.add_argument("--config", help="flat key = value config file; flags override")
     for name, parse in _KNOB_PARSERS.items():
-        help_text = None
-        if name.endswith("_k2"):
+        k2_args = {}
+        if parse is _int_pair:
             lo_role = ("the bottom of the candidate grid" if name == "stage3_k2"
                        else "only validated")
-            help_text = f"HI, clamped to n - 2, is the k2 used; LO is {lo_role}"
-        p.add_argument("--" + name.replace("_", "-"), type=parse,
-                       metavar=_METAVARS.get(parse), help=help_text)
+            k2_args = {"metavar": "LO,HI",
+                       "help": f"HI, clamped to n - 2, is the k2 used; LO is {lo_role}"}
+        p.add_argument("--" + name.replace("_", "-"), type=parse, **k2_args)
 
     s = sub.add_parser("synth", help="write a planted synthetic dataset")
     s.add_argument("--n", type=int, required=True)
@@ -214,20 +202,14 @@ def cmd_pipeline(args) -> int:
     if missing:
         raise ValueError(f"missing required input path(s): {', '.join(missing)}")
 
-    knobs = {}
-    for name in _KNOB_PARSERS:
-        val = pick(name)
-        if val is not None:
-            knobs[name] = val
-    config = PipelineConfig(**knobs)
+    config = PipelineConfig(**{name: value for name in _KNOB_PARSERS
+                               if (value := pick(name)) is not None})
     outdir = _resolve_outdir(paths["outdir"])
 
-    matrices = [
-        read_matrix_csv(paths["gene_expression"], kind="gene_expression"),
-        read_matrix_csv(paths["mirna"], kind="mirna"),
-        read_matrix_csv(paths["methylation"], kind="methylation"),
-    ]
+    matrices = [read_matrix_csv(paths[kind], kind=kind) for kind in PAPER_KINDS]
     ids = list(matrices[0].sample_ids)  # the pipeline's sample order
+    for m in matrices[1:]:
+        align_by_id(ids, m.sample_ids, m.sample_ids, str(paths[m.kind]))
     records = read_survival_csv(paths["survival"])
     records = align_by_id(ids, [r.sample_id for r in records], records, str(paths["survival"]))
     true_labels = None

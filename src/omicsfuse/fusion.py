@@ -82,24 +82,21 @@ class StageRecord:
 @dataclass
 class FusionStep:
     """What fusing one stage's networks reads at any k2: the affinities,
-    their shared start, their sorted step distances and the settings.
-    ``stage`` prefixes its errors."""
+    their shared start, their sorted step distances and the eigenvector
+    count ``c``.  ``stage`` prefixes its errors."""
 
     stage: str
     affinities: list[np.ndarray]
     start: tuple[np.ndarray, np.ndarray]
     sorted_distances: np.ndarray
     c: int
-    max_iter: int
-    tol: float
 
     def fuse(self, k2: int) -> StageRecord:
         """Fuse at k2 from the shared start; a numerical failure is recorded,
         not raised."""
         gamma = max(_gap_scale(self.sorted_distances, k2), GAMMA_FLOOR)
-        cfg = FusionConfig(c=self.c, gamma=gamma, max_iter=self.max_iter, tol=self.tol)
         try:
-            state = fuse_affinities(self.affinities, cfg, start=self.start)
+            state = fuse_affinities(self.affinities, FusionConfig(self.c, gamma), start=self.start)
         except NumericalFailure as exc:
             return StageRecord(k2, gamma, None, error=f"{self.stage} k2={k2}: {exc}")
         return StageRecord(k2, gamma, state)
@@ -304,11 +301,10 @@ def clamp_k2_range(k2_range: tuple[int, int], n: int, stage: str) -> tuple[int, 
     return lo, hi
 
 
-def _fusion_step(affs: list[np.ndarray], c: int, max_iter: int, tol: float,
-                 stage: str) -> FusionStep:
+def _fusion_step(affs: list[np.ndarray], c: int, stage: str) -> FusionStep:
     try:
         d = sorted_off_diagonal(check_distance_matrix(step_distance(affs)))
-        return FusionStep(stage, affs, _uniform_start(affs, c), d, c, max_iter, tol)
+        return FusionStep(stage, affs, _uniform_start(affs, c), d, c)
     except (NumericalFailure, ValueError) as exc:
         raise type(exc)(f"{stage}: {exc}") from exc
 
@@ -326,15 +322,12 @@ def three_stage_fuse(
     stage1_k2_range: tuple[int, int] = (2, 100),
     stage2_k2_range: tuple[int, int] | None = None,
     stage3_k2_range: tuple[int, int] = (2, 100),
-    k1: int | None = None,
-    max_iter: int = 100,
-    tol: float = 1e-6,
 ) -> ThreeStageResult:
     """Fuse the three within-dataset networks, the six cross-dataset
     networks, and then their re-kernelized outputs.  Each stage fuses at the
     top of its clamped k2 range; stage 3 fuses only that candidate here, and
-    the result's ``candidates`` fuses the rest of ``stage3_k2_range`` when
-    first read."""
+    the result's ``iter_candidates`` fuses the rest of ``stage3_k2_range``,
+    one at a time, as they are reached."""
     if len(intra) != 3:
         raise ValueError(f"expected 3 intra-dataset affinities, got {len(intra)}")
     if len(inter) != 6:
@@ -351,14 +344,14 @@ def three_stage_fuse(
     for affs, k2_range, stage in ((intra, stage1_k2_range, "stage 1 (intra)"),
                                   (inter, stage2_k2_range, "stage 2 (inter)")):
         _, k2 = clamp_k2_range(k2_range, n, stage)
-        stages.append(_raise_failure(_fusion_step(affs, c, max_iter, tol, stage).fuse(k2)))
+        stages.append(_raise_failure(_fusion_step(affs, c, stage).fuse(k2)))
 
     try:
-        rekernelized = [affinity_from_distance(step_distance([st.s]), k1) for st in stages]
+        rekernelized = [affinity_from_distance(step_distance([st.s])) for st in stages]
     except (NumericalFailure, ValueError) as exc:
         raise type(exc)(f"stage 3 re-kernelization: {exc}") from exc
     lo, hi = clamp_k2_range(stage3_k2_range, n, "stage 3")
-    step3 = _fusion_step(rekernelized, c, max_iter, tol, "stage 3 candidate")
+    step3 = _fusion_step(rekernelized, c, "stage 3 candidate")
     return ThreeStageResult(
         stage1=stages[0], stage2=stages[1], stage3=_raise_failure(step3.fuse(hi)),
         step3=step3, stage3_lo=lo, eigenvector_count=c,

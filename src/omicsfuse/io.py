@@ -1,8 +1,9 @@
 """CSV and JSON readers/writers for every file the batch front-end touches.
 
 Matrix CSV: header row "sample_id" followed by feature IDs, one row per
-sample, empty cell = missing value, comma separated, UTF-8. Survival
-CSV: sample_id,time,event with event 0/1. Labels CSV: sample_id,label.
+sample, empty cell = missing value, comma separated, UTF-8 with or
+without a leading byte-order mark. Survival CSV: sample_id,time,event
+with event 0/1. Labels CSV: sample_id,label.
 Numbers are written with 12 significant digits.  Reading them back is
 not lossless (a value below 10 in magnitude can move by up to 5e-12), but
 writing what was read gives the same bytes.
@@ -36,20 +37,46 @@ def write_matrix_csv(path, matrix: OmicsMatrix) -> None:
                     row_ids=matrix.sample_ids)
 
 
+def _utf8_error_line(path: Path) -> int:
+    """The line holding the first byte of ``path`` that is not UTF-8."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+    return 1
+
+
+def _numbered_rows(reader, path: Path):
+    """(first line, cells) of each row ``reader`` yields; malformed CSV and
+    invalid UTF-8 raise a ValueError with ``path:line`` in front."""
+    while True:
+        line = reader.line_num + 1
+        try:
+            yield line, next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{line}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(
+                f"{path}:{_utf8_error_line(path)}: not valid UTF-8 ({exc.reason})") from None
+
+
 def _read_rows(path, header_ok, expected: str, parse=None) -> tuple[list[str], list]:
     """The header and the rows of a CSV file, each row passed through
-    ``parse``.  The header must satisfy ``header_ok`` (else the error quotes
-    ``expected``), blank lines are skipped, every row has the header's
-    width, and there is at least one row.  A ValueError from ``parse`` gets
-    ``path:line`` in front."""
+    ``parse``.  A leading byte-order mark is dropped.  The header must
+    satisfy ``header_ok`` (else the error quotes ``expected``), blank lines
+    are skipped, every row has the header's width, and there is at least
+    one row.  A ValueError from ``parse`` gets ``path:line`` in front."""
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
+        numbered = _numbered_rows(csv.reader(fh, strict=True), path)
+        _, header = next(numbered, (1, []))
         if not header_ok(header):
             raise ValueError(f"{path}: expected header {expected!r}")
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in numbered:
             if not row:
                 continue
             if len(row) != len(header):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .affinity import affinity_from_distance, euclidean_distance_matrix
-from .bgmm import fit_bayesian_gmm
+from .bgmm import MAX_COMPONENTS, fit_bayesian_gmm
 from .cca import all_directed_pair_distances
 from .clustering import Partition, SweepRow, ari, kmeans_pp, nmi, sweep_k2_metrics
 from .errors import AlignmentError, DegenerateInputError
@@ -28,8 +28,8 @@ from .fusion import (
 )
 from .preprocess import (
     OmicsMatrix,
+    align_by_id,
     apply_power_transform,
-    duplicate_ids,
     filter_sparse_features,
     fit_power_transform,
     knn_impute,
@@ -40,57 +40,32 @@ from .preprocess import (
 from .survival import SurvivalRecord, SurvivalReport, logrank_test
 
 CLUSTER_INPUTS = ("network", "spectral")
+K3_SET = (3, 4, 5)  # survival group counts
 
 
 @dataclass
 class PipelineConfig:
-    zero_fraction_threshold: float = 0.20
-    impute_k: int | None = None  # None -> round(sqrt(n))
-    cumulative_target: float = 0.95
-    max_components: int = 10
-    k1: int | None = None  # None -> round(sqrt(n))
+    """The settings a run varies; every other value is the default of the
+    library function that uses it."""
+
     stage1_k2: tuple[int, int] = (2, 100)
     stage2_k2: tuple[int, int] | None = None  # None -> (2, n + 2)
     stage3_k2: tuple[int, int] = (2, 100)
-    k3_set: tuple[int, ...] = (3, 4, 5)
-    clusters: int = 2  # evaluation cluster count for labeled runs
+    clusters: int = 2  # final and evaluation cluster count
     cluster_on: str = "network"  # "network": rows of S; "spectral": rows of F
     seed: int = 0
-    restarts: int = 10
-    max_iter: int = 100
-    tol: float = 1e-6
 
     def __post_init__(self):
         if self.cluster_on not in CLUSTER_INPUTS:
             raise ValueError(f"cluster_on must be one of {CLUSTER_INPUTS}, got {self.cluster_on!r}")
-        if not 0.0 <= self.zero_fraction_threshold <= 1.0:
-            raise ValueError(
-                f"zero_fraction_threshold must be in [0, 1], got {self.zero_fraction_threshold}"
-            )
-        if self.impute_k is not None and self.impute_k < 2:
-            raise ValueError(f"impute_k must be >= 2, got {self.impute_k}")
-        if self.max_components < 1:
-            raise ValueError(f"max_components must be >= 1, got {self.max_components}")
-        if self.k1 is not None and self.k1 < 1:
-            raise ValueError(f"k1 must be >= 1, got {self.k1}")
         for name in ("stage1_k2", "stage2_k2", "stage3_k2"):
             pair = getattr(self, name)
             if pair is not None and pair[1] < max(2, pair[0]):
                 raise ValueError(f"{name}: HI must be >= max(2, LO), got {pair}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 < self.cumulative_target <= 1.0:
-            raise ValueError(f"cumulative_target must be in (0, 1], got {self.cumulative_target}")
         if self.clusters < 2:
             raise ValueError(f"clusters must be >= 2, got {self.clusters}")
-        if any(k3 < 2 for k3 in self.k3_set):
-            raise ValueError(f"every k3 must be >= 2, got {self.k3_set}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
 
 
 @dataclass
@@ -147,62 +122,35 @@ def align_inputs(
     return aligned, records
 
 
-def align_by_id(order: list[str], ids: list[str], values, what: str) -> list:
-    """``values``, one per entry of ``ids``, reordered to ``order``; both ID
-    lists must be unique, and ``ids`` must cover exactly the samples of
-    ``order``."""
-    if dup := duplicate_ids(ids):
-        raise AlignmentError(f"{what}: duplicate sample IDs {dup}")
-    if dup := duplicate_ids(order):
-        raise AlignmentError(f"duplicate sample IDs {dup} in the samples {what} is aligned to")
-    by_id = dict(zip(ids, values))
-    if by_id.keys() != set(order):
-        missing = sorted(set(order) - by_id.keys())[:10]
-        extra = sorted(by_id.keys() - set(order))[:10]
-        raise AlignmentError(
-            f"{what}: sample IDs do not match (missing: {missing}, unexpected: {extra})"
-        )
-    return [by_id[sid] for sid in order]
-
-
 def _check_settings_fit(config: PipelineConfig, n: int) -> None:
     """Reject, before any work, a setting that n samples rule out; each
     stage checks its own bound again where it uses it."""
-    if n < config.max_components:
-        raise DegenerateInputError(
-            f"max_components={config.max_components}: need at least "
-            f"{config.max_components} samples, got {n}"
-        )
+    if n < MAX_COMPONENTS:  # the Bayesian GMM's component cap
+        raise DegenerateInputError(f"need at least {MAX_COMPONENTS} samples, got {n}")
     c = eigenvector_count(config.clusters)
     if c > n:
         raise ValueError(f"clusters={config.clusters} needs {c} eigenvectors, got {n} samples")
-    for name in ("k1", "impute_k"):
-        k = getattr(config, name)
-        if k is not None and k > n - 1:
-            raise ValueError(f"{name}={k} must be <= n - 1 = {n - 1}")
     for name in ("stage1_k2", "stage2_k2", "stage3_k2"):
         # the default stage-2 range is empty only where stage 1's is
         if getattr(config, name) is not None:
             clamp_k2_range(getattr(config, name), n, name)
 
 
-def preprocess_matrix(
-    m: OmicsMatrix, config: PipelineConfig, seed: int
-) -> tuple[OmicsMatrix, PreprocessReport]:
+def preprocess_matrix(m: OmicsMatrix, seed: int) -> tuple[OmicsMatrix, PreprocessReport]:
     """One matrix through the shared chain: sparse filter, KNN imputation,
     standardization, power transform, model-based feature selection."""
     features_in = m.n_features
-    filtered, removed_idx = filter_sparse_features(m, config.zero_fraction_threshold)
+    filtered, removed_idx = filter_sparse_features(m)
     sparse_removed = [m.feature_ids[i] for i in removed_idx]
 
-    imputed, n_imputed = knn_impute(filtered, config.impute_k)
+    imputed, n_imputed = knn_impute(filtered)
     standardized, constant_dropped = zscore_standardize(imputed)
 
     params = fit_power_transform(standardized)
     transformed = apply_power_transform(standardized, params)
 
-    model = fit_bayesian_gmm(transformed, max_components=config.max_components, seed=seed)
-    selected, _ = select_features_bgmm(transformed, model, config.cumulative_target)
+    model = fit_bayesian_gmm(transformed, seed=seed)
+    selected, _ = select_features_bgmm(transformed, model)
     report = PreprocessReport(
         kind=m.kind,
         features_in=features_in,
@@ -263,18 +211,18 @@ def run_pipeline(
     processed = []
     reports = []
     for idx, m in enumerate(omics):
-        sel, rep = preprocess_matrix(m, config, seed=config.seed + idx)
+        sel, rep = preprocess_matrix(m, seed=config.seed + idx)
         processed.append(sel)
         reports.append(rep)
 
     intra = {}
     for m in processed:
         d = euclidean_distance_matrix(m.values)
-        intra[m.kind] = affinity_from_distance(d, config.k1)
+        intra[m.kind] = affinity_from_distance(d)
 
     inter = {}
     for pair, d in all_directed_pair_distances(processed):
-        inter[pair.label()] = affinity_from_distance(d, config.k1)
+        inter[pair.label()] = affinity_from_distance(d)
 
     fusion = three_stage_fuse(
         list(intra.values()),
@@ -283,27 +231,16 @@ def run_pipeline(
         stage1_k2_range=config.stage1_k2,
         stage2_k2_range=config.stage2_k2,
         stage3_k2_range=config.stage3_k2,
-        k1=config.k1,
-        max_iter=config.max_iter,
-        tol=config.tol,
     )
 
     points = _cluster_points(fusion, config)
-    final_partition = kmeans_pp(
-        points, config.clusters, seed=config.seed, restarts=config.restarts
-    )
+    final_partition = kmeans_pp(points, config.clusters, seed=config.seed)
 
     metrics_rows = None
     final_ari = final_nmi = None
     stream = _candidate_stream(fusion, on_candidate)
     if true_labels is not None:
-        metrics_rows = sweep_k2_metrics(
-            stream,
-            true_labels,
-            k=config.clusters,
-            seed=config.seed,
-            restarts=config.restarts,
-        )
+        metrics_rows = sweep_k2_metrics(stream, true_labels, k=config.clusters, seed=config.seed)
         final_ari = ari(final_partition, true_labels)
         final_nmi = nmi(final_partition, true_labels)
     elif on_candidate is not None:
@@ -312,13 +249,8 @@ def run_pipeline(
 
     partitions_by_k3 = {}
     survival_by_k3 = {}
-    for k3 in config.k3_set:
-        if k3 > len(order):
-            continue
-        if k3 == config.clusters:  # the same call as the final partition's
-            part = final_partition
-        else:
-            part = kmeans_pp(points, k3, seed=config.seed, restarts=config.restarts)
+    for k3 in K3_SET:  # at k3 = clusters, the final partition is the same call
+        part = final_partition if k3 == config.clusters else kmeans_pp(points, k3, seed=config.seed)
         partitions_by_k3[k3] = part
         if records is not None:
             survival_by_k3[k3] = logrank_test(part, records)

@@ -116,6 +116,24 @@ def duplicate_ids(ids: list[str]) -> list[str]:
     return sorted(sid for sid, count in Counter(ids).items() if count > 1)[:10]
 
 
+def align_by_id(order: list[str], ids: list[str], values, what: str) -> list:
+    """``values``, one per entry of ``ids``, reordered to ``order``; both ID
+    lists must be unique, and ``ids`` must cover exactly the samples of
+    ``order``."""
+    if dup := duplicate_ids(ids):
+        raise AlignmentError(f"{what}: duplicate sample IDs {dup}")
+    if dup := duplicate_ids(order):
+        raise AlignmentError(f"duplicate sample IDs {dup} in the samples {what} is aligned to")
+    by_id = dict(zip(ids, values))
+    if by_id.keys() != set(order):
+        missing = sorted(set(order) - by_id.keys())[:10]
+        extra = sorted(by_id.keys() - set(order))[:10]
+        raise AlignmentError(
+            f"{what}: sample IDs do not match (missing: {missing}, unexpected: {extra})"
+        )
+    return [by_id[sid] for sid in order]
+
+
 def default_neighbor_count(n: int) -> int:
     """round(sqrt(n)), the shared default for imputation and local scales."""
     return int(round(math.sqrt(n)))

@@ -187,7 +187,7 @@ def test_config_echo_and_file_merge(tmp_path, data_dir):
         "clusters = 3\n"
         "stage3_k2 = 2,10\n"
         "seed = 5\n",
-        encoding="utf-8",
+        encoding="utf-8-sig",  # with a byte-order mark, as some editors write
     )
     out = tmp_path / "out"
     assert main(["pipeline", "--config", str(cfg), "--seed", "0",
@@ -325,28 +325,33 @@ def test_too_few_samples_for_bgmm_exits_three(tmp_path, capsys):
     assert "need at least 10 samples, got 8" in capsys.readouterr().err
 
 
-def test_box_cox_exits_one_before_reading_inputs(tmp_path, capsys):
+# no setting: the pipeline always fits Yeo-Johnson, and calls every other
+# function here with its own default (the values given are those defaults)
+FIXED_VALUES = {"transform": "box_cox", "zero_fraction_threshold": "0.2", "impute_k": "5",
+                "cumulative_target": "0.95", "max_components": "10", "k1": "5",
+                "k3_set": "3,4,5", "restarts": "10", "max_iter": "100", "tol": "1e-6"}
+
+
+@pytest.mark.parametrize("key", list(FIXED_VALUES))
+def test_box_cox_exits_one_before_reading_inputs(tmp_path, monkeypatch, capsys, key):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr(cli, "read_matrix_csv", unreachable)
     missing = str(tmp_path / "absent.csv")
     config = tmp_path / "run.cfg"
-    config.write_text("transform = box_cox\n", encoding="utf-8")
+    config.write_text(f"{key} = {FIXED_VALUES[key]}\n", encoding="utf-8")
     code = main(["pipeline", "--gene-expression", missing, "--mirna", missing,
                  "--methylation", missing, "--survival", missing,
                  "--config", str(config), "--outdir", str(tmp_path / "out")])
     assert code == 1
-    # the pipeline always fits Yeo-Johnson, so transform is no setting
-    assert "unknown config key 'transform'" in capsys.readouterr().err
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--max-iter", "0", "max_iter must be >= 1, got 0"),
     ("--seed", "-1", "seed must be >= 0, got -1"),
-    ("--max-components", "0", "max_components must be >= 1, got 0"),
-    ("--impute-k", "1", "impute_k must be >= 2, got 1"),
-    ("--zero-fraction-threshold", "2", "zero_fraction_threshold must be in [0, 1], got 2.0"),
-    ("--k1", "0", "k1 must be >= 1, got 0"),
     ("--stage3-k2", "50,10", "stage3_k2: HI must be >= max(2, LO), got (50, 10)"),
-], ids=["max_iter", "seed", "max_components", "impute_k", "zero_fraction_threshold", "k1",
-        "stage3_k2"])
+], ids=["seed", "stage3_k2"])
 def test_bad_loop_setting_exits_one_before_reading_inputs(
         tmp_path, monkeypatch, capsys, flag, value, message):
     def unreachable(*args, **kwargs):
@@ -429,7 +434,14 @@ def _set_cell(row, col, text):
     return edit
 
 
-# input fault -> (file edited, edit of its lines, exit code, message after the path)
+def _prepend(text):
+    def edit(lines):
+        lines[0] = text + lines[0]
+    return edit
+
+
+# input fault -> (file edited, edit of its lines, exit code, message after the path);
+# "\udcff" is written as the byte 0xff, which is not UTF-8
 INPUT_FAULTS = {
     "bad_header": ("gene_expression", _set_cell(0, 0, "id"), 1,
                    ": expected header 'sample_id,<feature ids...>'"),
@@ -438,6 +450,14 @@ INPUT_FAULTS = {
                   ":2: could not convert string to float: 'abc'"),
     "inf_cell": ("methylation", _set_cell(1, 1, "inf"), 1, ": observed cells must be finite"),
     "duplicate_id": ("mirna", _set_cell(2, 0, "s0000"), 2, ": duplicate sample IDs ['s0000']"),
+    "unknown_matrix_sample": ("mirna", _set_cell(2, 0, "x9999"), 2,
+                              ": sample IDs do not match (missing: ['s0001'], "
+                              "unexpected: ['x9999'])"),
+    "unterminated_quote": ("gene_expression", _set_cell(4, 0, '"s0003'), 1,
+                           ":5: unexpected end of data"),
+    "invalid_utf8": ("methylation", _set_cell(3, 1, "\udcff"), 1,
+                     ":4: not valid UTF-8 (invalid start byte)"),
+    "byte_order_mark": ("gene_expression", _prepend("\ufeff"), 0, None),
     "bad_event": ("survival", _set_cell(1, 2, "yes"), 1, ":2: event must be 0 or 1, got 'yes'"),
     "nonpositive_time": ("survival", _set_cell(1, 1, "-3"), 1,
                          ":2: time must be finite and > 0, got -3.0"),
@@ -455,21 +475,23 @@ def test_input_fault_exit_codes(tmp_path, data_dir, capsys, fault):
     if edit is not None:
         lines = (data_dir / f"{kind}.csv").read_text(encoding="utf-8").splitlines()
         edit(lines)
-        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
     assert run_pipeline_cli(data_dir, tmp_path / "out", extra=[f"--{kind.replace('_', '-')}",
                                                                str(bad)]) == code
     err = capsys.readouterr().err
-    assert str(bad) + message in err if message else str(bad) in err
+    assert str(bad) + message in err if code else err == ""
 
 
-def test_transform_flag_is_unrecognized(tmp_path, capsys):
+@pytest.mark.parametrize("key", list(FIXED_VALUES))
+def test_transform_flag_is_unrecognized(tmp_path, capsys, key):
     missing = str(tmp_path / "absent.csv")
+    flag, value = "--" + key.replace("_", "-"), FIXED_VALUES[key]
     with pytest.raises(SystemExit) as exc:
         main(["pipeline", "--gene-expression", missing, "--mirna", missing,
               "--methylation", missing, "--survival", missing,
-              "--transform", "box_cox", "--outdir", str(tmp_path / "out")])
+              flag, value, "--outdir", str(tmp_path / "out")])
     assert exc.value.code == 1
-    assert "unrecognized arguments: --transform box_cox" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_unreadable_input_exits_four(tmp_path, data_dir):

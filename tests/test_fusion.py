@@ -434,11 +434,11 @@ class TestThreeStage:
     def test_stage3_candidates_match_standalone_fusion(self):
         # the shared uniform-weight start gives each candidate exactly what
         # a standalone fusion of the re-kernelized stage outputs gives
-        n, k1 = 16, 5
+        n = 16
         res = three_stage_fuse(random_affinities(n, 3, 51), random_affinities(n, 6, 52),
-                               cluster_count=3, stage3_k2_range=(2, 7), k1=k1)
-        re1 = rekernelized(res.stage1.state.s, k1)
-        re2 = rekernelized(res.stage2.state.s, k1)
+                               cluster_count=3, stage3_k2_range=(2, 7))
+        re1 = rekernelized(res.stage1.state.s)
+        re2 = rekernelized(res.stage2.state.s)
         assert [c.k2 for c in res.candidates] == list(range(2, 8))
         for cand in res.candidates:
             cfg = FusionConfig(c=res.eigenvector_count, gamma=cand.gamma)
@@ -447,7 +447,7 @@ class TestThreeStage:
             assert np.array_equal(cand.state.objective_trace, alone.objective_trace)
 
     def test_candidates_fused_on_first_read(self, monkeypatch):
-        n, k1 = 16, 5
+        n = 16
         intra, inter = random_affinities(n, 3, 51), random_affinities(n, 6, 52)
         calls = []
         fuse = fusion.FusionStep.fuse
@@ -458,7 +458,7 @@ class TestThreeStage:
             return fuse(step, k2)
 
         monkeypatch.setattr(fusion.FusionStep, "fuse", counting_fuse)
-        res = three_stage_fuse(intra, inter, cluster_count=3, stage3_k2_range=(2, 7), k1=k1)
+        res = three_stage_fuse(intra, inter, cluster_count=3, stage3_k2_range=(2, 7))
         assert calls == [res.selected_k2]
 
         cands = res.candidates
@@ -468,8 +468,8 @@ class TestThreeStage:
         assert res.candidates is cands
         assert len(calls) == 6
 
-        re1 = rekernelized(res.stage1.state.s, k1)
-        re2 = rekernelized(res.stage2.state.s, k1)
+        re1 = rekernelized(res.stage1.state.s)
+        re2 = rekernelized(res.stage2.state.s)
         d3 = step_distance([re1, re2])
         assert [c.k2 for c in cands] == list(range(2, 8))
         for cand in cands:

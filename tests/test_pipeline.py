@@ -209,7 +209,7 @@ def test_labeled_run_streams_the_candidates(dataset, monkeypatch):
     # the streamed sweep scores what the cached list gives
     monkeypatch.undo()
     rows = sweep_k2_metrics(res.fusion.candidates, labels, k=CONFIG.clusters,
-                            seed=CONFIG.seed, restarts=CONFIG.restarts)
+                            seed=CONFIG.seed)
     assert [(r.k2, r.ari, r.nmi, r.error) for r in res.metrics_rows] == \
         [(r.k2, r.ari, r.nmi, r.error) for r in rows]
 
@@ -228,7 +228,7 @@ def test_k3_equal_to_clusters_reuses_the_final_partition(dataset, monkeypatch):
     assert calls == [3, 4, 5]
     assert res.partitions_by_k3[3] is res.final_partition
     monkeypatch.undo()
-    again = kmeans_pp(res.fusion.s_final, 3, seed=CONFIG.seed, restarts=CONFIG.restarts)
+    again = kmeans_pp(res.fusion.s_final, 3, seed=CONFIG.seed)
     assert np.array_equal(again.labels, res.final_partition.labels)
 
 
@@ -261,30 +261,36 @@ def test_non_canonical_kinds_raise_before_preprocessing(dataset, monkeypatch):
             run_pipeline(relabelled, recs, labels, CONFIG)
 
 
-@pytest.mark.parametrize("setting, error, message", [
-    ({"clusters": 40}, ValueError, "clusters=40 needs 40 eigenvectors, got 36 samples"),
-    ({"stage1_k2": (50, 60)}, ValueError, r"stage1_k2: k2 range \[50, 60\] is empty for n=36"),
-    ({"stage2_k2": (35, 40)}, ValueError, r"stage2_k2: k2 range \[35, 40\] is empty for n=36"),
-    ({"stage3_k2": (35, 40)}, ValueError, r"stage3_k2: k2 range \[35, 40\] is empty for n=36"),
-    ({"k1": 40}, ValueError, "k1=40 must be <= n - 1 = 35"),
-    ({"impute_k": 36}, ValueError, "impute_k=36 must be <= n - 1 = 35"),
-    ({"max_components": 37}, DegenerateInputError,
-     "max_components=37: need at least 37 samples, got 36"),
-], ids=["clusters", "stage1_k2", "stage2_k2", "stage3_k2", "k1", "impute_k", "max_components"])
+@pytest.mark.parametrize("setting, n, error, message", [
+    ({"clusters": 40}, 36, ValueError, "clusters=40 needs 40 eigenvectors, got 36 samples"),
+    ({"stage1_k2": (50, 60)}, 36, ValueError,
+     r"stage1_k2: k2 range \[50, 60\] is empty for n=36"),
+    ({"stage2_k2": (35, 40)}, 36, ValueError,
+     r"stage2_k2: k2 range \[35, 40\] is empty for n=36"),
+    ({"stage3_k2": (35, 40)}, 36, ValueError,
+     r"stage3_k2: k2 range \[35, 40\] is empty for n=36"),
+    # the Bayesian GMM's component cap is its sample floor
+    ({}, 9, DegenerateInputError, "need at least 10 samples, got 9"),
+], ids=["clusters", "stage1_k2", "stage2_k2", "stage3_k2", "max_components"])
 def test_settings_the_sample_count_rules_out_fail_before_preprocessing(
-        dataset, monkeypatch, setting, error, message):
+        dataset, monkeypatch, setting, n, error, message):
     mats, labels, recs = dataset
+    mats = [OmicsMatrix(m.values[:n], m.sample_ids[:n], m.feature_ids, m.kind,
+                        m.missing_mask[:n]) for m in mats]
+    labels = Partition.from_labels(labels.labels[:n])
     _forbid_preprocessing(monkeypatch)
     config = PipelineConfig(**{"clusters": 3, "stage3_k2": (2, 10), **setting})
     with pytest.raises(error, match=message):
-        run_pipeline(mats, recs, labels, config)
+        run_pipeline(mats, recs[:n], labels, config)
 
 
 def test_settings_at_the_sample_count_edges_pass_the_check():
     pipeline._check_settings_fit(
-        PipelineConfig(clusters=36, k1=35, impute_k=35, max_components=36,
-                       stage1_k2=(34, 99), stage2_k2=(2, 34), stage3_k2=(34, 34)), 36)
-    pipeline._check_settings_fit(PipelineConfig(clusters=2, max_components=4), 4)  # k2 = 2
+        PipelineConfig(clusters=36, stage1_k2=(34, 99), stage2_k2=(2, 34), stage3_k2=(34, 34)),
+        36)
+    # n = 10, the fewest samples the Bayesian GMM admits: k2 = n - 2 = 8, c = n
+    pipeline._check_settings_fit(
+        PipelineConfig(clusters=10, stage1_k2=(8, 8), stage2_k2=(8, 8), stage3_k2=(8, 8)), 10)
 
 
 def test_spectral_clustering_input(dataset):
@@ -295,15 +301,8 @@ def test_spectral_clustering_input(dataset):
     # the embedding is the bottom eigenvectors of I - sym(S_final), as a fresh solve gives them
     s_sym = 0.5 * (res.fusion.s_final + res.fusion.s_final.T)
     _, f = sym_eig(np.eye(s_sym.shape[0]) - s_sym, res.fusion.eigenvector_count)
-    again = kmeans_pp(f, cfg.clusters, seed=cfg.seed, restarts=cfg.restarts)
+    again = kmeans_pp(f, cfg.clusters, seed=cfg.seed)
     assert np.array_equal(again.labels, res.final_partition.labels)
-
-
-def test_k3_larger_than_n_is_skipped(dataset):
-    mats, labels, recs = dataset
-    cfg = PipelineConfig(clusters=3, stage3_k2=(2, 10), k3_set=(3, 37), seed=0)
-    res = run_pipeline(mats, recs, labels, cfg)
-    assert sorted(res.survival_by_k3) == [3]
 
 
 def test_deterministic_across_runs(dataset):
@@ -320,25 +319,8 @@ def test_config_validation():
         PipelineConfig(cluster_on="nonsense")
     with pytest.raises(ValueError):
         PipelineConfig(clusters=1)
-    with pytest.raises(ValueError):
-        PipelineConfig(k3_set=(3, 1))
-    with pytest.raises(ValueError):
-        PipelineConfig(cumulative_target=1.5)
-    with pytest.raises(ValueError, match="max_iter"):
-        PipelineConfig(max_iter=0)
-    for tol in (0.0, -1e-6, float("nan")):
-        with pytest.raises(ValueError, match="tol"):
-            PipelineConfig(tol=tol)
-    with pytest.raises(ValueError, match="restarts"):
-        PipelineConfig(restarts=0)
     for bad, message in (
         ({"seed": -1}, "seed must be >= 0"),
-        ({"max_components": 0}, "max_components must be >= 1"),
-        ({"k1": 0}, "k1 must be >= 1"),
-        ({"impute_k": 1}, "impute_k must be >= 2"),
-        ({"zero_fraction_threshold": 2.0}, "zero_fraction_threshold must be in"),
-        ({"zero_fraction_threshold": -0.1}, "zero_fraction_threshold must be in"),
-        ({"zero_fraction_threshold": float("nan")}, "zero_fraction_threshold must be in"),
         ({"stage1_k2": (2, 1)}, "stage1_k2"),
         ({"stage2_k2": (5, 4)}, "stage2_k2"),
         ({"stage3_k2": (50, 10)}, "stage3_k2"),
@@ -346,9 +328,7 @@ def test_config_validation():
         with pytest.raises(ValueError, match=message):
             PipelineConfig(**bad)
     # the edges of each range are accepted
-    PipelineConfig(seed=0, max_components=1, k1=1, impute_k=2, zero_fraction_threshold=0.0,
-                   stage1_k2=(0, 2), stage2_k2=(7, 7), stage3_k2=(2, 2))
-    PipelineConfig(zero_fraction_threshold=1.0)
+    PipelineConfig(seed=0, clusters=2, stage1_k2=(0, 2), stage2_k2=(7, 7), stage3_k2=(2, 2))
 
 
 def test_requires_three_matrices(dataset):
