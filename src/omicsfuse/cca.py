@@ -57,10 +57,7 @@ def _center_and_whiten(block: np.ndarray, name: str) -> np.ndarray:
     s = factors.singular_values
     if s.size == 0 or s[0] <= 0.0:
         raise DegenerateInputError(f"{name} block has zero variance after centering")
-    keep = s > RELATIVE_RANK_TOL * s[0]
-    if not np.any(keep):
-        raise DegenerateInputError(f"{name} block has zero variance after centering")
-    return factors.u[:, keep]
+    return factors.u[:, s > RELATIVE_RANK_TOL * s[0]]  # keeps column 0
 
 
 def _checked_blocks(*blocks: np.ndarray) -> list[np.ndarray]:

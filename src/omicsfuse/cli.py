@@ -216,19 +216,7 @@ def cmd_pipeline(args) -> int:
     if paths["labels"]:
         true_labels = _align_labels_to(ids, paths["labels"])
 
-    # each stage-3 candidate is written as it is fused, then dropped
-    cand_dir = outdir / "stage3_candidates"
-    cand_rows = []
-
-    def write_candidate(cand) -> None:
-        trace = [np.nan] if cand.state is None else cand.state.objective_trace
-        cand_rows.append([cand.k2, cand.gamma, float(trace[-1]), len(trace) - 1,
-                          cand.error or ""])
-        cand_dir.mkdir(exist_ok=True)
-        if cand.s is not None:
-            _write_square_csv(cand_dir / f"s_k2_{cand.k2:03d}.csv", ids, cand.s)
-
-    result = run_pipeline(matrices, records, true_labels, config, on_candidate=write_candidate)
+    result = run_pipeline(matrices, records, true_labels, config)
 
     echo = asdict(config)
     echo.update({k: paths[k] for k in _PATH_KEYS if paths[k] and k != "outdir"})
@@ -248,12 +236,10 @@ def cmd_pipeline(args) -> int:
     write_json(outdir / "fusion_stages.json", {
         "stage1": _stage_payload(fusion.stage1),
         "stage2": _stage_payload(fusion.stage2),
-        "stage3": {"selected_k2": fusion.selected_k2,
+        "stage3": {**_stage_payload(fusion.stage3),
                    "eigenvector_count": fusion.eigenvector_count},
     })
 
-    write_table_csv(outdir / "stage3_candidates.csv",
-                    ["k2", "gamma", "objective", "n_iter", "error"], cand_rows)
     _write_square_csv(outdir / "s_final.csv", ids, fusion.s_final)
 
     write_labels_csv(outdir / "labels_final.csv", ids,
@@ -270,8 +256,9 @@ def cmd_pipeline(args) -> int:
     if result.metrics_rows is not None:
         write_table_csv(
             outdir / "metrics_k2_sweep.csv",
-            ["k2", "ari", "nmi", "error"],
-            [[r.k2, r.ari, r.nmi, r.error or ""] for r in result.metrics_rows],
+            ["k2", "gamma", "objective", "n_iter", "ari", "nmi", "error"],
+            [[r.k2, r.gamma, r.objective, r.n_iter, r.ari, r.nmi, r.error or ""]
+             for r in result.metrics_rows],
         )
         write_json(outdir / "metrics_final.json",
                    {"ari": result.final_ari, "nmi": result.final_nmi,

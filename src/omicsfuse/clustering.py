@@ -16,6 +16,7 @@ from . import backend
 
 LLOYD_MAX_ITER = 300
 LLOYD_TOL = 1e-8  # a restart stops once every centroid moves less than this
+RESTARTS = 10  # k-means++ seedings per clustering; the best by WCSS is kept
 
 
 @dataclass
@@ -80,8 +81,8 @@ def _dsq_seed(
     return points[np.asarray(idx)]
 
 
-def kmeans_pp(points: np.ndarray, k: int, seed: int = 0, restarts: int = 10) -> Partition:
-    """k-means++ with Lloyd refinement; best of ``restarts`` runs by
+def kmeans_pp(points: np.ndarray, k: int, seed: int = 0) -> Partition:
+    """k-means++ with Lloyd refinement; best of RESTARTS runs by
     within-cluster sum of squares (the first on ties), deterministic given
     the seed.  All seedings are drawn first, then refined in lockstep."""
     points = np.ascontiguousarray(points, dtype=np.float64)
@@ -92,12 +93,10 @@ def kmeans_pp(points: np.ndarray, k: int, seed: int = 0, restarts: int = 10) -> 
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside [1, {n}]")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
 
     rng = np.random.default_rng(seed)
     sq_norms = np.einsum("ij,ij->i", points, points)
-    starts = np.stack([_dsq_seed(points, sq_norms, k, rng) for _ in range(restarts)])
+    starts = np.stack([_dsq_seed(points, sq_norms, k, rng) for _ in range(RESTARTS)])
     labels, _, wcss = backend.lloyd(points, starts, LLOYD_MAX_ITER, LLOYD_TOL)
     return Partition(labels=labels[int(np.argmin(wcss))], k=k)
 
@@ -162,7 +161,14 @@ def nmi(a: Partition, b: Partition) -> float:
 
 @dataclass
 class SweepRow:
+    """One stage-3 candidate: its k2 and gamma, the last objective value and
+    iteration count of its fusion (NaN and 0 when it failed), and the
+    agreement of its k-means partition with the reference labels."""
+
     k2: int
+    gamma: float
+    objective: float = np.nan
+    n_iter: int = 0
     ari: float = np.nan
     nmi: float = np.nan
     error: str | None = None
@@ -173,7 +179,6 @@ def sweep_k2_metrics(
     true_labels: Partition,
     k: int | None = None,
     seed: int = 0,
-    restarts: int = 10,
 ) -> list[SweepRow]:
     """Cluster every stage-3 candidate's fused network and score it against
     the reference labels; one row per candidate, errors recorded in place."""
@@ -181,12 +186,13 @@ def sweep_k2_metrics(
         k = true_labels.k
     rows: list[SweepRow] = []
     for cand in candidates:
-        if cand.error is not None:
-            rows.append(SweepRow(k2=cand.k2, error=cand.error))
-            continue
-        try:
-            part = kmeans_pp(cand.s, k, seed=seed, restarts=restarts)
-            rows.append(SweepRow(k2=cand.k2, ari=ari(part, true_labels), nmi=nmi(part, true_labels)))
-        except (ValueError, ArithmeticError) as exc:
-            rows.append(SweepRow(k2=cand.k2, error=f"k2={cand.k2}: {exc}"))
+        trace = [np.nan] if cand.state is None else cand.state.objective_trace
+        row = SweepRow(cand.k2, cand.gamma, float(trace[-1]), len(trace) - 1, error=cand.error)
+        if cand.error is None:
+            try:
+                part = kmeans_pp(cand.s, k, seed=seed)
+                row.ari, row.nmi = ari(part, true_labels), nmi(part, true_labels)
+            except (ValueError, ArithmeticError) as exc:
+                row.error = f"k2={cand.k2}: {exc}"
+        rows.append(row)
     return rows

@@ -29,6 +29,8 @@ from .errors import NumericalFailure
 from .numkernel import sym_eig
 
 GAMMA_FLOOR = 1e-8
+MAX_ITER = 100  # block-coordinate sweeps per fusion step
+TOL = 1e-6  # a step stops once the objective changes by less than TOL * max(1, |obj|)
 
 
 @dataclass
@@ -37,18 +39,12 @@ class FusionConfig:
 
     c: int
     gamma: float
-    max_iter: int = 100
-    tol: float = 1e-6
 
     def __post_init__(self):
         if self.c < 2:
             raise ValueError(f"c must be >= 2, got {self.c}")
         if not np.isfinite(self.gamma) or self.gamma <= 0.0:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
 
 
 @dataclass
@@ -243,7 +239,7 @@ def fuse_affinities(
 
     trace = [_objective(ips, fro2, s, s_sym, f, ff, alpha, beta, lam, gamma)]
     converged = False
-    for it in range(config.max_iter):
+    for it in range(MAX_ITER):
         # S rows: argmin beta||s||^2 - <w, s> over the simplex
         w = sum(a_l * a for a_l, a in zip(alpha, affs)) + lam * ff
         s = backend.project_rows(w / (2.0 * beta))
@@ -262,7 +258,7 @@ def fuse_affinities(
             raise NumericalFailure(f"fusion objective became non-finite at iteration {it + 1}")
         prev = trace[-1]
         trace.append(obj)
-        if abs(obj - prev) < config.tol * max(1.0, abs(prev)):
+        if abs(obj - prev) < TOL * max(1.0, abs(prev)):
             converged = True
             break
 

@@ -32,8 +32,7 @@ def _fmt(x: float) -> str:
 
 
 def write_matrix_csv(path, matrix: OmicsMatrix) -> None:
-    masked = np.where(matrix.missing_mask, np.nan, matrix.values)
-    write_table_csv(path, ["sample_id", *matrix.feature_ids], masked,
+    write_table_csv(path, ["sample_id", *matrix.feature_ids], matrix.values,
                     row_ids=matrix.sample_ids)
 
 

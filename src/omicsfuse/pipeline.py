@@ -9,7 +9,6 @@ setting is checked against the sample count, before any computation.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,13 +18,7 @@ from .bgmm import MAX_COMPONENTS, fit_bayesian_gmm
 from .cca import all_directed_pair_distances
 from .clustering import Partition, SweepRow, ari, kmeans_pp, nmi, sweep_k2_metrics
 from .errors import AlignmentError, DegenerateInputError
-from .fusion import (
-    StageRecord,
-    ThreeStageResult,
-    clamp_k2_range,
-    eigenvector_count,
-    three_stage_fuse,
-)
+from .fusion import ThreeStageResult, clamp_k2_range, eigenvector_count, three_stage_fuse
 from .preprocess import (
     OmicsMatrix,
     align_by_id,
@@ -116,7 +109,7 @@ def align_inputs(
     for m in omics:
         idx = align_by_id(order, m.sample_ids, range(m.n_samples), f"{m.kind} matrix")
         aligned.append(m if m.sample_ids == order else OmicsMatrix(
-            m.values[idx], order, m.feature_ids, m.kind, m.missing_mask[idx]))
+            m.values[idx], order, m.feature_ids, m.kind))
     if records is not None:
         records = align_by_id(order, [r.sample_id for r in records], records, "survival file")
     return aligned, records
@@ -172,31 +165,18 @@ def _cluster_points(fusion: ThreeStageResult, config: PipelineConfig) -> np.ndar
     return fusion.s_final if config.cluster_on == "network" else fusion.stage3.state.f
 
 
-def _candidate_stream(
-    fusion: ThreeStageResult, on_candidate: Callable[[StageRecord], None] | None
-) -> Iterator[StageRecord]:
-    # each candidate goes to on_candidate when the consumer asks for the
-    # next one, done with it, so only one non-selected network is alive
-    for cand in fusion.iter_candidates():
-        yield cand
-        if on_candidate is not None:
-            on_candidate(cand)
-
-
 def run_pipeline(
     omics: list[OmicsMatrix],
     records: list[SurvivalRecord] | None = None,
     true_labels: Partition | None = None,
     config: PipelineConfig | None = None,
-    on_candidate: Callable[[StageRecord], None] | None = None,
 ) -> PipelineResult:
     """Full labeled or unlabeled run.  ``true_labels`` must follow the first
     matrix's sample order.
 
-    The stage-3 candidates are fused one at a time and dropped in a single
-    pass, which the k2 sweep scores when ``true_labels`` is given and which
-    hands each record to ``on_candidate`` when one is passed.  Without
-    either, only the selected candidate is fused."""
+    With ``true_labels``, the k2 sweep fuses and scores the stage-3
+    candidates one at a time, each dropped before the next; without them,
+    only the selected candidate is fused."""
     config = config or PipelineConfig()
     omics, records = align_inputs(omics, records)
     if records is not None and not any(r.event for r in records):
@@ -238,14 +218,11 @@ def run_pipeline(
 
     metrics_rows = None
     final_ari = final_nmi = None
-    stream = _candidate_stream(fusion, on_candidate)
     if true_labels is not None:
-        metrics_rows = sweep_k2_metrics(stream, true_labels, k=config.clusters, seed=config.seed)
+        metrics_rows = sweep_k2_metrics(fusion.iter_candidates(), true_labels,
+                                        k=config.clusters, seed=config.seed)
         final_ari = ari(final_partition, true_labels)
         final_nmi = nmi(final_partition, true_labels)
-    elif on_candidate is not None:
-        for _ in stream:
-            pass
 
     partitions_by_k3 = {}
     survival_by_k3 = {}

@@ -32,15 +32,15 @@ GRID_POINTS = 101
 class OmicsMatrix:
     """One omics dataset: samples in rows, features in columns.
 
-    Missing cells are flagged in ``missing_mask`` and hold NaN in
-    ``values``; every unmasked cell must be finite.
+    A missing cell holds NaN in ``values``, and ``missing_mask`` marks
+    where; no cell is infinite.
     """
 
     values: np.ndarray
     sample_ids: list[str]
     feature_ids: list[str]
     kind: str = "other"
-    missing_mask: np.ndarray | None = None
+    missing_mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -59,15 +59,9 @@ class OmicsMatrix:
             raise ValueError("feature ids must be unique")
         if self.kind not in OMICS_KINDS:
             raise ValueError(f"kind must be one of {OMICS_KINDS}, got {self.kind!r}")
-        if self.missing_mask is None:
-            self.missing_mask = np.isnan(self.values)
-        else:
-            self.missing_mask = np.asarray(self.missing_mask, dtype=bool)
-            if self.missing_mask.shape != self.values.shape:
-                raise ValueError("missing_mask shape must match values")
-        observed = ~self.missing_mask
-        if not np.all(np.isfinite(self.values[observed])):
+        if np.isinf(self.values).any():
             raise ValueError("observed cells must be finite")
+        self.missing_mask = np.isnan(self.values)
 
     @property
     def n_samples(self) -> int:
@@ -84,7 +78,6 @@ class OmicsMatrix:
             sample_ids=list(self.sample_ids),
             feature_ids=[self.feature_ids[i] for i in idx],
             kind=self.kind,
-            missing_mask=self.missing_mask[:, idx],
         )
 
 
@@ -151,7 +144,7 @@ def filter_sparse_features(
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     n = x.n_samples
-    bad = x.missing_mask | (~x.missing_mask & (x.values == 0.0))
+    bad = x.missing_mask | (x.values == 0.0)
     frac = bad.sum(axis=0) / n
     removed = np.flatnonzero(frac > threshold)
     kept = np.flatnonzero(frac <= threshold)
@@ -205,7 +198,6 @@ def knn_impute(x: OmicsMatrix, k: int | None = None) -> tuple[OmicsMatrix, int]:
         sample_ids=list(x.sample_ids),
         feature_ids=list(x.feature_ids),
         kind=x.kind,
-        missing_mask=np.zeros_like(x.missing_mask),
     )
     return out, int(x.missing_mask.sum())
 
@@ -235,7 +227,6 @@ def zscore_standardize(x: OmicsMatrix) -> tuple[OmicsMatrix, list[str]]:
         sample_ids=list(x.sample_ids),
         feature_ids=[x.feature_ids[i] for i in kept],
         kind=x.kind,
-        missing_mask=np.zeros_like(vals, dtype=bool),
     )
     return out, dropped
 
@@ -396,7 +387,6 @@ def apply_power_transform(x: OmicsMatrix, params: PowerTransformParams) -> Omics
         sample_ids=list(x.sample_ids),
         feature_ids=list(x.feature_ids),
         kind=x.kind,
-        missing_mask=np.zeros_like(out, dtype=bool),
     )
 
 

@@ -75,9 +75,7 @@ def logrank_test(labels, records: list[SurvivalRecord]) -> SurvivalReport:
     event_times = np.unique(times[events == 1])
     for t in event_times:
         at_risk = times >= t
-        n_t = float(at_risk.sum())
-        if n_t <= 0.0:
-            continue
+        n_t = float(at_risk.sum())  # >= 1: the sample with the event is at risk
         dying = at_risk & (events == 1) & (times == t)
         d_t = float(dying.sum())
         n_g = np.bincount(codes[at_risk], minlength=k).astype(np.float64)

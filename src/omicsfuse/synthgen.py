@@ -88,7 +88,6 @@ def _synth_matrix(rng, spec: SynthSpec, labels, kind, d, sample_ids):
         sample_ids=sample_ids,
         feature_ids=feature_ids,
         kind=kind,
-        missing_mask=mask,
     )
 
 

@@ -538,7 +538,5 @@ def write_matrix_csv_cells(path, matrix) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample_id", *matrix.feature_ids])
-        masked = matrix.values.copy()
-        masked[matrix.missing_mask] = np.nan
-        for sid, row in zip(matrix.sample_ids, masked):
+        for sid, row in zip(matrix.sample_ids, matrix.values):
             writer.writerow([sid, *("" if math.isnan(v) else f"{v:.12g}" for v in row.tolist())])

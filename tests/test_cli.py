@@ -2,6 +2,7 @@
 
 import dataclasses
 import filecmp
+import re
 import subprocess
 import sys
 import weakref
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from omicsfuse import cli, fusion
+from omicsfuse.cca import DIRECTED_PAIR_ORDER
 from omicsfuse.cli import main
 from omicsfuse.clustering import Partition, ari
 from omicsfuse.io import (
@@ -23,7 +25,11 @@ from omicsfuse.io import (
     write_survival_csv,
 )
 from omicsfuse.pipeline import PipelineConfig
+from omicsfuse.preprocess import PAPER_KINDS
 from omicsfuse.synthgen import SynthSpec, generate
+from test_pipeline import _watch_candidates
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SYNTH_ARGS = ["--n", "36", "--k", "3", "--dims", "12,10,11",
               "--separation", "8", "--missing-rate", "0.05", "--seed", "1"]
@@ -35,14 +41,14 @@ def run_synth(outdir, extra=()):
     return outdir
 
 
-def run_pipeline_cli(data, outdir, extra=()):
+def run_pipeline_cli(data, outdir, extra=(), labeled=True):
     return main([
         "pipeline",
         "--gene-expression", str(data / "gene_expression.csv"),
         "--mirna", str(data / "mirna.csv"),
         "--methylation", str(data / "methylation.csv"),
         "--survival", str(data / "survival.csv"),
-        "--labels", str(data / "labels.csv"),
+        *(["--labels", str(data / "labels.csv")] if labeled else []),
         "--clusters", "3", "--stage3-k2", "2,10",
         *extra,
         "--outdir", str(outdir),
@@ -94,21 +100,44 @@ def test_synth_flags_left_out_take_the_synthspec_defaults(tmp_path):
                 == (tmp_path / f"{name}.csv").read_bytes())
 
 
-def test_pipeline_artifacts_present(pipeline_out):
-    must_exist = [
-        "config.json", "preprocess_report.json", "fusion_stages.json",
-        "stage3_candidates.csv", "s_final.csv", "labels_final.csv",
-        "metrics_k2_sweep.csv", "metrics_final.json", "survival_report.json",
-    ]
-    for name in must_exist:
-        assert (pipeline_out / name).is_file(), name
-    intra = sorted(p.name for p in (pipeline_out / "affinities").glob("intra_*"))
-    inter = list((pipeline_out / "affinities").glob("inter_*"))
-    assert intra == ["intra_gene_expression.csv", "intra_methylation.csv",
-                     "intra_mirna.csv"]
-    assert len(inter) == 6
-    for k3 in (3, 4, 5):
-        assert (pipeline_out / f"labels_k3_{k3}.csv").is_file()
+# every file a pipeline run writes; the labeled run adds LABELED_ARTIFACTS
+ARTIFACTS = {
+    "config.json", "preprocess_report.json", "fusion_stages.json", "s_final.csv",
+    "labels_final.csv", "labels_k3_3.csv", "labels_k3_4.csv", "labels_k3_5.csv",
+    "survival_report.json",
+    *(f"affinities/intra_{kind}.csv" for kind in PAPER_KINDS),
+    *(f"affinities/inter_{p}__to__{r}.csv" for p, r in DIRECTED_PAIR_ORDER),
+}
+LABELED_ARTIFACTS = {"metrics_k2_sweep.csv", "metrics_final.json"}
+
+
+def _artifact_set(root: Path) -> set:
+    return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+
+def _readme_name(artifact: str) -> str:
+    # the README names a directory for its files and one pattern for the k3 labels
+    name = re.sub(r"labels_k3_\d\.csv", "labels_k3_{3,4,5}.csv", artifact)
+    return name.split("/", 1)[0] + "/" if "/" in name else name
+
+
+def test_pipeline_artifacts_present(tmp_path, data_dir, pipeline_out):
+    unlabeled = tmp_path / "unlabeled"
+    assert run_pipeline_cli(data_dir, unlabeled, labeled=False) == 0
+    assert _artifact_set(unlabeled) == ARTIFACTS
+    assert _artifact_set(pipeline_out) == ARTIFACTS | LABELED_ARTIFACTS
+    paragraph = (ROOT / "README.md").read_text(encoding="utf-8").split("\nArtifacts:", 1)[1]
+    paragraph = paragraph.split("\n\n", 1)[0]
+    listed = set(re.findall(r"`([\w{},]+(?:\.csv|\.json|/))`", paragraph))
+    assert listed == {_readme_name(a) for a in ARTIFACTS | LABELED_ARTIFACTS}
+
+
+def test_unlabeled_cli_run_fuses_only_the_selected_candidate(tmp_path, data_dir, monkeypatch):
+    fused, _, _ = _watch_candidates(monkeypatch, selected_k2=10)
+    out = tmp_path / "out"
+    assert run_pipeline_cli(data_dir, out, labeled=False) == 0
+    assert fused == [10]
+    assert not (out / "metrics_k2_sweep.csv").exists()
 
 
 def test_pipeline_recovers_labels(pipeline_out, data_dir):
@@ -137,33 +166,35 @@ def test_square_artifacts_round_trip(pipeline_out):
 
 
 def test_candidate_files_match_table(pipeline_out):
-    header, rows = read_table_csv(pipeline_out / "stage3_candidates.csv")
-    assert header == ["k2", "gamma", "objective", "n_iter", "error"]
+    # each stage-3 candidate is one row of the sweep table; none gets a file of its own
+    header, rows = read_table_csv(pipeline_out / "metrics_k2_sweep.csv")
+    assert header[:4] == ["k2", "gamma", "objective", "n_iter"] and header[-1] == "error"
     assert [int(r[0]) for r in rows] == list(range(2, 11))
-    for r in rows:
-        if not r[4]:
-            assert (pipeline_out / "stage3_candidates" / f"s_k2_{int(r[0]):03d}.csv").is_file()
+    assert all(float(r[1]) > 0 for r in rows)
+    assert all(int(r[3]) >= 1 for r in rows if not r[6])
+    assert not (pipeline_out / "stage3_candidates.csv").exists()
+    assert not (pipeline_out / "stage3_candidates").exists()
 
 
 def test_metrics_sweep_table(pipeline_out):
     header, rows = read_table_csv(pipeline_out / "metrics_k2_sweep.csv")
-    assert header == ["k2", "ari", "nmi", "error"]
+    assert header == ["k2", "gamma", "objective", "n_iter", "ari", "nmi", "error"]
     assert len(rows) == 9
-    best = max(float(r[1]) for r in rows if not r[3])
+    best = max(float(r[4]) for r in rows if not r[6])
     assert best == 1.0
 
 
 def test_fusion_stage_report(pipeline_out):
     stages = read_json(pipeline_out / "fusion_stages.json")
-    for key in ("stage1", "stage2"):
+    # the top of each clamped range: n - 2 for stages 1 and 2, --stage3-k2's HI for stage 3
+    for key, k2 in (("stage1", 36 - 2), ("stage2", 36 - 2), ("stage3", 10)):
         st = stages[key]
         assert st["gamma"] > 0
-        assert st["k2"] == 36 - 2  # the top of the clamped range
+        assert st["k2"] == k2
         assert "k2_grid" not in st and "rr_values" not in st
         np.testing.assert_allclose(sum(st["alpha"]), 1.0, atol=1e-9)
         diffs = np.diff(np.asarray(st["objective_trace"]))
         assert np.all(diffs <= 1e-9)
-    assert stages["stage3"]["selected_k2"] == 10
     assert stages["stage3"]["eigenvector_count"] == 3
 
 
@@ -405,13 +436,11 @@ def test_failed_candidate_gets_a_row_and_no_file(tmp_path, data_dir, monkeypatch
     monkeypatch.setattr(fusion.FusionStep, "fuse", failing_fuse)
     out = tmp_path / "out"
     assert run_pipeline_cli(data_dir, out) == 0
-    _, rows = read_table_csv(out / "stage3_candidates.csv")
+    _, rows = read_table_csv(out / "metrics_k2_sweep.csv")
     assert [int(r[0]) for r in rows] == list(range(2, 11))
-    assert [r[4] for r in rows if r[4]] == ["stage 3 candidate k2=4: boom"]
-    written = sorted(p.name for p in (out / "stage3_candidates").iterdir())
-    assert written == [f"s_k2_{k2:03d}.csv" for k2 in range(2, 11) if k2 != 4]
-    _, sweep = read_table_csv(out / "metrics_k2_sweep.csv")
-    assert [r[3] for r in sweep if r[3]] == ["stage 3 candidate k2=4: boom"]
+    assert [r for r in rows if r[6]] == [
+        ["4", "0.5", "", "0", "", "", "stage 3 candidate k2=4: boom"]]
+    assert _artifact_set(out) == ARTIFACTS | LABELED_ARTIFACTS
 
 
 def test_duplicate_survival_ids_exit_two(tmp_path, data_dir, capsys):

