@@ -13,6 +13,8 @@ import numpy as np
 from . import backend
 from .preprocess import OmicsMatrix, default_neighbor_count
 
+_ROW_BLOCK = 64  # rows per block of the symmetry check's bound
+
 
 def _as_values(x) -> np.ndarray:
     values = x.values if isinstance(x, OmicsMatrix) else np.asarray(x, dtype=np.float64)
@@ -42,11 +44,20 @@ def check_distance_matrix(d: np.ndarray) -> np.ndarray:
         raise ValueError("distance matrix must be finite")
     if np.any(d < 0.0):
         raise ValueError("distance matrix must be nonnegative")
-    if not np.allclose(d, d.T, atol=1e-8):
-        raise ValueError("distance matrix must be symmetric")
+    # np.allclose(d, d.T)'s rule, |d - d.T| <= 1e-8 + 1e-5 |d.T|, without
+    # its n x n temporaries: the differences go into the buffer that then
+    # holds the symmetrized matrix, and the bound is taken in row blocks
+    sym = np.subtract(d, d.T)
+    np.abs(sym, out=sym)
+    for lo in range(0, d.shape[0], _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        if not np.all(sym[rows] <= 1e-8 + 1e-5 * np.abs(d.T[rows])):
+            raise ValueError("distance matrix must be symmetric")
     if np.any(np.abs(np.diag(d)) > 1e-12):
         raise ValueError("distance matrix must have a zero diagonal")
-    return 0.5 * (d + d.T)
+    np.add(d, d.T, out=sym)
+    sym *= 0.5
+    return sym
 
 
 def local_scales(d: np.ndarray, k1: int | None = None) -> np.ndarray:
@@ -66,22 +77,38 @@ def _local_scales(d: np.ndarray, k1: int | None) -> np.ndarray:
     return sorted_off_diagonal(d)[:, :k1].mean(axis=1)
 
 
+def off_diagonal(d: np.ndarray) -> np.ndarray:
+    """Rows of the square matrix d with the diagonal removed, as a new
+    (n, n - 1) array."""
+    n = d.shape[0]
+    return d[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+
+
 def sorted_off_diagonal(d: np.ndarray) -> np.ndarray:
     """Rows of the square matrix d with the diagonal removed, each sorted
-    ascending."""
-    n = d.shape[0]
-    return np.sort(d[~np.eye(n, dtype=bool)].reshape(n, n - 1), axis=1)
+    ascending (in place, in the new array)."""
+    off = off_diagonal(d)
+    off.sort(axis=1)
+    return off
 
 
 def affinity_from_distance(d: np.ndarray, k1: int | None = None) -> np.ndarray:
     """Locally scaled affinity matrix; entries in (0, 1], unit diagonal."""
     d = check_distance_matrix(d)
     sigma = _local_scales(d, k1)
-    denom = 0.5 * np.outer(sigma, sigma) + 0.5 * d
+    # three n x n buffers: d, the denominator, and the kernel
+    denom = np.outer(sigma, sigma)
+    denom *= 0.5
+    a = np.multiply(d, 0.5)
+    denom += a
+    np.square(d, out=a)
+    np.negative(a, out=a)
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.exp(-(d**2) / denom)
+        np.divide(a, denom, out=a)
+        np.exp(a, out=a)
     # duplicate samples: zero distance with zero scales is affinity 1
     a[denom <= 0.0] = 1.0
     np.fill_diagonal(a, 1.0)
-    a = 0.5 * (a + a.T)
-    return a
+    np.add(a, a.T, out=denom)
+    denom *= 0.5
+    return denom

@@ -34,17 +34,27 @@ def project_rows(v: np.ndarray) -> np.ndarray:
     Sort-based closed form: with u the row sorted descending and css its
     cumulative sum, the threshold is tau = (css[rho] - 1) / (rho + 1) for
     the largest rho with u[rho] + (1 - css[rho]) / (rho + 1) > 0.
+
+    Three n x m arrays are alive at once: u, sorted in place in the negated
+    copy of v; css; and one scratch array the condition is evaluated in.
+    The result is written into u's buffer, which is returned.
     """
     v = np.asarray(v, dtype=np.float64)
     n, m = v.shape
-    u = -np.sort(-v, axis=1)
+    u = np.negative(v)
+    u.sort(axis=1)
+    np.negative(u, out=u)
     css = np.cumsum(u, axis=1)
     j = np.arange(1, m + 1, dtype=np.float64)
-    cond = u + (1.0 - css) / j > 0.0
+    scratch = np.subtract(1.0, css)
+    np.divide(scratch, j, out=scratch)
+    np.add(u, scratch, out=scratch)
+    cond = scratch > 0.0
     # cond[:, 0] is always True; find the last True per row.
     rho = m - 1 - np.argmax(cond[:, ::-1], axis=1)
     tau = (css[np.arange(n), rho] - 1.0) / (rho + 1.0)
-    return np.maximum(v - tau[:, None], 0.0)
+    np.subtract(v, tau[:, None], out=u)
+    return np.maximum(u, 0.0, out=u)
 
 
 def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:

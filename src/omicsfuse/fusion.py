@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import backend
-from .affinity import affinity_from_distance, check_distance_matrix, sorted_off_diagonal
+from .affinity import (affinity_from_distance, check_distance_matrix, off_diagonal,
+                       sorted_off_diagonal)
 from .errors import NumericalFailure
 from .numkernel import sym_eig
 
@@ -181,13 +182,40 @@ def _objective(ips, fro2, s, s_sym, f, ff, alpha, beta, lam, gamma):
     return -fit + quad + beta * float(np.einsum("ij,ij->", s, s)) + lam * trace_term + gamma * ent
 
 
+def _weighted_sum_into(w, scratch, alpha, affs):
+    """sum_l alpha_l A_l into ``w``, in list order; ``scratch`` holds each
+    product."""
+    np.multiply(affs[0], alpha[0], out=w)
+    for a_l, a in zip(alpha[1:], affs[1:]):
+        w += np.multiply(a, a_l, out=scratch)
+    return w
+
+
+def _sym_into(out, s):
+    """sym(S) = (S + S') / 2 into ``out``."""
+    np.add(s, s.T, out=out)
+    out *= 0.5
+    return out
+
+
+def _laplacian_into(out, s_sym):
+    """I - sym(S) into ``out``, with no identity matrix.  Off the diagonal
+    it is 0.0 - x, not -x: the two differ in the sign of a zero, and
+    LAPACK's Householder step reads it."""
+    diag = 1.0 - np.diagonal(s_sym)
+    np.subtract(0.0, s_sym, out=out)
+    np.fill_diagonal(out, diag)
+    return out
+
+
 def _uniform_start(affs: list[np.ndarray], c: int) -> tuple[np.ndarray, np.ndarray]:
     """Starting point of a fusion step, independent of gamma and k2: the
     row-projected uniform-weight mean affinity S and the c bottom
     eigenvectors F of I - sym(S)."""
     alpha = np.full(len(affs), 1.0 / len(affs))
-    s = backend.project_rows(sum(a_l * a for a_l, a in zip(alpha, affs)))
-    _, f = sym_eig(np.eye(s.shape[0]) - 0.5 * (s + s.T), c)
+    buf = np.empty_like(affs[0])
+    s = backend.project_rows(_weighted_sum_into(buf, np.empty_like(buf), alpha, affs))
+    _, f = sym_eig(_laplacian_into(buf, _sym_into(buf, s)), c)
     return s, f
 
 
@@ -206,6 +234,12 @@ def fuse_affinities(
     ``start`` is the (S, F) pair ``_uniform_start`` returns for the same
     affinities and ``config.c``; it is computed here when omitted, so
     callers fusing the same affinities under several configs can share it.
+
+    The loop reuses three n x n buffers: ``w`` holds the S-step target and
+    then I - sym(S) for the F-step, ``s_sym`` also serves as the scratch of
+    the S-step sum, and ``ff`` holds F F'.  Each S-step returns a new S,
+    and the previous one is let go before it projects, so the returned S
+    aliases no buffer and the shared start is never written.
     """
     if len(affinities) < 1:
         raise ValueError("need at least one affinity matrix")
@@ -232,8 +266,8 @@ def fuse_affinities(
     fro2 = np.array([float(np.einsum("ij,ij->", a, a)) for a in affs])
 
     alpha = np.full(L, 1.0 / L)
-    eye = np.eye(n)
-    s_sym = 0.5 * (s + s.T)
+    w = np.empty((n, n))
+    s_sym = _sym_into(np.empty((n, n)), s)
     ff = np.einsum("ik,jk->ij", f, f)
     ips = _inner_products(affs, s)
 
@@ -241,13 +275,16 @@ def fuse_affinities(
     converged = False
     for it in range(MAX_ITER):
         # S rows: argmin beta||s||^2 - <w, s> over the simplex
-        w = sum(a_l * a for a_l, a in zip(alpha, affs)) + lam * ff
-        s = backend.project_rows(w / (2.0 * beta))
-        s_sym = 0.5 * (s + s.T)
+        _weighted_sum_into(w, s_sym, alpha, affs)
+        w += np.multiply(ff, lam, out=s_sym)
+        w /= 2.0 * beta
+        s = None  # the previous S goes before the next one is made
+        s = backend.project_rows(w)
+        _sym_into(s_sym, s)
 
         # F: c bottom eigenvectors of I - sym(S)
-        _, f = sym_eig(eye - s_sym, config.c)
-        ff = np.einsum("ik,jk->ij", f, f)
+        _, f = sym_eig(_laplacian_into(w, s_sym), config.c)
+        np.einsum("ik,jk->ij", f, f, out=ff)
 
         # alpha: entropic closed form
         ips = _inner_products(affs, s)
@@ -278,12 +315,18 @@ def closed_form_alpha(errs: np.ndarray, gamma: float) -> np.ndarray:
 def step_distance(affinities: list[np.ndarray]) -> np.ndarray:
     """Dissimilarity read by the gap scale and by re-kernelization: one minus
     the symmetrized mean affinity over its maximum, zero diagonal."""
-    mean_aff = np.mean(affinities, axis=0)
-    mean_aff = 0.5 * (mean_aff + mean_aff.T)
-    m = mean_aff.max()
+    # np.mean(affinities, axis=0) adds the views in list order; so does
+    # this, without stacking them
+    total = np.array(affinities[0], dtype=np.float64)
+    for a in affinities[1:]:
+        total += a
+    total /= len(affinities)
+    d = _sym_into(np.empty_like(total), total)
+    m = d.max()
     if m <= 0.0:
         raise NumericalFailure("mean affinity has no positive entries")
-    d = 1.0 - mean_aff / m
+    d /= m
+    np.subtract(1.0, d, out=d)
     np.maximum(d, 0.0, out=d)
     np.fill_diagonal(d, 0.0)
     return d
@@ -297,9 +340,15 @@ def clamp_k2_range(k2_range: tuple[int, int], n: int, stage: str) -> tuple[int, 
     return lo, hi
 
 
-def _fusion_step(affs: list[np.ndarray], c: int, stage: str) -> FusionStep:
+def _fusion_step(affs: list[np.ndarray], c: int, stage: str, hi: int) -> FusionStep:
+    """The step of one stage whose fusions read k2 <= hi: ``_gap_scale``
+    reads the first hi + 1 sorted distances of each row, so only those are
+    kept, from a partition and a sort of them (the same values as the full
+    sort's first hi + 1)."""
     try:
-        d = sorted_off_diagonal(check_distance_matrix(step_distance(affs)))
+        d = off_diagonal(check_distance_matrix(step_distance(affs)))
+        d.partition(hi, axis=1)
+        d = np.sort(d[:, :hi + 1], axis=1)
         return FusionStep(stage, affs, _uniform_start(affs, c), d, c)
     except (NumericalFailure, ValueError) as exc:
         raise type(exc)(f"{stage}: {exc}") from exc
@@ -340,14 +389,14 @@ def three_stage_fuse(
     for affs, k2_range, stage in ((intra, stage1_k2_range, "stage 1 (intra)"),
                                   (inter, stage2_k2_range, "stage 2 (inter)")):
         _, k2 = clamp_k2_range(k2_range, n, stage)
-        stages.append(_raise_failure(_fusion_step(affs, c, stage).fuse(k2)))
+        stages.append(_raise_failure(_fusion_step(affs, c, stage, k2).fuse(k2)))
 
     try:
         rekernelized = [affinity_from_distance(step_distance([st.s])) for st in stages]
     except (NumericalFailure, ValueError) as exc:
         raise type(exc)(f"stage 3 re-kernelization: {exc}") from exc
     lo, hi = clamp_k2_range(stage3_k2_range, n, "stage 3")
-    step3 = _fusion_step(rekernelized, c, "stage 3 candidate")
+    step3 = _fusion_step(rekernelized, c, "stage 3 candidate", hi)
     return ThreeStageResult(
         stage1=stages[0], stage2=stages[1], stage3=_raise_failure(step3.fuse(hi)),
         step3=step3, stage3_lo=lo, eigenvector_count=c,

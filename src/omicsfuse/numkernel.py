@@ -54,6 +54,10 @@ def sym_eig(a: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
     Only the c requested pairs are computed (LAPACK's MRRR routine
     ``dsyevr``).  Returns (values, vectors) with values ascending and
     vectors in columns.  Non-finite entries raise NumericalFailure.
+
+    The symmetrized matrix is written into one C-ordered buffer, and LAPACK
+    gets its transpose: the F-contiguous view of an exactly symmetric
+    matrix, which the wrapper takes without a copy and overwrites.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -64,12 +68,13 @@ def sym_eig(a: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
     # imported here to keep scipy.linalg off the `import omicsfuse` path
     from scipy import linalg
 
-    sym = 0.5 * (a + a.T)
+    sym = np.add(a, a.T, out=np.empty((n, n)))
+    sym *= 0.5
     if not np.all(np.isfinite(sym)):
         raise NumericalFailure(f"eigendecomposition of a {n}x{n} matrix with non-finite entries")
     try:
         vals, vecs = linalg.eigh(
-            sym, subset_by_index=[0, c - 1], driver="evr",
+            sym.T, subset_by_index=[0, c - 1], driver="evr",
             overwrite_a=True, check_finite=False,
         )
     except np.linalg.LinAlgError as exc:

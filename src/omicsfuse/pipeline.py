@@ -136,8 +136,12 @@ def preprocess_matrix(m: OmicsMatrix, seed: int) -> tuple[OmicsMatrix, Preproces
     filtered, removed_idx = filter_sparse_features(m)
     sparse_removed = [m.feature_ids[i] for i in removed_idx]
 
+    # each step's input is dropped once its output exists: the power fit
+    # sets the peak memory of a wide matrix
     imputed, n_imputed = knn_impute(filtered)
+    del filtered
     standardized, constant_dropped = zscore_standardize(imputed)
+    del imputed
 
     params = fit_power_transform(standardized)
     transformed = apply_power_transform(standardized, params)
@@ -197,12 +201,14 @@ def run_pipeline(
 
     intra = {}
     for m in processed:
-        d = euclidean_distance_matrix(m.values)
-        intra[m.kind] = affinity_from_distance(d)
+        intra[m.kind] = affinity_from_distance(euclidean_distance_matrix(m.values))
 
     inter = {}
-    for pair, d in all_directed_pair_distances(processed):
+    pairs = all_directed_pair_distances(processed)
+    while pairs:  # each pair distance is dropped once its affinity exists
+        pair, d = pairs.pop(0)
         inter[pair.label()] = affinity_from_distance(d)
+        del d
 
     fusion = three_stage_fuse(
         list(intra.values()),

@@ -26,6 +26,9 @@ TRANSFORM_METHODS = ("box_cox", "yeo_johnson")
 LAMBDA_RANGE = (-5.0, 5.0)
 GOLDEN_TOL = 1e-4
 GRID_POINTS = 101
+# KNN imputation gathers donors for at most this many (cell, sample) pairs
+# at a time; blocks of 2**20 raised the cli-wide-n150 peak RSS by 18 MB
+IMPUTE_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass
@@ -182,17 +185,14 @@ def knn_impute(x: OmicsMatrix, k: int | None = None) -> tuple[OmicsMatrix, int]:
     incomplete = np.flatnonzero(x.missing_mask.any(axis=1))
     if incomplete.size:
         dists = backend.masked_pairwise_dists(np.where(observed, x.values, 0.0), observed)
-    for i in incomplete:
-        # donors: the first k observers of the feature, nearest first, ties by index
-        order = np.argsort(dists[i], kind="stable")
-        feats = np.flatnonzero(x.missing_mask[i])
-        seen = observed[np.ix_(order, feats)].T
-        rank = np.cumsum(seen, axis=1)
-        full = rank[:, -1] >= k
-        pos = np.nonzero(seen[full] & (rank[full] <= k))[1].reshape(-1, k)
-        values[i, feats[full]] = x.values[order[pos], feats[full, None]].mean(axis=1)
-        for f in feats[~full]:  # fewer than k observers: all of them
-            values[i, f] = x.values[order[observed[order, f]], f].mean()
+        # each incomplete sample's donors, nearest first, ties by index
+        orders = np.argsort(dists[incomplete], axis=1, kind="stable")
+        del dists
+        rows, feats = np.nonzero(x.missing_mask[incomplete])
+        step = max(1, IMPUTE_BLOCK_ENTRIES // n)
+        for lo in range(0, rows.size, step):
+            _impute_cells(values, x.values, observed, orders[rows[lo:lo + step]],
+                          incomplete[rows[lo:lo + step]], feats[lo:lo + step], k)
     out = OmicsMatrix(
         values=values,
         sample_ids=list(x.sample_ids),
@@ -200,6 +200,21 @@ def knn_impute(x: OmicsMatrix, k: int | None = None) -> tuple[OmicsMatrix, int]:
         kind=x.kind,
     )
     return out, int(x.missing_mask.sum())
+
+
+def _impute_cells(out, values, observed, order, rows, feats, k):
+    """Fill the cells (rows[c], feats[c]) of ``out``; ``order[c]`` lists
+    the samples by distance from rows[c].  The donors of a cell are the
+    first k samples in that order that observe its feature, or all of
+    them where fewer than k do."""
+    seen = observed[order, feats[:, None]]
+    rank = np.cumsum(seen, axis=1, dtype=np.int32)
+    full = rank[:, -1] >= k
+    pos = np.nonzero(seen[full] & (rank[full] <= k))[1].reshape(-1, k)
+    donors = np.take_along_axis(order[full], pos, axis=1)
+    out[rows[full], feats[full]] = values[donors, feats[full, None]].mean(axis=1)
+    for c in np.flatnonzero(~full):
+        out[rows[c], feats[c]] = values[order[c][seen[c]], feats[c]].mean()
 
 
 # ---------------------------------------------------------------------------

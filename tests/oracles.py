@@ -540,3 +540,85 @@ def write_matrix_csv_cells(path, matrix) -> None:
         writer.writerow(["sample_id", *matrix.feature_ids])
         for sid, row in zip(matrix.sample_ids, matrix.values):
             writer.writerow([sid, *("" if math.isnan(v) else f"{v:.12g}" for v in row.tolist())])
+
+
+# -- allocating references for the in-place kernels ---------------------------
+# The package writes these kernels' n x n temporaries into reused buffers;
+# these are the plain numpy expressions they replaced, and the package's
+# results must match them bit for bit.
+
+
+def project_rows_sorted(v: np.ndarray) -> np.ndarray:
+    """Sort-based simplex projection, one new array per step."""
+    v = np.asarray(v, dtype=np.float64)
+    n, m = v.shape
+    u = -np.sort(-v, axis=1)
+    css = np.cumsum(u, axis=1)
+    j = np.arange(1, m + 1, dtype=np.float64)
+    cond = u + (1.0 - css) / j > 0.0
+    rho = m - 1 - np.argmax(cond[:, ::-1], axis=1)
+    tau = (css[np.arange(n), rho] - 1.0) / (rho + 1.0)
+    return np.maximum(v - tau[:, None], 0.0)
+
+
+def check_distance_matrix_allclose(d: np.ndarray) -> np.ndarray:
+    """Distance-matrix check with np.allclose for symmetry; returns the
+    symmetrized matrix."""
+    d = np.asarray(d, dtype=np.float64)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise ValueError(f"distance matrix must be square, got shape {d.shape}")
+    if not np.all(np.isfinite(d)):
+        raise ValueError("distance matrix must be finite")
+    if np.any(d < 0.0):
+        raise ValueError("distance matrix must be nonnegative")
+    if not np.allclose(d, d.T, atol=1e-8):
+        raise ValueError("distance matrix must be symmetric")
+    if np.any(np.abs(np.diag(d)) > 1e-12):
+        raise ValueError("distance matrix must have a zero diagonal")
+    return 0.5 * (d + d.T)
+
+
+def sorted_off_diagonal_full(d: np.ndarray) -> np.ndarray:
+    n = d.shape[0]
+    return np.sort(d[~np.eye(n, dtype=bool)].reshape(n, n - 1), axis=1)
+
+
+def step_distance_mean(affinities) -> np.ndarray:
+    """One minus the symmetrized np.mean of the stacked affinities over its
+    maximum, zero diagonal."""
+    mean_aff = np.mean(affinities, axis=0)
+    mean_aff = 0.5 * (mean_aff + mean_aff.T)
+    d = 1.0 - mean_aff / mean_aff.max()
+    np.maximum(d, 0.0, out=d)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def affinity_kernel(d: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """The locally scaled kernel of a checked distance matrix, one new array
+    per step."""
+    denom = 0.5 * np.outer(sigma, sigma) + 0.5 * d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.exp(-(d**2) / denom)
+    a[denom <= 0.0] = 1.0
+    np.fill_diagonal(a, 1.0)
+    return 0.5 * (a + a.T)
+
+
+def knn_impute_rows(values: np.ndarray, missing: np.ndarray, dists: np.ndarray,
+                    k: int) -> np.ndarray:
+    """KNN imputation one incomplete sample at a time: its donors for every
+    missing feature from one stable argsort of its distance row."""
+    observed = ~missing
+    out = values.copy()
+    for i in np.flatnonzero(missing.any(axis=1)):
+        order = np.argsort(dists[i], kind="stable")
+        feats = np.flatnonzero(missing[i])
+        seen = observed[np.ix_(order, feats)].T
+        rank = np.cumsum(seen, axis=1)
+        full = rank[:, -1] >= k
+        pos = np.nonzero(seen[full] & (rank[full] <= k))[1].reshape(-1, k)
+        out[i, feats[full]] = values[order[pos], feats[full, None]].mean(axis=1)
+        for f in feats[~full]:
+            out[i, f] = values[order[observed[order, f]], f].mean()
+    return out

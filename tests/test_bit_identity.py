@@ -1,0 +1,231 @@
+"""The in-place kernels against the allocating expressions they replaced.
+
+Each kernel on the fusion path writes its n x n temporaries into reused
+buffers with the same arithmetic, so its results must equal the plain
+numpy references in tests/oracles.py bit for bit, signed zeros included.
+"""
+
+import numpy as np
+import pytest
+
+from omicsfuse import preprocess
+from omicsfuse.affinity import (
+    affinity_from_distance,
+    check_distance_matrix,
+    local_scales,
+    sorted_off_diagonal,
+)
+from omicsfuse.backend import masked_pairwise_dists, project_rows
+from omicsfuse.fusion import _fusion_step, _gap_scale, _laplacian_into, step_distance
+from omicsfuse.numkernel import sym_eig
+from omicsfuse.preprocess import OmicsMatrix, knn_impute
+from oracles import (
+    affinity_kernel,
+    check_distance_matrix_allclose,
+    knn_impute_rows,
+    project_rows_sorted,
+    sorted_off_diagonal_full,
+    step_distance_mean,
+)
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def _distances(n, seed, ties=False):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 3))
+    if ties:
+        x = np.round(x)  # many equal distances
+        x[1] = x[0]  # a duplicate sample: zero distance off the diagonal
+    d = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
+    return 0.5 * (d + d.T)
+
+
+def _affinities(n, count, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        a = rng.uniform(0.0, 1.0, size=(n, n))
+        a = 0.5 * (a + a.T)
+        np.fill_diagonal(a, 1.0)
+        out.append(a)
+    return out
+
+
+def _signed_zero_rows():
+    return np.array([
+        [0.0, -0.0, 0.0, -0.0],
+        [-0.0, 0.0, -0.0, 0.0],
+        [0.5, 0.5, 0.5, 0.5],
+        [1.0, 1.0, -0.0, 0.0],
+        [-2.0, -2.0, -2.0, -0.0],
+        [3.0, -1.0, 3.0, -1.0],
+    ])
+
+
+class TestProjectRows:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_sorted_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        v = rng.normal(scale=2.0, size=(rng.integers(1, 40), rng.integers(1, 60)))
+        assert_same_bits(project_rows(v), project_rows_sorted(v))
+
+    def test_ties_and_signed_zeros(self):
+        v = _signed_zero_rows()
+        assert_same_bits(project_rows(v), project_rows_sorted(v))
+        tied = np.round(np.random.default_rng(3).normal(size=(30, 50)))
+        assert_same_bits(project_rows(tied), project_rows_sorted(tied))
+
+    def test_input_is_left_alone(self):
+        v = _signed_zero_rows()
+        before = v.copy()
+        project_rows(v)
+        assert_same_bits(v, before)
+
+
+class TestCheckDistanceMatrix:
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_matches_the_allclose_reference(self, ties):
+        d = _distances(70, 4, ties)  # 70 rows: two row blocks of the bound
+        d[3, 5] += 1e-9  # asymmetric within the tolerance
+        out = check_distance_matrix(d)
+        assert_same_bits(out, check_distance_matrix_allclose(d))
+        assert out is not d
+
+    def test_asymmetry_at_the_tolerance_edge(self):
+        """The largest asymmetry np.allclose accepts is accepted, and the
+        next float above it is rejected, at an entry of the second row
+        block."""
+        d = _distances(80, 5)
+        i, j = 70, 2
+        y = d[j, i]
+        tol = 1e-8 + 1e-5 * abs(y)
+        x = y + tol
+        while abs(x - y) > tol:
+            x = np.nextafter(x, -np.inf)
+        while abs(np.nextafter(x, np.inf) - y) <= tol:
+            x = np.nextafter(x, np.inf)
+        accepted = d.copy()
+        accepted[i, j] = x
+        assert np.allclose(accepted, accepted.T, atol=1e-8)
+        assert_same_bits(check_distance_matrix(accepted), check_distance_matrix_allclose(accepted))
+        rejected = d.copy()
+        rejected[i, j] = np.nextafter(x, np.inf)
+        assert not np.allclose(rejected, rejected.T, atol=1e-8)
+        for check in (check_distance_matrix, check_distance_matrix_allclose):
+            with pytest.raises(ValueError, match="symmetric"):
+                check(rejected)
+
+    def test_signed_zero_distances(self):
+        d = np.array([[0.0, -0.0, 1.0], [0.0, -0.0, 2.0], [1.0, 2.0, 0.0]])
+        assert_same_bits(check_distance_matrix(d), check_distance_matrix_allclose(d))
+
+
+class TestSortedDistances:
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_in_place_sort_matches_the_full_sort(self, ties):
+        d = check_distance_matrix(_distances(40, 6, ties))
+        assert_same_bits(sorted_off_diagonal(d), sorted_off_diagonal_full(d))
+
+    @pytest.mark.parametrize("hi", [2, 7, 38])
+    def test_fusion_step_keeps_the_first_columns_of_the_full_sort(self, hi):
+        """The partition + sort of ``_fusion_step`` gives the full sort's
+        first hi + 1 columns and the same gap scale at every k2 <= hi."""
+        affs = _affinities(40, 3, 7)
+        full = sorted_off_diagonal_full(step_distance_mean(affs))
+        step = _fusion_step(affs, 3, "test", hi)
+        assert step.sorted_distances.shape == (40, hi + 1)
+        assert np.array_equal(step.sorted_distances, full[:, :hi + 1])
+        for k2 in range(1, hi + 1):
+            assert _gap_scale(step.sorted_distances, k2) == _gap_scale(full, k2)
+
+
+class TestStepDistance:
+    @pytest.mark.parametrize("count", [1, 2, 3, 6])
+    def test_matches_the_stacked_mean(self, count):
+        affs = _affinities(30, count, count)
+        assert_same_bits(step_distance(affs), step_distance_mean(affs))
+
+    def test_inputs_are_left_alone(self):
+        affs = _affinities(12, 3, 9)
+        before = [a.copy() for a in affs]
+        step_distance(affs)
+        for a, b in zip(affs, before):
+            assert_same_bits(a, b)
+
+
+def test_laplacian_keeps_the_signs_of_eye_minus_s():
+    """I - sym(S) written without an identity matrix has the bits of
+    np.eye(n) - s_sym, zeros off the diagonal included."""
+    s_sym = np.array([[0.5, 0.0, -0.0], [0.0, 1.0, 0.25], [-0.0, 0.25, 0.0]])
+    out = np.empty_like(s_sym)
+    assert_same_bits(_laplacian_into(out, s_sym), np.eye(3) - s_sym)
+    assert_same_bits(_laplacian_into(s_sym.copy(), s_sym.copy()), np.eye(3) - s_sym)
+
+
+class TestAffinityKernel:
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_matches_the_allocating_kernel(self, ties):
+        d = _distances(50, 8, ties)
+        ref = affinity_kernel(check_distance_matrix_allclose(d), local_scales(d))
+        assert_same_bits(affinity_from_distance(d), ref)
+
+    def test_duplicates_with_zero_scales(self):
+        d = np.zeros((4, 4))
+        d[2:, :2] = d[:2, 2:] = 3.0
+        ref = affinity_kernel(d, local_scales(d, 1))
+        assert_same_bits(affinity_from_distance(d, 1), ref)
+
+
+class TestSymEig:
+    def test_c_and_f_order_give_the_same_pairs(self):
+        rng = np.random.default_rng(10)
+        a = rng.normal(size=(60, 60))
+        vals_c, vecs_c = sym_eig(np.ascontiguousarray(a), 4)
+        vals_f, vecs_f = sym_eig(np.asfortranarray(a), 4)
+        assert_same_bits(vals_c, vals_f)
+        assert_same_bits(vecs_c, vecs_f)
+
+    def test_matches_the_copying_call(self):
+        """Passing the F-ordered view gives the pairs the wrapper's own
+        copy of the C-ordered matrix gave."""
+        from scipy import linalg
+
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(50, 50))
+        ref = linalg.eigh(0.5 * (a + a.T), subset_by_index=[0, 2], driver="evr",
+                          overwrite_a=True, check_finite=False)
+        for got, want in zip(sym_eig(a, 3), ref):
+            assert_same_bits(got, want)
+
+    def test_input_is_left_alone(self):
+        a = np.random.default_rng(13).normal(size=(20, 20))
+        before = a.copy()
+        sym_eig(a, 2)
+        assert_same_bits(a, before)
+
+
+class TestKnnImpute:
+    @pytest.mark.parametrize("block", [1, 64, 1 << 16])
+    def test_matches_the_per_sample_loop(self, monkeypatch, block):
+        """Blocks of one cell, of a few cells and of the default size give
+        the same values; k = 12 leaves some features with fewer observers,
+        which take the mean of all of them."""
+        monkeypatch.setattr(preprocess, "IMPUTE_BLOCK_ENTRIES", block)
+        rng = np.random.default_rng(14)
+        n, p = 15, 9
+        values = np.round(rng.normal(size=(n, p)), 1)  # ties in the distances
+        missing = rng.uniform(size=(n, p)) < 0.2
+        missing[:, 0] = np.arange(n) >= 4  # four observers only
+        values[missing] = np.nan
+        m = OmicsMatrix(values, [f"s{i}" for i in range(n)], [f"f{j}" for j in range(p)],
+                        "gene_expression")
+        dists = masked_pairwise_dists(np.where(missing, 0.0, values), ~missing)
+        for k in (3, 12):
+            out, count = knn_impute(m, k=k)
+            assert count == missing.sum()
+            assert_same_bits(out.values, knn_impute_rows(values, missing, dists, k))

@@ -10,6 +10,7 @@ a round-robin pairing where each round gets one value.
 import ast
 import inspect
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omicsfuse import backend, clustering, fusion
-from omicsfuse.affinity import affinity_from_distance
+from omicsfuse.affinity import affinity_from_distance, euclidean_distance_matrix
 from omicsfuse.clustering import Partition, ari, kmeans_pp
 from omicsfuse.errors import NumericalFailure
 from omicsfuse.fusion import (
@@ -30,6 +31,7 @@ from omicsfuse.fusion import (
     step_distance,
     three_stage_fuse,
 )
+from omicsfuse.numkernel import sym_eig
 
 from oracles import rr_scan_reference
 
@@ -541,10 +543,61 @@ class TestThreeStage:
         assert rec.error == "boom" and rec.s is None
 
 
+def planted_affinities(n, count, seed):
+    """``count`` affinities of noisy draws around three planted centers."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(scale=4.0, size=(3, 5))
+    labels = np.arange(n) % 3
+    return [affinity_from_distance(euclidean_distance_matrix(
+        centers[labels] + rng.normal(size=(n, 5)))) for _ in range(count)]
+
+
+def test_working_set_is_bounded():
+    """Beyond its nine inputs, a three-stage fusion holds at most 14 n x n
+    float64 matrices at once.  It keeps 7 (S of each stage, the two
+    re-kernelized affinities, and stage 3's start S and sorted distances);
+    the rest are the loop's three buffers and the simplex projection's
+    three arrays.  With a new array for every temporary it took 16.4."""
+    n = 200
+    intra, inter = planted_affinities(n, 3, 1), planted_affinities(n, 6, 2)
+    sym_eig(np.eye(3), 1)  # imports scipy.linalg before tracing starts
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = three_stage_fuse(intra, inter, cluster_count=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.stage3.state.converged
+    assert (peak - base) / (n * n * 8) < 14.0
+
+
+def test_no_network_aliases_a_reused_buffer():
+    """The S of every stage and of every candidate is its own array, and
+    fusing more candidates changes neither them nor the shared start."""
+    n = 24
+    res = three_stage_fuse(planted_affinities(n, 3, 3), planted_affinities(n, 6, 4),
+                           cluster_count=3, stage3_k2_range=(2, 8))
+    start = res.step3.start[0]
+    start_before = start.copy()
+    networks = [res.stage1.s, res.stage2.s, start]
+    kept = []
+    for cand in res.iter_candidates():
+        networks.append(cand.s)
+        kept.append((cand.s, cand.s.copy()))
+    for i, a in enumerate(networks):
+        for b in networks[i + 1:]:
+            assert not np.shares_memory(a, b)
+    assert np.array_equal(start, start_before)
+    for s, copy in kept:
+        assert np.array_equal(s, copy)
+
+
 # functions the stage-3 candidate loop runs between eigensolves: the fusion
 # and the k2 sweep's k-means
 SINGLE_POOL_FUNCTIONS = {
-    fusion: ("fuse_affinities", "_objective", "_inner_products"),
+    fusion: ("fuse_affinities", "_objective", "_inner_products", "_weighted_sum_into",
+             "_sym_into", "_laplacian_into"),
     backend: ("lloyd", "_sq_dists_to"),
     clustering: ("_dsq_seed",),
 }
