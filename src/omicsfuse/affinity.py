@@ -79,9 +79,15 @@ def _local_scales(d: np.ndarray, k1: int | None) -> np.ndarray:
 
 def off_diagonal(d: np.ndarray) -> np.ndarray:
     """Rows of the square matrix d with the diagonal removed, as a new
-    (n, n - 1) array."""
+    (n, n - 1) array.
+
+    Between two diagonal entries of the flattened matrix lie n - 1
+    off-diagonal ones, so the flat entries after the first, as n - 1 rows
+    of n + 1, hold them in row order once each row's last entry (the next
+    diagonal one) is dropped; no mask is built."""
     n = d.shape[0]
-    return d[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    between = np.ravel(d)[1:].reshape(n - 1, n + 1)[:, :n]
+    return between.copy().reshape(n, n - 1)
 
 
 def sorted_off_diagonal(d: np.ndarray) -> np.ndarray:
@@ -96,7 +102,9 @@ def affinity_from_distance(d: np.ndarray, k1: int | None = None) -> np.ndarray:
     """Locally scaled affinity matrix; entries in (0, 1], unit diagonal."""
     d = check_distance_matrix(d)
     sigma = _local_scales(d, k1)
-    # three n x n buffers: d, the denominator, and the kernel
+    # three n x n buffers: d, the denominator, and the kernel.  d and
+    # sigma sigma' are exactly symmetric, so the kernel is too and is not
+    # symmetrized again
     denom = np.outer(sigma, sigma)
     denom *= 0.5
     a = np.multiply(d, 0.5)
@@ -109,6 +117,4 @@ def affinity_from_distance(d: np.ndarray, k1: int | None = None) -> np.ndarray:
     # duplicate samples: zero distance with zero scales is affinity 1
     a[denom <= 0.0] = 1.0
     np.fill_diagonal(a, 1.0)
-    np.add(a, a.T, out=denom)
-    denom *= 0.5
-    return denom
+    return a

@@ -28,25 +28,29 @@ from __future__ import annotations
 import numpy as np
 
 
-def project_rows(v: np.ndarray) -> np.ndarray:
+def project_rows(v: np.ndarray, css: np.ndarray | None = None,
+                 scratch: np.ndarray | None = None) -> np.ndarray:
     """Row-wise Euclidean projection onto the probability simplex.
 
     Sort-based closed form: with u the row sorted descending and css its
     cumulative sum, the threshold is tau = (css[rho] - 1) / (rho + 1) for
     the largest rho with u[rho] + (1 - css[rho]) / (rho + 1) > 0.
 
-    Three n x m arrays are alive at once: u, sorted in place in the negated
-    copy of v; css; and one scratch array the condition is evaluated in.
-    The result is written into u's buffer, which is returned.
+    u is sorted in place in a new negated copy of v, and the result is
+    written into u's buffer, which is returned.  The cumulative sums go
+    into ``css`` and the condition is evaluated in ``scratch``: float64
+    n x m C-ordered buffers the caller passes (the fusion loop passes two
+    it holds anyway) and whose contents are overwritten.  They are
+    allocated here when omitted.
     """
     v = np.asarray(v, dtype=np.float64)
     n, m = v.shape
     u = np.negative(v)
     u.sort(axis=1)
     np.negative(u, out=u)
-    css = np.cumsum(u, axis=1)
+    css = np.cumsum(u, axis=1, out=np.empty_like(u) if css is None else css)
     j = np.arange(1, m + 1, dtype=np.float64)
-    scratch = np.subtract(1.0, css)
+    scratch = np.subtract(1.0, css, out=scratch)
     np.divide(scratch, j, out=scratch)
     np.add(u, scratch, out=scratch)
     cond = scratch > 0.0

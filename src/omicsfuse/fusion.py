@@ -23,11 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import backend
+from . import backend, numkernel
 from .affinity import (affinity_from_distance, check_distance_matrix, off_diagonal,
                        sorted_off_diagonal)
 from .errors import NumericalFailure
-from .numkernel import sym_eig
 
 GAMMA_FLOOR = 1e-8
 MAX_ITER = 100  # block-coordinate sweeps per fusion step
@@ -167,9 +166,10 @@ def gamma_from_neighbors(d: np.ndarray, k2: int) -> float:
     return _gap_scale(sorted_off_diagonal(check_distance_matrix(d)), k2)
 
 
-# One BLAS pool in the fusion loop: sym_eig uses scipy's own OpenBLAS, and numpy
-# BLAS calls here (@, vdot) made three_stage_fuse at n = 600 take 30-35 s instead
-# of 13 s on 2 cores, so these functions use np.einsum, which does not call BLAS.
+# One BLAS pool in the fusion loop: the eigensolve uses scipy's own OpenBLAS, and
+# numpy BLAS calls here (@, vdot) made three_stage_fuse at n = 600 take 30-35 s
+# instead of 13 s on 2 cores, so these functions use np.einsum, which does not
+# call BLAS.
 
 
 def _objective(ips, fro2, s, s_sym, f, ff, alpha, beta, lam, gamma):
@@ -213,9 +213,10 @@ def _uniform_start(affs: list[np.ndarray], c: int) -> tuple[np.ndarray, np.ndarr
     row-projected uniform-weight mean affinity S and the c bottom
     eigenvectors F of I - sym(S)."""
     alpha = np.full(len(affs), 1.0 / len(affs))
-    buf = np.empty_like(affs[0])
-    s = backend.project_rows(_weighted_sum_into(buf, np.empty_like(buf), alpha, affs))
-    _, f = sym_eig(_laplacian_into(buf, _sym_into(buf, s)), c)
+    buf, tmp = np.empty_like(affs[0]), np.empty_like(affs[0])
+    # tmp holds each weighted view, then the projection's cumulative sums
+    s = backend.project_rows(_weighted_sum_into(buf, tmp, alpha, affs), tmp)
+    _, f = numkernel._bottom_eigh(_laplacian_into(buf, _sym_into(buf, s)), c)
     return s, f
 
 
@@ -236,10 +237,12 @@ def fuse_affinities(
     callers fusing the same affinities under several configs can share it.
 
     The loop reuses three n x n buffers: ``w`` holds the S-step target and
-    then I - sym(S) for the F-step, ``s_sym`` also serves as the scratch of
-    the S-step sum, and ``ff`` holds F F'.  Each S-step returns a new S,
-    and the previous one is let go before it projects, so the returned S
-    aliases no buffer and the shared start is never written.
+    then I - sym(S), which the F-step's eigensolve overwrites; ``s_sym``
+    also serves as the scratch of the S-step sum and as the simplex
+    projection's cumulative sums; and ``ff`` holds F F' and serves as the
+    projection's scratch.  Each S-step returns a new S, and the previous
+    one is let go before it projects, so the returned S aliases no buffer
+    and the shared start is never written.
     """
     if len(affinities) < 1:
         raise ValueError("need at least one affinity matrix")
@@ -279,11 +282,11 @@ def fuse_affinities(
         w += np.multiply(ff, lam, out=s_sym)
         w /= 2.0 * beta
         s = None  # the previous S goes before the next one is made
-        s = backend.project_rows(w)
+        s = backend.project_rows(w, s_sym, ff)
         _sym_into(s_sym, s)
 
-        # F: c bottom eigenvectors of I - sym(S)
-        _, f = sym_eig(_laplacian_into(w, s_sym), config.c)
+        # F: c bottom eigenvectors of I - sym(S), exactly symmetric already
+        _, f = numkernel._bottom_eigh(_laplacian_into(w, s_sym), config.c)
         np.einsum("ik,jk->ij", f, f, out=ff)
 
         # alpha: entropic closed form

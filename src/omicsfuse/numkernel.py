@@ -55,9 +55,8 @@ def sym_eig(a: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
     ``dsyevr``).  Returns (values, vectors) with values ascending and
     vectors in columns.  Non-finite entries raise NumericalFailure.
 
-    The symmetrized matrix is written into one C-ordered buffer, and LAPACK
-    gets its transpose: the F-contiguous view of an exactly symmetric
-    matrix, which the wrapper takes without a copy and overwrites.
+    The symmetrized matrix is written into one new C-ordered buffer, which
+    ``_bottom_eigh`` hands to LAPACK; ``a`` is left alone.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -65,21 +64,32 @@ def sym_eig(a: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
     n = a.shape[0]
     if not 1 <= c <= n:
         raise ValueError(f"sym_eig: c={c} outside [1, {n}]")
+    sym = np.add(a, a.T, out=np.empty((n, n)))
+    sym *= 0.5
+    return _bottom_eigh(sym, c)
+
+
+def _bottom_eigh(sym: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """``sym_eig`` of a C-ordered float64 matrix that is already exactly
+    symmetric, computed in its buffer, which is overwritten.
+
+    LAPACK gets the transpose: the F-contiguous view of the same matrix,
+    which the wrapper takes without a copy.  The fusion loop calls this
+    directly on I - sym(S), where symmetrizing again would change no bit.
+    """
+    n = sym.shape[0]
+    if not np.all(np.isfinite(sym)):
+        raise NumericalFailure(f"eigendecomposition of a {n}x{n} matrix with non-finite entries")
     # imported here to keep scipy.linalg off the `import omicsfuse` path
     from scipy import linalg
 
-    sym = np.add(a, a.T, out=np.empty((n, n)))
-    sym *= 0.5
-    if not np.all(np.isfinite(sym)):
-        raise NumericalFailure(f"eigendecomposition of a {n}x{n} matrix with non-finite entries")
     try:
-        vals, vecs = linalg.eigh(
+        return linalg.eigh(
             sym.T, subset_by_index=[0, c - 1], driver="evr",
             overwrite_a=True, check_finite=False,
         )
-    except np.linalg.LinAlgError as exc:
+    except linalg.LinAlgError as exc:  # the class of np.linalg.LinAlgError
         raise NumericalFailure(f"eigendecomposition failed for a {n}x{n} matrix") from exc
-    return vals, vecs
 
 
 def chi_square_sf(x: float, df: int) -> float:

@@ -43,6 +43,12 @@ class SurvivalReport:
     expected_events: tuple[float, ...]
 
 
+def _prefix_sums(terms: np.ndarray) -> np.ndarray:
+    """Row i is the sum of the first i rows of ``terms``, i = 0..len(terms),
+    added in order from zero: the bits of accumulating them one at a time."""
+    return np.cumsum(np.concatenate([np.zeros_like(terms[:1]), terms]), axis=0)
+
+
 def logrank_test(labels, records: list[SurvivalRecord]) -> SurvivalReport:
     """Log-rank test of the survival curves implied by ``labels``.
 
@@ -66,28 +72,32 @@ def logrank_test(labels, records: list[SurvivalRecord]) -> SurvivalReport:
         raise DegenerateInputError("no observed events in any group")
 
     group_sizes = np.bincount(codes, minlength=k)
-    observed = np.zeros(k, dtype=np.float64)
-    expected = np.zeros(k, dtype=np.float64)
-    # U and V over the first k-1 groups; the k-th row is linearly dependent
-    u = np.zeros(k - 1, dtype=np.float64)
-    v = np.zeros((k - 1, k - 1), dtype=np.float64)
-
+    # each group's samples, and its events, among the first i in time
+    # order; the risk set at t starts at the first sample at t, and the
+    # deaths at t end at the last
+    order = np.argsort(times, kind="stable")
+    member = np.eye(k, dtype=np.int64)[codes[order]]
+    seen, died = _prefix_sums(member), _prefix_sums(member * events[order, None])
     event_times = np.unique(times[events == 1])
-    for t in event_times:
-        at_risk = times >= t
-        n_t = float(at_risk.sum())  # >= 1: the sample with the event is at risk
-        dying = at_risk & (events == 1) & (times == t)
-        d_t = float(dying.sum())
-        n_g = np.bincount(codes[at_risk], minlength=k).astype(np.float64)
-        d_g = np.bincount(codes[dying], minlength=k).astype(np.float64)
-        e_g = d_t * n_g / n_t
-        observed += d_g
-        expected += e_g
-        u += (d_g - e_g)[: k - 1]
-        # variance of the hypergeometric draw, finite-population corrected
-        f_t = d_t * (n_t - d_t) / max(n_t - 1.0, 1.0)
-        p = n_g[: k - 1] / n_t
-        v += f_t * (np.diag(p) - np.outer(p, p))
+    first, last = (np.searchsorted(times[order], event_times, side=side)
+                   for side in ("left", "right"))
+    # one row per event time, each term as one time at a time computed it
+    n_t = (times.size - first).astype(np.float64)[:, None]  # >= 1
+    n_g = (group_sizes - seen[first]).astype(np.float64)
+    d_g = (died[last] - died[first]).astype(np.float64)
+    d_t = d_g.sum(axis=1, keepdims=True)
+    e_g = d_t * n_g / n_t
+    # U and V run over the first k-1 groups, as the k-th row is linearly
+    # dependent; V is the covariance of the hypergeometric draw,
+    # finite-population corrected
+    f_t = d_t * (n_t - d_t) / np.maximum(n_t - 1.0, 1.0)
+    p = n_g[:, : k - 1] / n_t
+    cov = np.zeros((event_times.size, k - 1, k - 1))
+    cov[:, np.arange(k - 1), np.arange(k - 1)] = p
+    cov -= p[:, :, None] * p[:, None, :]
+    # the sums over event times, added in time order
+    observed, expected, u, v = (_prefix_sums(t)[-1] for t in (
+        d_g, e_g, (d_g - e_g)[:, : k - 1], f_t[:, :, None] * cov))
 
     try:
         sol = np.linalg.solve(v, u)

@@ -578,9 +578,14 @@ def check_distance_matrix_allclose(d: np.ndarray) -> np.ndarray:
     return 0.5 * (d + d.T)
 
 
-def sorted_off_diagonal_full(d: np.ndarray) -> np.ndarray:
+def off_diagonal_masked(d: np.ndarray) -> np.ndarray:
+    """Rows of d without the diagonal, gathered through a boolean mask."""
     n = d.shape[0]
-    return np.sort(d[~np.eye(n, dtype=bool)].reshape(n, n - 1), axis=1)
+    return d[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+
+
+def sorted_off_diagonal_full(d: np.ndarray) -> np.ndarray:
+    return np.sort(off_diagonal_masked(d), axis=1)
 
 
 def step_distance_mean(affinities) -> np.ndarray:
@@ -603,6 +608,73 @@ def affinity_kernel(d: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     a[denom <= 0.0] = 1.0
     np.fill_diagonal(a, 1.0)
     return 0.5 * (a + a.T)
+
+
+def affinity_symmetrized(a: np.ndarray) -> np.ndarray:
+    """(a + a') / 2 into a new buffer: the last pass the kernel made before
+    its inputs were known to be exactly symmetric."""
+    out = np.add(a, a.T)
+    out *= 0.5
+    return out
+
+
+def project_rows_allocating(v: np.ndarray) -> np.ndarray:
+    """The simplex projection sorting in place in the negated copy of v,
+    with its cumulative sums and condition scratch in arrays of its own."""
+    v = np.asarray(v, dtype=np.float64)
+    n, m = v.shape
+    u = np.negative(v)
+    u.sort(axis=1)
+    np.negative(u, out=u)
+    css = np.cumsum(u, axis=1)
+    j = np.arange(1, m + 1, dtype=np.float64)
+    scratch = np.subtract(1.0, css)
+    np.divide(scratch, j, out=scratch)
+    np.add(u, scratch, out=scratch)
+    cond = scratch > 0.0
+    rho = m - 1 - np.argmax(cond[:, ::-1], axis=1)
+    tau = (css[np.arange(n), rho] - 1.0) / (rho + 1.0)
+    np.subtract(v, tau[:, None], out=u)
+    return np.maximum(u, 0.0, out=u)
+
+
+def logrank_test_loop(labels, times, events) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """The k-group log-rank test one event time at a time, as the package
+    computed it before its sums ran along time: (chi2, p, observed counts,
+    expected counts)."""
+    times = np.asarray(times, dtype=np.float64)
+    events = np.asarray(events, dtype=np.int64)
+    _, codes = np.unique(np.asarray(labels), return_inverse=True)
+    k = int(codes.max()) + 1
+    observed = np.zeros(k, dtype=np.float64)
+    expected = np.zeros(k, dtype=np.float64)
+    u = np.zeros(k - 1, dtype=np.float64)
+    v = np.zeros((k - 1, k - 1), dtype=np.float64)
+    for t in np.unique(times[events == 1]):
+        at_risk = times >= t
+        n_t = float(at_risk.sum())
+        dying = at_risk & (events == 1) & (times == t)
+        d_t = float(dying.sum())
+        n_g = np.bincount(codes[at_risk], minlength=k).astype(np.float64)
+        d_g = np.bincount(codes[dying], minlength=k).astype(np.float64)
+        e_g = d_t * n_g / n_t
+        observed += d_g
+        expected += e_g
+        u += (d_g - e_g)[: k - 1]
+        f_t = d_t * (n_t - d_t) / max(n_t - 1.0, 1.0)
+        p = n_g[: k - 1] / n_t
+        v += f_t * (np.diag(p) - np.outer(p, p))
+    try:
+        sol = np.linalg.solve(v, u)
+    except np.linalg.LinAlgError:
+        sol = np.linalg.pinv(v) @ u
+    chi2 = float(u @ sol)
+    if not np.isfinite(chi2):
+        sol = np.linalg.pinv(v) @ u
+        chi2 = float(u @ sol)
+    chi2 = max(chi2, 0.0)
+    p_value = float(special.gammaincc((k - 1) / 2.0, chi2 / 2.0))
+    return chi2, p_value, observed, expected
 
 
 def knn_impute_rows(values: np.ndarray, missing: np.ndarray, dists: np.ndarray,

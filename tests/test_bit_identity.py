@@ -1,28 +1,39 @@
 """The in-place kernels against the allocating expressions they replaced.
 
 Each kernel on the fusion path writes its n x n temporaries into reused
-buffers with the same arithmetic, so its results must equal the plain
-numpy references in tests/oracles.py bit for bit, signed zeros included.
+buffers with the same arithmetic, and the log-rank test runs its sums
+along time instead of looping over event times, so their results must
+equal the plain numpy references in tests/oracles.py bit for bit, signed
+zeros included.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from omicsfuse import preprocess
 from omicsfuse.affinity import (
     affinity_from_distance,
     check_distance_matrix,
     local_scales,
+    off_diagonal,
     sorted_off_diagonal,
 )
 from omicsfuse.backend import masked_pairwise_dists, project_rows
-from omicsfuse.fusion import _fusion_step, _gap_scale, _laplacian_into, step_distance
-from omicsfuse.numkernel import sym_eig
+from omicsfuse.errors import NumericalFailure
+from omicsfuse.fusion import _fusion_step, _gap_scale, _laplacian_into, _sym_into, step_distance
+from omicsfuse.numkernel import _bottom_eigh, sym_eig
 from omicsfuse.preprocess import OmicsMatrix, knn_impute
+from omicsfuse.survival import SurvivalRecord, logrank_test
 from oracles import (
     affinity_kernel,
+    affinity_symmetrized,
     check_distance_matrix_allclose,
     knn_impute_rows,
+    logrank_test_loop,
+    off_diagonal_masked,
+    project_rows_allocating,
     project_rows_sorted,
     sorted_off_diagonal_full,
     step_distance_mean,
@@ -85,6 +96,41 @@ class TestProjectRows:
         before = v.copy()
         project_rows(v)
         assert_same_bits(v, before)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_caller_buffers_give_the_allocating_bits(self, seed):
+        """Cumulative sums and condition scratch in buffers the caller
+        passes, holding garbage and reused across calls, give the bits of
+        the projection with arrays of its own."""
+        rng = np.random.default_rng(20 + seed)
+        m = int(rng.integers(1, 50))
+        css, scratch = np.full((m, m), np.nan), np.full((m, m), -np.inf)
+        for _ in range(2):
+            v = rng.normal(scale=2.0, size=(m, m))
+            out = project_rows(v, css, scratch)
+            assert_same_bits(out, project_rows_allocating(v))
+            assert_same_bits(out, project_rows_sorted(v))
+            assert not np.shares_memory(out, css) and not np.shares_memory(out, scratch)
+        v = _signed_zero_rows()
+        assert_same_bits(project_rows(v, np.empty_like(v), np.empty_like(v)),
+                         project_rows_allocating(v))
+
+
+class TestOffDiagonal:
+    @pytest.mark.parametrize("n", [1, 2, 3, 17])
+    def test_matches_the_mask(self, n):
+        d = np.random.default_rng(n).normal(size=(n, n))
+        for layout in (d, np.asfortranarray(d), d.T, d[::-1, ::-1]):
+            out = off_diagonal(layout)
+            assert_same_bits(out, off_diagonal_masked(layout))
+            assert out.flags.c_contiguous and not np.shares_memory(out, d)
+
+    def test_sorting_the_rows_leaves_the_matrix_alone(self):
+        d = _distances(2, 15)  # one entry a row: the view is contiguous
+        before = d.copy()
+        sorted_off_diagonal(d)
+        off_diagonal(d).sort(axis=1)
+        assert_same_bits(d, before)
 
 
 class TestCheckDistanceMatrix:
@@ -174,6 +220,18 @@ class TestAffinityKernel:
         ref = affinity_kernel(check_distance_matrix_allclose(d), local_scales(d))
         assert_same_bits(affinity_from_distance(d), ref)
 
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("k1", [None, 1, 7])
+    def test_symmetrizing_again_changes_no_bit(self, ties, k1):
+        """The kernel of a checked distance matrix is exactly symmetric, so
+        the (a + a')/2 it used to end with was a no-op; the input here is
+        asymmetric within the check's tolerance."""
+        d = _distances(45, 16, ties)
+        d[4, 9] += 1e-9
+        a = affinity_from_distance(d, k1)
+        assert_same_bits(a, affinity_symmetrized(a))
+        assert_same_bits(a, a.T)
+
     def test_duplicates_with_zero_scales(self):
         d = np.zeros((4, 4))
         d[2:, :2] = d[:2, 2:] = 3.0
@@ -208,6 +266,22 @@ class TestSymEig:
         sym_eig(a, 2)
         assert_same_bits(a, before)
 
+    def test_the_loop_eigensolve_skips_no_bit(self):
+        """The F-step hands I - sym(S) to LAPACK as it is: the pairs have
+        the bits of ``sym_eig``, which symmetrizes it again first."""
+        for seed in range(3):
+            s = project_rows(np.random.default_rng(30 + seed).normal(size=(40, 40)))
+            lap = _laplacian_into(np.empty_like(s), _sym_into(np.empty_like(s), s))
+            ref = sym_eig(lap, 3)
+            for got, want in zip(_bottom_eigh(lap.copy(), 3), ref):
+                assert_same_bits(got, want)
+
+    def test_non_finite_input_fails_in_the_helper(self):
+        sym = np.eye(4)
+        sym[1, 1] = np.nan
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            _bottom_eigh(sym, 2)
+
 
 class TestKnnImpute:
     @pytest.mark.parametrize("block", [1, 64, 1 << 16])
@@ -229,3 +303,56 @@ class TestKnnImpute:
             out, count = knn_impute(m, k=k)
             assert count == missing.sum()
             assert_same_bits(out.values, knn_impute_rows(values, missing, dists, k))
+
+
+def _logrank_bits(labels, times, events):
+    recs = [SurvivalRecord(f"s{i}", float(t), int(e))
+            for i, (t, e) in enumerate(zip(times, events))]
+    rep = logrank_test(labels, recs)
+    got = (rep.chi2.hex(), rep.p_value.hex(), rep.observed_events,
+           tuple(float(e).hex() for e in rep.expected_events))
+    chi2, p, observed, expected = logrank_test_loop(labels, times, events)
+    want = (chi2.hex(), p.hex(), tuple(int(o) for o in observed),
+            tuple(float(e).hex() for e in expected))
+    return got, want
+
+
+@st.composite
+def _survival_data(draw):
+    """k = 2..5 groups, each present, on a coarse time grid: tied times and
+    events tied with censorings are common.  Optionally one group has no
+    event, and the latest time is one sample's event, so n_t = 1 there."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(k, 30))
+    labels = np.array(list(range(k)) + draw(st.lists(st.integers(0, k - 1),
+                                                     min_size=n - k, max_size=n - k)))
+    times = 0.25 * np.array(draw(st.lists(st.integers(1, 8), min_size=n, max_size=n)))
+    events = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        events[labels == k - 1] = 0
+    if draw(st.booleans()):
+        times[0], events[0] = 2.5, 1
+    if not events.any():
+        events[int(np.flatnonzero(labels == 0)[0])] = 1
+    return labels, times, events
+
+
+@settings(max_examples=150, deadline=None)
+@given(_survival_data())
+@example((np.array([0, 0, 1, 1, 2]), np.array([1.0, 2.0, 2.0, 2.0, 3.0]),
+          np.array([1, 0, 1, 0, 1])))  # ties with a censoring; n_t = 1 last
+@example((np.array([0, 1, 2, 3, 4, 0, 1]), np.array([1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0]),
+          np.array([1, 1, 0, 0, 1, 0, 1])))  # k = 5, groups 2 and 3 without events
+def test_logrank_sums_along_time_match_the_event_time_loop(data):
+    got, want = _logrank_bits(*data)
+    assert got == want
+
+
+def test_logrank_at_pipeline_size_matches_the_loop():
+    """n = 600 with about 500 distinct event times, as a discovery run has."""
+    rng = np.random.default_rng(17)
+    times = np.round(rng.exponential(5.0, 600), 2) + 0.01
+    events = (rng.uniform(size=600) < 0.85).astype(int)
+    for k in (3, 4, 5):
+        got, want = _logrank_bits(rng.integers(0, k, 600), times, events)
+        assert got == want

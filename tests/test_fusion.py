@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omicsfuse import backend, clustering, fusion
+from omicsfuse import backend, clustering, fusion, numkernel
 from omicsfuse.affinity import affinity_from_distance, euclidean_distance_matrix
 from omicsfuse.clustering import Partition, ari, kmeans_pp
 from omicsfuse.errors import NumericalFailure
@@ -553,11 +553,14 @@ def planted_affinities(n, count, seed):
 
 
 def test_working_set_is_bounded():
-    """Beyond its nine inputs, a three-stage fusion holds at most 14 n x n
-    float64 matrices at once.  It keeps 7 (S of each stage, the two
-    re-kernelized affinities, and stage 3's start S and sorted distances);
-    the rest are the loop's three buffers and the simplex projection's
-    three arrays.  With a new array for every temporary it took 16.4."""
+    """Beyond its nine inputs, a three-stage fusion holds at most 10.5 n x n
+    float64 matrices at once (10.0 at n = 200).  It keeps up to 7: S of
+    each stage, the two re-kernelized affinities, and stage 3's start S and
+    sorted distances (k2 + 1 columns, half a matrix here).  The rest are
+    the loop's three buffers, which also hold the simplex projection's
+    cumulative sums and condition scratch, and the new S the projection
+    writes.  With the projection's two arrays of its own it took 12.0, and
+    with a new array for every temporary 16.4."""
     n = 200
     intra, inter = planted_affinities(n, 3, 1), planted_affinities(n, 6, 2)
     sym_eig(np.eye(3), 1)  # imports scipy.linalg before tracing starts
@@ -569,7 +572,7 @@ def test_working_set_is_bounded():
     finally:
         tracemalloc.stop()
     assert res.stage3.state.converged
-    assert (peak - base) / (n * n * 8) < 14.0
+    assert (peak - base) / (n * n * 8) < 10.5
 
 
 def test_no_network_aliases_a_reused_buffer():
@@ -593,12 +596,13 @@ def test_no_network_aliases_a_reused_buffer():
         assert np.array_equal(s, copy)
 
 
-# functions the stage-3 candidate loop runs between eigensolves: the fusion
-# and the k2 sweep's k-means
+# functions the stage-3 candidate loop runs: the fusion, its simplex
+# projection and eigensolve, and the k2 sweep's k-means
 SINGLE_POOL_FUNCTIONS = {
     fusion: ("fuse_affinities", "_objective", "_inner_products", "_weighted_sum_into",
              "_sym_into", "_laplacian_into"),
-    backend: ("lloyd", "_sq_dists_to"),
+    numkernel: ("_bottom_eigh",),
+    backend: ("project_rows", "lloyd", "_sq_dists_to"),
     clustering: ("_dsq_seed",),
 }
 NUMPY_BLAS_NAMES = {"vdot", "dot", "matmul", "linalg"}
