@@ -30,8 +30,7 @@ def _as_values(x) -> np.ndarray:
 def euclidean_distance_matrix(x) -> np.ndarray:
     """Dense pairwise Euclidean distances between samples (rows)."""
     values = _as_values(x)
-    d = np.sqrt(backend.pairwise_sq_dists(values))
-    d = 0.5 * (d + d.T)
+    d = np.sqrt(backend.pairwise_sq_dists(values))  # exactly symmetric: x x' is one syrk
     np.fill_diagonal(d, 0.0)
     return d
 
@@ -74,7 +73,7 @@ def _local_scales(d: np.ndarray, k1: int | None) -> np.ndarray:
         k1 = min(max(default_neighbor_count(n), 1), n - 1)
     if not 1 <= k1 <= n - 1:
         raise ValueError(f"k1={k1} outside [1, {n - 1}]")
-    return sorted_off_diagonal(d)[:, :k1].mean(axis=1)
+    return nearest_distances(d, k1).mean(axis=1)
 
 
 def off_diagonal(d: np.ndarray) -> np.ndarray:
@@ -90,12 +89,12 @@ def off_diagonal(d: np.ndarray) -> np.ndarray:
     return between.copy().reshape(n, n - 1)
 
 
-def sorted_off_diagonal(d: np.ndarray) -> np.ndarray:
-    """Rows of the square matrix d with the diagonal removed, each sorted
-    ascending (in place, in the new array)."""
+def nearest_distances(d: np.ndarray, k: int) -> np.ndarray:
+    """The k smallest off-diagonal entries of each row of the square matrix
+    d, ascending, as a new (n, k) array: a partition, then a sort of k."""
     off = off_diagonal(d)
-    off.sort(axis=1)
-    return off
+    off.partition(k - 1, axis=1)
+    return np.sort(off[:, :k], axis=1)
 
 
 def affinity_from_distance(d: np.ndarray, k1: int | None = None) -> np.ndarray:

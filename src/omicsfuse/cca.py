@@ -4,7 +4,9 @@ sample-level distances derived from the paired canonical variates.
 Each block is centered and whitened through its thin SVD, once however
 many pairs use it; the canonical structure is the SVD of the whitened
 cross-product, so correlations are singular values of an orthonormal core
-and land in [0, 1] by construction.
+and land in [0, 1] by construction.  Swapping the blocks only swaps and
+rotates the variates, which Euclidean distances ignore, so a directed pair
+and its reverse share one distance matrix, computed once.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def all_directed_pair_distances(
 ) -> list[tuple[DirectedPair, np.ndarray]]:
     """Canonical-variate distance matrices for all six directed pairs of
     the three omics blocks, one of each of the paper's kinds, in canonical
-    report order."""
+    report order; a reverse pair holds its forward pair's array."""
     require_paper_kinds(omics)
     order = omics[0].sample_ids
     for m in omics[1:]:
@@ -118,7 +120,8 @@ def all_directed_pair_distances(
 
     blocks = _checked_blocks(*(m.values for m in omics))
     bases = {m.kind: _center_and_whiten(b, m.kind) for m, b in zip(omics, blocks)}
-    return [
-        (DirectedPair(p, r), canonical_distance_matrix(_fit_whitened(bases[p], bases[r])))
-        for p, r in DIRECTED_PAIR_ORDER
-    ]
+    dist = {}
+    for p, r in DIRECTED_PAIR_ORDER:
+        if (p, r) not in dist:
+            dist[p, r] = dist[r, p] = canonical_distance_matrix(_fit_whitened(bases[p], bases[r]))
+    return [(DirectedPair(p, r), dist[p, r]) for p, r in DIRECTED_PAIR_ORDER]

@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import backend, numkernel
-from .affinity import (affinity_from_distance, check_distance_matrix, off_diagonal,
-                       sorted_off_diagonal)
+from .affinity import affinity_from_distance, check_distance_matrix, nearest_distances
 from .errors import NumericalFailure
 
 GAMMA_FLOOR = 1e-8
@@ -151,10 +150,13 @@ def eigenvector_count(cluster_count: int) -> int:
     return 3 if cluster_count == 2 else cluster_count
 
 
-def _gap_scale(s: np.ndarray, k2: int) -> float:
-    n = s.shape[0]
+def _check_k2(k2: int, n: int) -> None:
     if not 1 <= k2 <= n - 2:
         raise ValueError(f"k2={k2} outside [1, {n - 2}]")
+
+
+def _gap_scale(s: np.ndarray, k2: int) -> float:
+    _check_k2(k2, s.shape[0])
     gap = k2 * s[:, k2] ** 2 - (s[:, :k2] ** 2).sum(axis=1)
     return float(gap.mean())
 
@@ -163,7 +165,9 @@ def gamma_from_neighbors(d: np.ndarray, k2: int) -> float:
     """Neighborhood-gap scale: mean over samples of
     sum_{n<=k2} (s_{j,k2+1}^2 - s_{j,n}^2) on ascending sorted off-diagonal
     distances."""
-    return _gap_scale(sorted_off_diagonal(check_distance_matrix(d)), k2)
+    d = check_distance_matrix(d)
+    _check_k2(k2, d.shape[0])  # before the partition reads k2
+    return _gap_scale(nearest_distances(d, k2 + 1), k2)
 
 
 # One BLAS pool in the fusion loop: the eigensolve uses scipy's own OpenBLAS, and
@@ -346,12 +350,9 @@ def clamp_k2_range(k2_range: tuple[int, int], n: int, stage: str) -> tuple[int, 
 def _fusion_step(affs: list[np.ndarray], c: int, stage: str, hi: int) -> FusionStep:
     """The step of one stage whose fusions read k2 <= hi: ``_gap_scale``
     reads the first hi + 1 sorted distances of each row, so only those are
-    kept, from a partition and a sort of them (the same values as the full
-    sort's first hi + 1)."""
+    kept."""
     try:
-        d = off_diagonal(check_distance_matrix(step_distance(affs)))
-        d.partition(hi, axis=1)
-        d = np.sort(d[:, :hi + 1], axis=1)
+        d = nearest_distances(check_distance_matrix(step_distance(affs)), hi + 1)
         return FusionStep(stage, affs, _uniform_start(affs, c), d, c)
     except (NumericalFailure, ValueError) as exc:
         raise type(exc)(f"{stage}: {exc}") from exc

@@ -15,13 +15,6 @@ from scipy import special
 
 from .errors import NumericalFailure
 
-__all__ = [
-    "SvdFactors",
-    "svd_thin",
-    "sym_eig",
-    "chi_square_sf",
-]
-
 
 @dataclass
 class SvdFactors:

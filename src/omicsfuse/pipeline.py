@@ -203,11 +203,13 @@ def run_pipeline(
     for m in processed:
         intra[m.kind] = affinity_from_distance(euclidean_distance_matrix(m.values))
 
-    inter = {}
+    inter, kernels = {}, {}  # kernels: id of a distance array -> its one affinity
     pairs = all_directed_pair_distances(processed)
-    while pairs:  # each pair distance is dropped once its affinity exists
+    while pairs:  # each pair distance is dropped once its last entry is read
         pair, d = pairs.pop(0)
-        inter[pair.label()] = affinity_from_distance(d)
+        if id(d) not in kernels:
+            kernels[id(d)] = affinity_from_distance(d)
+        inter[pair.label()] = kernels[id(d)]
         del d
 
     fusion = three_stage_fuse(

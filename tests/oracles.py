@@ -561,6 +561,16 @@ def project_rows_sorted(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - tau[:, None], 0.0)
 
 
+def distances_symmetrized(sq: np.ndarray) -> np.ndarray:
+    """Euclidean distances from squared ones, symmetrized as (d + d') / 2
+    before the diagonal is zeroed: what the package computed before it
+    relied on its squared distances being exactly symmetric."""
+    d = np.sqrt(sq)
+    d = 0.5 * (d + d.T)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
 def check_distance_matrix_allclose(d: np.ndarray) -> np.ndarray:
     """Distance-matrix check with np.allclose for symmetry; returns the
     symmetrized matrix."""

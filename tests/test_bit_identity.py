@@ -16,11 +16,12 @@ from omicsfuse import preprocess
 from omicsfuse.affinity import (
     affinity_from_distance,
     check_distance_matrix,
+    euclidean_distance_matrix,
     local_scales,
+    nearest_distances,
     off_diagonal,
-    sorted_off_diagonal,
 )
-from omicsfuse.backend import masked_pairwise_dists, project_rows
+from omicsfuse.backend import masked_pairwise_dists, pairwise_sq_dists, project_rows
 from omicsfuse.errors import NumericalFailure
 from omicsfuse.fusion import _fusion_step, _gap_scale, _laplacian_into, _sym_into, step_distance
 from omicsfuse.numkernel import _bottom_eigh, sym_eig
@@ -30,6 +31,7 @@ from oracles import (
     affinity_kernel,
     affinity_symmetrized,
     check_distance_matrix_allclose,
+    distances_symmetrized,
     knn_impute_rows,
     logrank_test_loop,
     off_diagonal_masked,
@@ -128,7 +130,7 @@ class TestOffDiagonal:
     def test_sorting_the_rows_leaves_the_matrix_alone(self):
         d = _distances(2, 15)  # one entry a row: the view is contiguous
         before = d.copy()
-        sorted_off_diagonal(d)
+        nearest_distances(d, 1)
         off_diagonal(d).sort(axis=1)
         assert_same_bits(d, before)
 
@@ -174,8 +176,20 @@ class TestCheckDistanceMatrix:
 class TestSortedDistances:
     @pytest.mark.parametrize("ties", [False, True])
     def test_in_place_sort_matches_the_full_sort(self, ties):
-        d = check_distance_matrix(_distances(40, 6, ties))
-        assert_same_bits(sorted_off_diagonal(d), sorted_off_diagonal_full(d))
+        """The partition and sort of ``nearest_distances`` give the first k
+        columns of the full sort.  600 rows: on short rows numpy's partition
+        happens to leave the first k sorted, so the sort would go untested."""
+        d = check_distance_matrix(_distances(600, 6, ties))
+        full = sorted_off_diagonal_full(d)
+        for k in (1, 2, 7, 25, 101, 300, 598, 599):
+            assert_same_bits(nearest_distances(d, k), full[:, :k])
+
+    @pytest.mark.parametrize("n", [150, 600])
+    def test_local_scales_match_the_full_sort(self, n):
+        d = _distances(n, n)
+        k1 = preprocess.default_neighbor_count(n)
+        assert_same_bits(local_scales(d), sorted_off_diagonal_full(
+            check_distance_matrix(d))[:, :k1].mean(axis=1))
 
     @pytest.mark.parametrize("hi", [2, 7, 38])
     def test_fusion_step_keeps_the_first_columns_of_the_full_sort(self, hi):
@@ -202,6 +216,19 @@ class TestStepDistance:
         step_distance(affs)
         for a, b in zip(affs, before):
             assert_same_bits(a, b)
+
+
+class TestEuclideanDistances:
+    @pytest.mark.parametrize("shape", [(600, 60), (150, 2000), (600, 1), (150, 50), (7, 3)])
+    def test_symmetrizing_again_changes_no_bit(self, shape):
+        """The squared distances are exactly symmetric in every layout, so
+        the (d + d')/2 the distances used to end with was a no-op."""
+        x = np.random.default_rng(shape[0] + shape[1]).normal(size=shape)
+        wide = np.random.default_rng(1).normal(size=(shape[0], shape[1] + 3))
+        for layout in (x, np.asfortranarray(x), wide[:, 1:shape[1] + 1]):
+            d = euclidean_distance_matrix(layout)
+            assert np.array_equal(d, d.T)
+            assert_same_bits(d, distances_symmetrized(pairwise_sq_dists(layout)))
 
 
 def test_laplacian_keeps_the_signs_of_eye_minus_s():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omicsfuse import cca
 from omicsfuse.cca import (
@@ -131,6 +133,35 @@ class TestCanonicalDistance:
                     assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
 
 
+@st.composite
+def block_pairs(draw):
+    """Two sample-aligned blocks: random, rank-deficient (columns that are
+    combinations of fewer factors) or wider than they are tall."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(4, 30))
+    blocks = []
+    for _ in range(2):
+        p = draw(st.integers(1, n + 10))  # p > n is drawn too
+        rank = draw(st.integers(1, p))  # rank < p: a rank-deficient block
+        blocks.append(rng.normal(size=(n, rank)) @ rng.normal(size=(rank, p)))
+    shared = draw(st.floats(0.0, 2.0))  # a common signal gives nonzero correlations
+    z = rng.normal(size=(n, 1))
+    return [b + shared * z for b in blocks]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(block_pairs())
+def test_reverse_fit_gives_the_same_distances(blocks):
+    """CCA is symmetric in its blocks: the swapped fit's variates are the
+    same up to block order and a rotation within each block, so the
+    canonical distances agree to rounding."""
+    x, y = blocks
+    forward = canonical_distance_matrix(cca_fit(x, y))
+    reverse = canonical_distance_matrix(cca_fit(y, x))
+    assert forward.shape == reverse.shape
+    assert np.max(np.abs(forward - reverse)) <= 1e-12 * np.max(forward)
+
+
 class TestDirectedPairs:
     def three_omics(self, seed=9, n=20):
         rng = np.random.default_rng(seed)
@@ -146,34 +177,40 @@ class TestDirectedPairs:
         labels = [(p.predictor, p.response) for p, _ in pairs]
         assert labels == DIRECTED_PAIR_ORDER
 
-    def test_direction_matters(self):
-        # swapped roles give different (transposed-role) distance matrices
-        pairs = dict(
-            ((p.predictor, p.response), d) for p, d in all_directed_pair_distances(self.three_omics())
-        )
-        d_ab = pairs[("mirna", "gene_expression")]
-        d_ba = pairs[("gene_expression", "mirna")]
-        assert d_ab.shape == d_ba.shape
-        # same sample geometry either way: both symmetric, zero diagonal
-        assert np.allclose(d_ab, d_ab.T)
-        assert np.allclose(np.diag(d_ba), 0.0)
+    def test_reverse_pairs_hold_the_forward_arrays(self):
+        pairs = all_directed_pair_distances(self.three_omics())
+        by_pair = {(p.predictor, p.response): d for p, d in pairs}
+        for (p, r), d in by_pair.items():
+            assert by_pair[r, p] is d
+        assert len({id(d) for d in by_pair.values()}) == 3
 
     def test_each_block_whitened_once(self, monkeypatch):
+        """Three whitenings and three fits; each forward pair's distances
+        are a standalone fit's bit for bit, and its reverse pair holds the
+        same array."""
         omics = self.three_omics()
         by_kind = {m.kind: m for m in omics}
-        whitened = []
-        whiten = cca._center_and_whiten
+        whitened, fitted = [], []
+        whiten, fit = cca._center_and_whiten, cca._fit_whitened
 
-        def counting(block, name):
+        def counting_whiten(block, name):
             whitened.append(name)
             return whiten(block, name)
 
-        monkeypatch.setattr(cca, "_center_and_whiten", counting)
+        def counting_fit(ux, uy):
+            fitted.append((ux, uy))
+            return fit(ux, uy)
+
+        monkeypatch.setattr(cca, "_center_and_whiten", counting_whiten)
+        monkeypatch.setattr(cca, "_fit_whitened", counting_fit)
         pairs = all_directed_pair_distances(omics)
         assert sorted(whitened) == ["gene_expression", "methylation", "mirna"]
-        for pair, d in pairs:
+        assert len(fitted) == 3
+        for (pair, d), (reverse, d_reverse) in zip(pairs[::2], pairs[1::2]):
             alone = cca_fit(by_kind[pair.predictor].values, by_kind[pair.response].values)
             assert np.array_equal(d, canonical_distance_matrix(alone))
+            assert (reverse.predictor, reverse.response) == (pair.response, pair.predictor)
+            assert d_reverse is d
 
     def test_misaligned_samples_raise(self):
         omics = self.three_omics()

@@ -196,6 +196,8 @@ def test_fusion_stage_report(pipeline_out):
         diffs = np.diff(np.asarray(st["objective_trace"]))
         assert np.all(diffs <= 1e-9)
     assert stages["stage3"]["eigenvector_count"] == 3
+    # one weight per view: 3 intra, 6 directed inter, 2 re-kernelized
+    assert [len(stages[key]["alpha"]) for key in ("stage1", "stage2", "stage3")] == [3, 6, 2]
 
 
 def test_survival_report_content(pipeline_out):

@@ -575,6 +575,19 @@ def test_working_set_is_bounded():
     assert (peak - base) / (n * n * 8) < 10.5
 
 
+def test_inputs_are_left_alone():
+    """A three-stage fusion and its candidates write no bit of their inputs,
+    so inter views that share one buffer, as a directed pair and its reverse
+    do, stay what they were."""
+    n = 24
+    intra, forward = planted_affinities(n, 3, 5), planted_affinities(n, 3, 6)
+    inter = [a for a in forward for _ in range(2)]  # each reverse view is the forward array
+    before = [a.tobytes() for a in intra + forward]
+    res = three_stage_fuse(intra, inter, cluster_count=3, stage3_k2_range=(2, 8))
+    list(res.iter_candidates())
+    assert [a.tobytes() for a in intra + forward] == before
+
+
 def test_no_network_aliases_a_reused_buffer():
     """The S of every stage and of every candidate is its own array, and
     fusing more candidates changes neither them nor the shared start."""

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from omicsfuse import fusion, pipeline
+from omicsfuse import cca, fusion, pipeline
 from omicsfuse.clustering import Partition, kmeans_pp, sweep_k2_metrics
 from omicsfuse.errors import AlignmentError, DegenerateInputError
 from omicsfuse.numkernel import sym_eig
@@ -165,6 +165,39 @@ def test_unlabeled_run_fuses_one_stage3_candidate(dataset, monkeypatch):
     assert stage3_calls == [res.fusion.selected_k2]
     assert [c.k2 for c in res.fusion.candidates] == list(range(2, 11))
     assert len(stage3_calls) == 9
+
+
+def test_each_block_pair_is_fitted_and_kernelized_once(dataset, monkeypatch):
+    """Three CCA fits and eight kernels (3 intra, 3 inter, 2 re-kernelized)
+    a run; the six inter labels stay, in canonical order, and each reverse
+    label holds its forward pair's affinity; stage 2 still fuses six views."""
+    mats, _, recs = dataset
+    calls = {"fits": 0, "kernels": 0}
+    views = []
+    fit, kernel, fuse = cca._fit_whitened, pipeline.affinity_from_distance, fusion.fuse_affinities
+
+    def counting_fit(ux, uy):
+        calls["fits"] += 1
+        return fit(ux, uy)
+
+    def counting_kernel(d, *args):
+        calls["kernels"] += 1
+        return kernel(d, *args)
+
+    def counting_fuse(affinities, *args, **kwargs):
+        views.append(len(affinities))
+        return fuse(affinities, *args, **kwargs)
+
+    monkeypatch.setattr(cca, "_fit_whitened", counting_fit)
+    monkeypatch.setattr(pipeline, "affinity_from_distance", counting_kernel)
+    monkeypatch.setattr(fusion, "affinity_from_distance", counting_kernel)
+    monkeypatch.setattr(fusion, "fuse_affinities", counting_fuse)
+    res = run_pipeline(mats, recs, config=CONFIG)
+    assert calls == {"fits": 3, "kernels": 8}
+    assert list(res.inter_affinities) == [f"{p}__to__{r}" for p, r in cca.DIRECTED_PAIR_ORDER]
+    for p, r in cca.DIRECTED_PAIR_ORDER:
+        assert res.inter_affinities[f"{p}__to__{r}"] is res.inter_affinities[f"{r}__to__{p}"]
+    assert views == [3, 6, 2] and len(res.fusion.stage2.state.alpha) == 6
 
 
 def _watch_candidates(monkeypatch, selected_k2):
