@@ -220,7 +220,7 @@ def _uniform_start(affs: list[np.ndarray], c: int) -> tuple[np.ndarray, np.ndarr
     buf, tmp = np.empty_like(affs[0]), np.empty_like(affs[0])
     # tmp holds each weighted view, then the projection's cumulative sums
     s = backend.project_rows(_weighted_sum_into(buf, tmp, alpha, affs), tmp)
-    _, f = numkernel._bottom_eigh(_laplacian_into(buf, _sym_into(buf, s)), c)
+    _, f = numkernel.sym_eig(_laplacian_into(buf, _sym_into(buf, s)), c)
     return s, f
 
 
@@ -290,7 +290,7 @@ def fuse_affinities(
         _sym_into(s_sym, s)
 
         # F: c bottom eigenvectors of I - sym(S), exactly symmetric already
-        _, f = numkernel._bottom_eigh(_laplacian_into(w, s_sym), config.c)
+        _, f = numkernel.sym_eig(_laplacian_into(w, s_sym), config.c)
         np.einsum("ik,jk->ij", f, f, out=ff)
 
         # alpha: entropic closed form

@@ -3,7 +3,9 @@ chi-square survival function.
 
 Thin wrappers over numpy.linalg, scipy.linalg (the partial symmetric
 eigensolve) and scipy.special, with a stable error taxonomy so callers
-never touch their exceptions directly.
+never touch their exceptions directly.  ``sym_eig``, the one
+eigensolver, keeps LAPACK's contract: its input must be symmetric, one
+triangle is read, and its buffer is overwritten.
 """
 
 from __future__ import annotations
@@ -42,14 +44,15 @@ def svd_thin(a: np.ndarray) -> SvdFactors:
 
 
 def sym_eig(a: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
-    """The c smallest eigenpairs of the symmetrized (a + a.T)/2.
+    """The c smallest eigenpairs of the symmetric matrix ``a``.
 
     Only the c requested pairs are computed (LAPACK's MRRR routine
     ``dsyevr``).  Returns (values, vectors) with values ascending and
     vectors in columns.  Non-finite entries raise NumericalFailure.
 
-    The symmetrized matrix is written into one new C-ordered buffer, which
-    ``_bottom_eigh`` hands to LAPACK; ``a`` is left alone.
+    ``a`` must be symmetric: only one triangle is read.  LAPACK gets
+    ``a.T``, which for a C-ordered float64 ``a`` is an F-contiguous view
+    that the wrapper takes without a copy, and overwrites its buffer.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -57,28 +60,14 @@ def sym_eig(a: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
     n = a.shape[0]
     if not 1 <= c <= n:
         raise ValueError(f"sym_eig: c={c} outside [1, {n}]")
-    sym = np.add(a, a.T, out=np.empty((n, n)))
-    sym *= 0.5
-    return _bottom_eigh(sym, c)
-
-
-def _bottom_eigh(sym: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
-    """``sym_eig`` of a C-ordered float64 matrix that is already exactly
-    symmetric, computed in its buffer, which is overwritten.
-
-    LAPACK gets the transpose: the F-contiguous view of the same matrix,
-    which the wrapper takes without a copy.  The fusion loop calls this
-    directly on I - sym(S), where symmetrizing again would change no bit.
-    """
-    n = sym.shape[0]
-    if not np.all(np.isfinite(sym)):
+    if not np.all(np.isfinite(a)):
         raise NumericalFailure(f"eigendecomposition of a {n}x{n} matrix with non-finite entries")
     # imported here to keep scipy.linalg off the `import omicsfuse` path
     from scipy import linalg
 
     try:
         return linalg.eigh(
-            sym.T, subset_by_index=[0, c - 1], driver="evr",
+            a.T, subset_by_index=[0, c - 1], driver="evr",
             overwrite_a=True, check_finite=False,
         )
     except linalg.LinAlgError as exc:  # the class of np.linalg.LinAlgError

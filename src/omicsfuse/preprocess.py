@@ -184,7 +184,7 @@ def knn_impute(x: OmicsMatrix, k: int | None = None) -> tuple[OmicsMatrix, int]:
     values = x.values.copy()
     incomplete = np.flatnonzero(x.missing_mask.any(axis=1))
     if incomplete.size:
-        dists = backend.masked_pairwise_dists(np.where(observed, x.values, 0.0), observed)
+        dists = backend.masked_pairwise_dists(x.values, observed)
         # each incomplete sample's donors, nearest first, ties by index
         orders = np.argsort(dists[incomplete], axis=1, kind="stable")
         del dists

@@ -648,6 +648,19 @@ def project_rows_allocating(v: np.ndarray) -> np.ndarray:
     return np.maximum(u, 0.0, out=u)
 
 
+def sym_eig_symmetrizing(a: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """The c smallest eigenpairs of (a + a') / 2, written into a new buffer
+    that LAPACK overwrites, so ``a`` is left alone: what the package's
+    eigensolver did before it took symmetric input as it is."""
+    from scipy import linalg
+
+    a = np.asarray(a, dtype=np.float64)
+    sym = np.add(a, a.T, out=np.empty(a.shape))
+    sym *= 0.5
+    return linalg.eigh(sym.T, subset_by_index=[0, c - 1], driver="evr",
+                       overwrite_a=True, check_finite=False)
+
+
 def logrank_test_loop(labels, times, events) -> tuple[float, float, np.ndarray, np.ndarray]:
     """The k-group log-rank test one event time at a time, as the package
     computed it before its sums ran along time: (chi2, p, observed counts,

@@ -588,6 +588,26 @@ def test_inputs_are_left_alone():
     assert [a.tobytes() for a in intra + forward] == before
 
 
+def test_twin_views_fuse_as_three_networks():
+    """Stage 2's six views are three networks, each given twice.  Fusing
+    the six gives the gamma, sweeps, S and pair-summed alpha of fusing the
+    three, and each twin's entropy term counts alpha / 2, so the objective
+    is lower by gamma log 2 at every sweep."""
+    n = 40
+    three = planted_affinities(n, 3, 2)
+    six = [a for a in three for _ in range(2)]  # each reverse view is the forward array
+    k2 = n - 2  # the top of stage 2's default range
+    got = fusion._fusion_step(six, 3, "six", k2).fuse(k2)
+    ref = fusion._fusion_step(three, 3, "three", k2).fuse(k2)
+    assert got.gamma == ref.gamma
+    assert len(got.state.objective_trace) == len(ref.state.objective_trace)
+    np.testing.assert_allclose(got.s, ref.s, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(got.state.alpha.reshape(3, 2).sum(axis=1), ref.state.alpha,
+                               rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(ref.state.objective_trace,
+                               got.state.objective_trace + ref.gamma * np.log(2.0), rtol=1e-12)
+
+
 def test_no_network_aliases_a_reused_buffer():
     """The S of every stage and of every candidate is its own array, and
     fusing more candidates changes neither them nor the shared start."""
@@ -614,7 +634,7 @@ def test_no_network_aliases_a_reused_buffer():
 SINGLE_POOL_FUNCTIONS = {
     fusion: ("fuse_affinities", "_objective", "_inner_products", "_weighted_sum_into",
              "_sym_into", "_laplacian_into"),
-    numkernel: ("_bottom_eigh",),
+    numkernel: ("sym_eig",),
     backend: ("project_rows", "lloyd", "_sq_dists_to"),
     clustering: ("_dsq_seed",),
 }

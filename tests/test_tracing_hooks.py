@@ -6,7 +6,9 @@ renamed function would silently drop its per-layer metrics.  Only the
 names are checked: installing the hooks would rebind the package's
 functions for the rest of the test session.  The tracer tells the fusion
 stages apart by their view counts, so a change to the number of views of
-a stage would mislabel the per-stage times.
+a stage would mislabel the per-stage times.  The tracer counts the calls
+of a few kernels through their module attributes, so a caller that
+reaches a kernel some other way would make its count read zero.
 """
 
 import importlib
@@ -17,6 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from omicsfuse import fusion
+from omicsfuse.pipeline import PipelineConfig, run_pipeline
+from omicsfuse.synthgen import SynthSpec, generate
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -55,3 +59,27 @@ def test_fusion_view_counts_name_the_stages(monkeypatch):
     assert views == [3, 6, 2]
     assert [stage_by_views[v] for v in views] == [
         "fusion.stage1", "fusion.stage2", "fusion.stage3"]
+
+
+def test_every_call_counted_kernel_is_reached(monkeypatch):
+    """A small labeled run calls each kernel the tracer counts through the
+    module attribute it wraps, and the eigensolver once per fusion start
+    and once per sweep: stages 1 and 2 and every stage-3 candidate."""
+    counts = {}
+    for name in _load_tracing(monkeypatch).CALL_COUNTED_SPANS:
+        module, attr = name.rsplit(".", 1)
+        module = importlib.import_module(f"omicsfuse.{module}")
+        counts[name] = 0
+
+        def counting(*args, _fn=getattr(module, attr), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counting)
+    mats, labels, records = generate(SynthSpec(n=36, k=3, dims=(12, 10, 11),
+                                               missing_rate=0.05, seed=1))
+    res = run_pipeline(mats, records, labels, PipelineConfig(clusters=3, stage3_k2=(2, 10)))
+    assert all(count > 0 for count in counts.values()), counts
+    assert all(row.error is None for row in res.metrics_rows)
+    sweeps = sum(len(st.state.objective_trace) - 1 for st in (res.fusion.stage1, res.fusion.stage2))
+    assert counts["numkernel.sym_eig"] == 3 + sweeps + sum(row.n_iter for row in res.metrics_rows)
