@@ -176,14 +176,15 @@ def gamma_from_neighbors(d: np.ndarray, k2: int) -> float:
 # call BLAS.
 
 
-def _objective(ips, fro2, s, s_sym, f, ff, alpha, beta, lam, gamma):
+def _objective(ips, fro2, s, s_sym, f, ff, alpha, gamma):
     """Objective from the step's products: ips[l] = <A_l, S>,
     fro2[l] = ||A_l||_F^2, s_sym = sym(S), ff = F F'."""
     fit = sum(a_l * ip for a_l, ip in zip(alpha, ips))
     quad = 0.5 * float(np.sum(alpha * fro2))
     trace_term = float(np.einsum("ij,ij->", f, f) - np.einsum("ij,ij->", ff, s_sym))
     ent = float(np.sum(np.where(alpha > 0.0, alpha * np.log(np.maximum(alpha, 1e-300)), 0.0)))
-    return -fit + quad + beta * float(np.einsum("ij,ij->", s, s)) + lam * trace_term + gamma * ent
+    ss = float(np.einsum("ij,ij->", s, s))
+    return -fit + quad + gamma * ss + gamma * trace_term + gamma * ent
 
 
 def _weighted_sum_into(w, scratch, alpha, affs):
@@ -267,9 +268,7 @@ def fuse_affinities(
             raise ValueError(f"start must be an {n}x{n} network and an {n}x{config.c} factor")
 
     L = len(affs)
-    beta = config.gamma
-    lam = config.gamma
-    gamma = config.gamma
+    gamma = config.gamma  # the paper's beta = lam = gamma
     fro2 = np.array([float(np.einsum("ij,ij->", a, a)) for a in affs])
 
     alpha = np.full(L, 1.0 / L)
@@ -278,13 +277,13 @@ def fuse_affinities(
     ff = np.einsum("ik,jk->ij", f, f)
     ips = _inner_products(affs, s)
 
-    trace = [_objective(ips, fro2, s, s_sym, f, ff, alpha, beta, lam, gamma)]
+    trace = [_objective(ips, fro2, s, s_sym, f, ff, alpha, gamma)]
     converged = False
     for it in range(MAX_ITER):
-        # S rows: argmin beta||s||^2 - <w, s> over the simplex
+        # S rows: argmin gamma||s||^2 - <w, s> over the simplex
         _weighted_sum_into(w, s_sym, alpha, affs)
-        w += np.multiply(ff, lam, out=s_sym)
-        w /= 2.0 * beta
+        w += np.multiply(ff, gamma, out=s_sym)
+        w /= 2.0 * gamma
         s = None  # the previous S goes before the next one is made
         s = backend.project_rows(w, s_sym, ff)
         _sym_into(s_sym, s)
@@ -297,7 +296,7 @@ def fuse_affinities(
         ips = _inner_products(affs, s)
         alpha = closed_form_alpha(0.5 * fro2 - ips, gamma)
 
-        obj = _objective(ips, fro2, s, s_sym, f, ff, alpha, beta, lam, gamma)
+        obj = _objective(ips, fro2, s, s_sym, f, ff, alpha, gamma)
         if not np.isfinite(obj):
             raise NumericalFailure(f"fusion objective became non-finite at iteration {it + 1}")
         prev = trace[-1]
@@ -352,7 +351,9 @@ def _fusion_step(affs: list[np.ndarray], c: int, stage: str, hi: int) -> FusionS
     reads the first hi + 1 sorted distances of each row, so only those are
     kept."""
     try:
-        d = nearest_distances(check_distance_matrix(step_distance(affs)), hi + 1)
+        if not all(np.isfinite(a).all() for a in affs):
+            raise ValueError("affinity matrices must be finite")
+        d = nearest_distances(step_distance(affs), hi + 1)  # exactly a distance matrix
         return FusionStep(stage, affs, _uniform_start(affs, c), d, c)
     except (NumericalFailure, ValueError) as exc:
         raise type(exc)(f"{stage}: {exc}") from exc

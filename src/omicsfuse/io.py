@@ -103,13 +103,17 @@ def read_matrix_csv(path, kind: str = "other") -> OmicsMatrix:
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def write_survival_csv(path, records: list[SurvivalRecord]) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
+def _write_rows(path, header: list[str], rows) -> None:
+    """``header``, then each row of cells.  The writers perfbench's tracer
+    wraps call this, never one another, so each file is counted once."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_SURVIVAL_HEADER)
-        for rec in records:
-            writer.writerow([rec.sample_id, _fmt(rec.time), rec.event])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_survival_csv(path, records: list[SurvivalRecord]) -> None:
+    _write_rows(path, _SURVIVAL_HEADER, ([r.sample_id, _fmt(r.time), r.event] for r in records))
 
 
 def _survival_record(row: list[str]) -> SurvivalRecord:
@@ -126,15 +130,8 @@ def read_survival_csv(path) -> list[SurvivalRecord]:
 
 def write_labels_csv(path, sample_ids, labels) -> None:
     if len(sample_ids) != len(labels):
-        raise ValueError(
-            f"{len(sample_ids)} sample ids vs {len(labels)} labels"
-        )
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_LABELS_HEADER)
-        for sid, lab in zip(sample_ids, labels):
-            writer.writerow([sid, lab])
+        raise ValueError(f"{len(sample_ids)} sample ids vs {len(labels)} labels")
+    _write_rows(path, _LABELS_HEADER, zip(sample_ids, labels))
 
 
 def read_labels_csv(path) -> tuple[list[str], list[str]]:
@@ -154,24 +151,20 @@ def write_table_csv(path, header: list[str], rows, row_ids=None) -> None:
     ``row_ids``, ``rows`` is a 2-D float array and each line is a row id
     followed by that row's values, byte for byte as the generic path
     writes them."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        if row_ids is not None:
-            leads = _Lines()
-            lead_writer = csv.writer(leads)
-            for rid in row_ids:
-                lead_writer.writerow([rid, ""])  # the id quoted as a leading cell
-            line = ",".join(["%.12g"] * rows.shape[1]) + "\r\n"
-            for lead, row in zip(leads, rows.tolist()):
-                # lead ends ",\r\n"; NaN is an empty cell, as _fmt writes it
-                fh.write(lead[:-2] + (line % tuple(row)).replace("nan", ""))
-            return
-        for row in rows:
-            writer.writerow(
-                [_fmt(v) if isinstance(v, (float, np.floating)) else v for v in row]
-            )
+    if row_ids is None:
+        _write_rows(path, header, ([_fmt(v) if isinstance(v, (float, np.floating)) else v
+                                    for v in row] for row in rows))
+        return
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        leads = _Lines()
+        lead_writer = csv.writer(leads)
+        for rid in row_ids:
+            lead_writer.writerow([rid, ""])  # the id quoted as a leading cell
+        line = ",".join(["%.12g"] * rows.shape[1]) + "\r\n"
+        for lead, row in zip(leads, rows.tolist()):
+            # lead ends ",\r\n"; NaN is an empty cell, as _fmt writes it
+            fh.write(lead[:-2] + (line % tuple(row)).replace("nan", ""))
 
 
 def read_table_csv(path) -> tuple[list[str], list[list[str]]]:

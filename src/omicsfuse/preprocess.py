@@ -250,44 +250,39 @@ def zscore_standardize(x: OmicsMatrix) -> tuple[OmicsMatrix, list[str]]:
 # power transforms
 
 
-def _split(rows: np.ndarray, method: str) -> list[tuple]:
-    """Gather the entries of a (features, samples) array once per transform
-    branch, as (flat positions, entries per row, base, log term, mirrored).
-    An entry maps to (base**mu - 1) / mu with mu = lam, or to its log term
-    where mu == 0.  Box-Cox: base x, log x.  Yeo-Johnson: base |x| + 1,
-    log1p |x|; the x < 0 branch is mirrored: mu = 2 - lam, result negated."""
-    p, n = rows.shape
-    flat = rows.ravel()
+def _terms(rows: np.ndarray, method: str) -> tuple:
+    """(base, log term, sign) of each entry of a (features, samples) array:
+    at exponent mu it maps to sign * (base**mu - 1) / mu, or sign * log term
+    at mu == 0.  Box-Cox: x, log x, None (sign 1); mu = lam.  Yeo-Johnson:
+    |x| + 1, log1p |x|, -1 where x < 0 else 1; mu = 2 - lam where x < 0."""
     if method == "box_cox":
-        return [(np.arange(p * n), np.full(p, n), flat, np.log(flat), False)]
-    nonneg = flat >= 0.0
-    pos, neg = np.flatnonzero(nonneg), np.flatnonzero(~nonneg)
-    counts = nonneg.reshape(p, n).sum(axis=1)
-    xp, xn = flat[pos], -flat[neg]
-    return [(pos, counts, xp + 1.0, np.log1p(xp), False),
-            (neg, n - counts, xn + 1.0, np.log1p(xn), True)]
+        return rows, np.log(rows), None
+    sign = np.where(rows >= 0.0, 1.0, -1.0)
+    mag = rows * sign  # not np.abs: -0.0 keeps its sign in log1p
+    return mag + 1.0, np.log1p(mag), sign
 
 
-def _transform(parts: list[tuple], shape: tuple[int, int], lam) -> np.ndarray:
+def _transform(terms: tuple, lam) -> np.ndarray:
     """Transformed (features, samples) values at a scalar ``lam`` or at one
     exponent per feature."""
-    lam = np.broadcast_to(lam, shape[:1])
-    y = np.empty(shape)
-    for index, counts, base, log_term, mirrored in parts:
-        mu = 2.0 - lam if mirrored else lam
-        per = np.repeat(mu, counts)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.power(base, per)
-            # numpy's power takes these exact shortcuts for a scalar exponent;
-            # taking them per feature keeps its values independent of the batch
-            for e, shortcut in ((2.0, np.square), (0.5, np.sqrt), (-1.0, np.reciprocal)):
-                if np.any(mu == e):
-                    vals[per == e] = shortcut(base[per == e])
-            vals = (vals - 1.0) / per
-        zero = per == 0.0
-        vals[zero] = log_term[zero]
-        y.reshape(-1)[index] = -vals if mirrored else vals
-    return y
+    base, log_term, sign = terms
+    lam = np.broadcast_to(lam, base.shape[:1])[:, None]
+    # sign * lam + (1 - sign) is lam where sign is 1 and 2 - lam where it is -1
+    mu = np.broadcast_to(lam, base.shape) if sign is None else sign * lam + (1.0 - sign)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = np.power(base, mu)
+        # numpy's power takes these exact shortcuts for a scalar exponent;
+        # taking them per entry keeps its values independent of the batch.
+        # Mirrored entries test 2 - lam == e: lam == 2 - e misses tiny lam
+        for e, shortcut in ((2.0, np.square), (0.5, np.sqrt), (-1.0, np.reciprocal)):
+            if np.any(lam == e) or sign is not None and np.any(2.0 - lam == e):
+                at = mu == e
+                y[at] = shortcut(base[at])
+        y -= 1.0
+        y /= mu
+    zero = mu == 0.0
+    y[zero] = log_term[zero]
+    return y if sign is None else np.multiply(y, sign, out=y)
 
 
 def _transform_columns(x, lam, method: str) -> np.ndarray:
@@ -295,16 +290,16 @@ def _transform_columns(x, lam, method: str) -> np.ndarray:
     scalar ``lam`` or at one exponent per column."""
     x = np.asarray(x, dtype=np.float64)
     rows = np.ascontiguousarray(x.reshape(x.shape[0], -1).T)
-    y = _transform(_split(rows, method), rows.shape, lam)
+    y = _transform(_terms(rows, method), lam)
     return np.ascontiguousarray(y.T).reshape(x.shape)
 
 
-def _loglik(parts: list[tuple], shape, jac: np.ndarray, lam) -> np.ndarray:
+def _loglik(terms: tuple, jac: np.ndarray, lam) -> np.ndarray:
     """Gaussian profile log-likelihood of every feature at ``lam``; -inf
     where its transform is not finite."""
-    y = _transform(parts, shape, lam)
+    y = _transform(terms, lam)
     var = y.var(axis=1)  # MLE variance (n divisor)
-    ll = -0.5 * shape[1] * np.log(np.maximum(var, 1e-300)) + (lam - 1.0) * jac
+    ll = -0.5 * y.shape[1] * np.log(np.maximum(var, 1e-300)) + (lam - 1.0) * jac
     ll[~np.isfinite(y).all(axis=1)] = -np.inf
     return ll
 
@@ -354,7 +349,8 @@ def fit_power_transform(x: OmicsMatrix, method: str = "yeo_johnson") -> PowerTra
 
     All features are fitted at once; each likelihood evaluation takes one
     exponent per feature.  The golden-section searches run in lockstep,
-    and each feature stops when its own bracket is within GOLDEN_TOL."""
+    and each feature stops when its own bracket is within GOLDEN_TOL.  One
+    ``_terms`` serves every evaluation and the log Jacobian."""
     if method not in TRANSFORM_METHODS:
         raise ValueError(f"method must be one of {TRANSFORM_METHODS}, got {method!r}")
     if x.missing_mask.any():
@@ -364,18 +360,16 @@ def fit_power_transform(x: OmicsMatrix, method: str = "yeo_johnson") -> PowerTra
     lo, hi = LAMBDA_RANGE
     rows = np.ascontiguousarray(x.values.T)  # one feature per row
     with np.errstate(over="ignore", invalid="ignore"):
-        log_jac = np.log(rows) if method == "box_cox" else np.sign(rows) * np.log1p(np.abs(rows))
-        jac = log_jac.sum(axis=1)
-        parts = _split(rows, method)
-        probe = [_loglik(parts, rows.shape, jac, lam) for lam in np.linspace(lo, hi, 21)]
-        lambdas = _golden_lockstep(lambda lam: _loglik(parts, rows.shape, jac, lam),
+        terms = _, log_term, sign = _terms(rows, method)
+        jac = (log_term if sign is None else log_term * sign).sum(axis=1)  # log Jacobian
+        probe = [_loglik(terms, jac, lam) for lam in np.linspace(lo, hi, 21)]
+        lambdas = _golden_lockstep(lambda lam: _loglik(terms, jac, lam),
                                    lo, hi, rows.shape[0], GOLDEN_TOL)
         fallback = np.flatnonzero(~_unimodal(np.array(probe)))
         if fallback.size:
-            parts = _split(rows[fallback], method)
+            terms = _terms(rows[fallback], method)
             grid = np.linspace(lo, hi, GRID_POINTS)
-            scores = [_loglik(parts, (fallback.size, rows.shape[1]), jac[fallback], lam)
-                      for lam in grid]
+            scores = [_loglik(terms, jac[fallback], lam) for lam in grid]
             lambdas[fallback] = grid[np.argmax(scores, axis=0)]
     return PowerTransformParams(method=method, lambdas=lambdas, feature_ids=list(x.feature_ids),
                                 grid_fallbacks=int(fallback.size))

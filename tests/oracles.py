@@ -295,7 +295,8 @@ def logrank_permutation_p_fast(times, events, labels, n_perm: int, seed: int) ->
 
 # -- per-column power-transform fit and KNN imputation -----------------------
 # The column-at-a-time code the batched versions in omicsfuse.preprocess
-# replaced; the batched results must equal these bit for bit.
+# replaced, and the gathered-branch batched transform that came between;
+# the batched results must equal these bit for bit.
 
 POWER_LAMBDA_RANGE = (-5.0, 5.0)
 POWER_GOLDEN_TOL = 1e-4
@@ -395,6 +396,46 @@ def power_apply_columns(values: np.ndarray, lambdas: np.ndarray, method: str) ->
     for j in range(values.shape[1]):
         out[:, j] = column(values[:, j], float(lambdas[j]))
     return out
+
+
+def power_transform_gathered(rows: np.ndarray, lam, method: str) -> np.ndarray:
+    """The batched transform of a (features, samples) array that per-entry
+    terms replaced: each branch's entries are gathered into flat position
+    arrays with one repeated exponent per entry, transformed, and scattered
+    back.  ``lam`` is a scalar or one exponent per feature."""
+    p, n = rows.shape
+    flat = rows.ravel()
+    if method == "box_cox":
+        parts = [(np.arange(p * n), np.full(p, n), flat, np.log(flat), False)]
+    else:
+        nonneg = flat >= 0.0
+        pos, neg = np.flatnonzero(nonneg), np.flatnonzero(~nonneg)
+        counts = nonneg.reshape(p, n).sum(axis=1)
+        xp, xn = flat[pos], -flat[neg]
+        parts = [(pos, counts, xp + 1.0, np.log1p(xp), False),
+                 (neg, n - counts, xn + 1.0, np.log1p(xn), True)]
+    lam = np.broadcast_to(lam, (p,))
+    y = np.empty((p, n))
+    for index, counts, base, log_term, mirrored in parts:
+        mu = 2.0 - lam if mirrored else lam
+        per = np.repeat(mu, counts)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.power(base, per)
+            for e, shortcut in ((2.0, np.square), (0.5, np.sqrt), (-1.0, np.reciprocal)):
+                if np.any(mu == e):
+                    vals[per == e] = shortcut(base[per == e])
+            vals = (vals - 1.0) / per
+        zero = per == 0.0
+        vals[zero] = log_term[zero]
+        y.reshape(-1)[index] = -vals if mirrored else vals
+    return y
+
+
+def power_log_jacobian(rows: np.ndarray, method: str) -> np.ndarray:
+    """Per-feature log Jacobian of a (features, samples) array, as the
+    batched fit first wrote it."""
+    log_jac = np.log(rows) if method == "box_cox" else np.sign(rows) * np.log1p(np.abs(rows))
+    return log_jac.sum(axis=1)
 
 
 def knn_impute_cells(values: np.ndarray, missing: np.ndarray, dists: np.ndarray,

@@ -211,6 +211,16 @@ class TestStepDistance:
         affs = _affinities(30, count, count)
         assert_same_bits(step_distance(affs), step_distance_mean(affs))
 
+    @pytest.mark.parametrize("count", [1, 3, 6])
+    def test_is_its_own_checked_distance(self, count):
+        """The distance check hands the step distance back bit for bit, so
+        the fusion step reads it unchecked; a stage's fused S, which is not
+        symmetric, is one view too."""
+        views = _affinities(30, count, count + 20)
+        views[0] = np.random.default_rng(count).uniform(size=(30, 30))
+        d = step_distance(views)
+        assert_same_bits(check_distance_matrix(d), d)
+
     def test_inputs_are_left_alone(self):
         affs = _affinities(12, 3, 9)
         before = [a.copy() for a in affs]

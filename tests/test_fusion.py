@@ -417,12 +417,13 @@ class TestThreeStage:
 
     def test_stage_labels_on_errors(self):
         a, _ = planted_two_block(12)
-        bad = a.copy()
-        bad[0, 1] = np.nan
-        with pytest.raises(ValueError, match="stage 1"):
-            three_stage_fuse([bad, a, a], [a] * 6, cluster_count=2)
-        with pytest.raises(ValueError, match="stage 2"):
-            three_stage_fuse([a] * 3, [bad, a, a, a, a, a], cluster_count=2)
+        for value in (np.nan, np.inf, -np.inf):
+            bad = a.copy()
+            bad[0, 1] = value
+            with pytest.raises(ValueError, match="stage 1"):
+                three_stage_fuse([bad, a, a], [a] * 6, cluster_count=2)
+            with pytest.raises(ValueError, match="stage 2"):
+                three_stage_fuse([a] * 3, [bad, a, a, a, a, a], cluster_count=2)
 
     def test_empty_stage3_range(self):
         a, _ = planted_two_block(12)

@@ -1,14 +1,17 @@
 """Sparse filtering, KNN imputation, standardization, power transforms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from omicsfuse import backend
+from omicsfuse import backend, preprocess
 from omicsfuse.errors import DegenerateInputError, DomainError
 from omicsfuse.preprocess import (
+    TRANSFORM_METHODS,
     OmicsMatrix,
     PowerTransformParams,
     apply_power_transform,
@@ -18,6 +21,8 @@ from omicsfuse.preprocess import (
     knn_impute,
     zscore_standardize,
     _golden_lockstep,
+    _terms,
+    _transform,
     _transform_columns,
     _unimodal,
 )
@@ -28,6 +33,8 @@ from oracles import (
     knn_impute_cells,
     power_apply_columns,
     power_fit_columns,
+    power_log_jacobian,
+    power_transform_gathered,
 )
 
 
@@ -367,6 +374,94 @@ class TestBatchedFitMatchesColumns:
                   elements=st.floats(-20.0, 20.0, width=32)))
     def test_random_small_matrices(self, vals):
         assert_matches_columns(vals)
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def _power_rows(method):
+    """(features, samples) rows with signed zeros, rows of one sign and
+    mixed rows; strictly positive for Box-Cox."""
+    rng = np.random.default_rng(51)
+    rows = np.array([
+        [0.0, -0.0, 0.0, -0.0, 0.0, -0.0],
+        [0.0, 1.5, -0.0, -2.0, 0.3, -0.7],
+        -rng.exponential(size=6) - 0.1,
+        rng.exponential(size=6) + 0.1,
+        [-3.0, -0.0, -1e-300, -5.0, -0.5, -1.0],
+        [4.0, 0.0, 1e-300, 2.5, 0.5, 1.0],
+        rng.normal(scale=3.0, size=6),
+    ])
+    return np.abs(rows) + [[1e-300], [0.5], [1.0], [0.1], [2.0], [1e-3], [0.25]] \
+        if method == "box_cox" else rows
+
+
+def _exponents(p):
+    """Every exponent of the probe and fallback grids; per-feature vectors
+    holding each shortcut exponent e (and 0) next to 2 - e, so that both
+    Yeo-Johnson branches meet it; exponents within 1e-16 of 0."""
+    per_feature = [np.resize([e, 2.0 - e, 0.3], p) for e in (2.0, 0.5, -1.0, 0.0)]
+    return [*np.linspace(-5.0, 5.0, 21), *np.linspace(-5.0, 5.0, 101), *per_feature,
+            1e-17, -1e-17, np.resize([1e-17, -1e-17, 2.0, -0.0], p),
+            np.random.default_rng(52).uniform(-5.0, 5.0, p)]
+
+
+class TestPerEntryTerms:
+    """The transform of per-entry terms against the gathered-branch
+    transform it replaced, and the per-column reference, bit for bit."""
+
+    @pytest.mark.parametrize("method", TRANSFORM_METHODS)
+    def test_matches_the_gathered_transform(self, method):
+        rows = _power_rows(method)
+        terms = _terms(rows, method)
+        with np.errstate(over="ignore"):  # 1e-300 ** -5
+            for lam in _exponents(rows.shape[0]):
+                assert_same_bits(_transform(terms, lam),
+                                 power_transform_gathered(rows, lam, method))
+
+    @pytest.mark.parametrize("method", TRANSFORM_METHODS)
+    def test_fit_jacobian_matches_the_sign_log1p_expression(self, method, monkeypatch):
+        rows = _power_rows(method)
+        jacobians = []
+        loglik = preprocess._loglik
+
+        def spy(terms, jac, lam):
+            jacobians.append(jac)
+            return loglik(terms, jac, lam)
+
+        monkeypatch.setattr(preprocess, "_loglik", spy)
+        fit_power_transform(make_omics(rows.T), method)
+        assert_same_bits(jacobians[0], power_log_jacobian(rows, method))
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(arrays(np.float64, st.tuples(st.integers(3, 10), st.integers(1, 5)),
+                  elements=st.sampled_from([0.0, -0.0]) | st.floats(-20.0, 20.0, width=32)),
+           st.lists(st.booleans(), min_size=5, max_size=5),
+           st.sampled_from(TRANSFORM_METHODS))
+    def test_fit_and_apply_match_the_columns(self, vals, constant, method):
+        # a constant column's probe is rounding noise: it takes the grid
+        vals = vals.copy()
+        for j in np.flatnonzero(constant[:vals.shape[1]]):
+            vals[:, j] = vals[0, j]
+        assert_matches_columns(np.abs(vals) + 0.25 if method == "box_cox" else vals, method)
+
+    @pytest.mark.parametrize("method, bound", [("yeo_johnson", 7.7), ("box_cox", 6.0)])
+    def test_fit_working_set_is_bounded(self, method, bound):
+        """The fit's tracemalloc peak in copies of its 150 x 1800 input:
+        8.20 (Yeo-Johnson) and 9.11 (Box-Cox) with the gathered branches,
+        7.24 and 5.23 with per-entry terms."""
+        vals = np.random.default_rng(53).normal(size=(150, 1800))
+        m = make_omics(np.exp(vals) if method == "box_cox" else vals)
+        tracemalloc.start()
+        try:
+            fit_power_transform(m, method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / vals.nbytes < bound
 
 
 def test_knn_impute_matches_per_cell_reference():

@@ -8,7 +8,9 @@ functions for the rest of the test session.  The tracer tells the fusion
 stages apart by their view counts, so a change to the number of views of
 a stage would mislabel the per-stage times.  The tracer counts the calls
 of a few kernels through their module attributes, so a caller that
-reaches a kernel some other way would make its count read zero.
+reaches a kernel some other way would make its count read zero.  It counts
+a written file per call of a wrapped writer, so a writer that called
+another would count its file twice.
 """
 
 import importlib
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from omicsfuse import fusion
+from omicsfuse import cli, fusion
 from omicsfuse.pipeline import PipelineConfig, run_pipeline
 from omicsfuse.synthgen import SynthSpec, generate
 
@@ -83,3 +85,35 @@ def test_every_call_counted_kernel_is_reached(monkeypatch):
     assert all(row.error is None for row in res.metrics_rows)
     sweeps = sum(len(st.state.objective_trace) - 1 for st in (res.fusion.stage1, res.fusion.stage2))
     assert counts["numkernel.sym_eig"] == 3 + sweeps + sum(row.n_iter for row in res.metrics_rows)
+
+
+def test_each_written_file_is_counted_once(monkeypatch, tmp_path):
+    """The writers the tracer wraps for ``io.files_written``, rebound in
+    every ``omicsfuse`` module that binds them as the tracer rebinds them,
+    are called once per file of a labeled CLI run."""
+    writers = [getattr(importlib.import_module(module), attr)
+               for module, attr, span, *_ in _load_tracing(monkeypatch).HOOKS
+               if span == "io.write"]
+    calls = []
+    for original in writers:
+        def counting(*args, _fn=original, **kwargs):
+            calls.append(args[0])
+            return _fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "omicsfuse" or name.startswith("omicsfuse."):
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counting)
+    assert writers
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert cli.main(["synth", "--n", "36", "--k", "3", "--dims", "12,10,11", "--seed", "1",
+                     "--outdir", str(data)]) == 0
+    del calls[:]  # the inputs
+    assert cli.main(["pipeline", *(f"--{kind.replace('_', '-')}={data / kind}.csv"
+                                   for kind in ("gene_expression", "mirna", "methylation",
+                                                "survival", "labels")),
+                     "--clusters", "3", "--stage3-k2", "2,10", "--outdir", str(out)]) == 0
+    files = sorted(p for p in out.rglob("*") if p.is_file())
+    assert len(calls) == len(files) > 0
+    assert sorted(map(Path, calls)) == files
