@@ -13,8 +13,6 @@ import numpy as np
 from . import backend
 from .preprocess import OmicsMatrix, default_neighbor_count
 
-_ROW_BLOCK = 64  # rows per block of the symmetry check's bound
-
 
 def _as_values(x) -> np.ndarray:
     values = x.values if isinstance(x, OmicsMatrix) else np.asarray(x, dtype=np.float64)
@@ -48,8 +46,8 @@ def check_distance_matrix(d: np.ndarray) -> np.ndarray:
     # holds the symmetrized matrix, and the bound is taken in row blocks
     sym = np.subtract(d, d.T)
     np.abs(sym, out=sym)
-    for lo in range(0, d.shape[0], _ROW_BLOCK):
-        rows = slice(lo, lo + _ROW_BLOCK)
+    for lo in range(0, d.shape[0], backend.ROW_BLOCK):
+        rows = slice(lo, lo + backend.ROW_BLOCK)
         if not np.all(sym[rows] <= 1e-8 + 1e-5 * np.abs(d.T[rows])):
             raise ValueError("distance matrix must be symmetric")
     if np.any(np.abs(np.diag(d)) > 1e-12):

@@ -28,34 +28,39 @@ from __future__ import annotations
 import numpy as np
 
 
+ROW_BLOCK = 64  # rows per block where a kernel needs a row-wise temporary
+
+
 def project_rows(v: np.ndarray, css: np.ndarray | None = None,
-                 scratch: np.ndarray | None = None) -> np.ndarray:
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise Euclidean projection onto the probability simplex.
 
     Sort-based closed form: with u the row sorted descending and css its
     cumulative sum, the threshold is tau = (css[rho] - 1) / (rho + 1) for
     the largest rho with u[rho] + (1 - css[rho]) / (rho + 1) > 0.
 
-    u is sorted in place in a new negated copy of v, and the result is
-    written into u's buffer, which is returned.  The cumulative sums go
-    into ``css`` and the condition is evaluated in ``scratch``: float64
-    n x m C-ordered buffers the caller passes (the fusion loop passes two
-    it holds anyway) and whose contents are overwritten.  They are
-    allocated here when omitted.
+    u is sorted in a negated copy of v in ``out``, which then receives the
+    result, and the cumulative sums go into ``css``: float64 n x m C-ordered
+    buffers, allocated when omitted, and ``out`` must not share memory with
+    v.  The condition is taken ROW_BLOCK rows at a time: no n x m scratch.
     """
     v = np.asarray(v, dtype=np.float64)
+    if out is not None and np.shares_memory(out, v):
+        raise ValueError("project_rows: out must not share memory with v")
     n, m = v.shape
-    u = np.negative(v)
+    u = np.negative(v, out=out)
     u.sort(axis=1)
     np.negative(u, out=u)
     css = np.cumsum(u, axis=1, out=np.empty_like(u) if css is None else css)
     j = np.arange(1, m + 1, dtype=np.float64)
-    scratch = np.subtract(1.0, css, out=scratch)
-    np.divide(scratch, j, out=scratch)
-    np.add(u, scratch, out=scratch)
-    cond = scratch > 0.0
-    # cond[:, 0] is always True; find the last True per row.
-    rho = m - 1 - np.argmax(cond[:, ::-1], axis=1)
+    rho = np.empty(n, dtype=np.intp)
+    for lo in range(0, n, ROW_BLOCK):
+        rows = slice(lo, lo + ROW_BLOCK)
+        cond = np.subtract(1.0, css[rows])
+        np.divide(cond, j, out=cond)
+        np.add(u[rows], cond, out=cond)
+        # cond[:, 0] is always True; find the last True per row
+        rho[rows] = m - 1 - np.argmax(cond[:, ::-1] > 0.0, axis=1)
     tau = (css[np.arange(n), rho] - 1.0) / (rho + 1.0)
     np.subtract(v, tau[:, None], out=u)
     return np.maximum(u, 0.0, out=u)

@@ -54,16 +54,12 @@ def _dsq_seed(
     points: np.ndarray, sq_norms: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Distance-squared-weighted seeding of k initial centroids; distances
-    come from the cached row norms, clamped at 0, and are exactly 0 at each
-    chosen row."""
-    # scipy's BLAS, as in backend.lloyd; points is C-contiguous
-    from scipy.linalg import blas
-
+    come from the cached row norms through Lloyd's distance kernel, clamped
+    at 0, and are exactly 0 at each chosen row."""
     n = points.shape[0]
 
     def sq_dists_to(i: int) -> np.ndarray:
-        d2 = sq_norms + sq_norms[i] - 2.0 * blas.dgemv(1.0, points.T, points[i], trans=1)
-        np.maximum(d2, 0.0, out=d2)
+        d2 = backend._sq_dists_to(points, sq_norms, points[i][None, None, :]).reshape(n)
         d2[i] = 0.0
         return d2
 

@@ -77,21 +77,20 @@ class StageRecord:
 @dataclass
 class FusionStep:
     """What fusing one stage's networks reads at any k2: the affinities,
-    their shared start, their sorted step distances and the eigenvector
-    count ``c``.  ``stage`` prefixes its errors."""
+    their sorted step distances and the eigenvector count ``c``.  ``stage``
+    prefixes its errors."""
 
     stage: str
     affinities: list[np.ndarray]
-    start: tuple[np.ndarray, np.ndarray]
     sorted_distances: np.ndarray
     c: int
 
-    def fuse(self, k2: int) -> StageRecord:
-        """Fuse at k2 from the shared start; a numerical failure is recorded,
-        not raised."""
+    def fuse(self, k2: int, start: tuple[np.ndarray, np.ndarray] | None = None) -> StageRecord:
+        """Fuse at k2 from ``start``, the fusion's own start when omitted; a
+        numerical failure is recorded, not raised."""
         gamma = max(_gap_scale(self.sorted_distances, k2), GAMMA_FLOOR)
         try:
-            state = fuse_affinities(self.affinities, FusionConfig(self.c, gamma), start=self.start)
+            state = fuse_affinities(self.affinities, FusionConfig(self.c, gamma), start=start)
         except NumericalFailure as exc:
             return StageRecord(k2, gamma, None, error=f"{self.stage} k2={k2}: {exc}")
         return StageRecord(k2, gamma, state)
@@ -126,13 +125,16 @@ class ThreeStageResult:
 
     def iter_candidates(self) -> Iterator[StageRecord]:
         """The stage-3 candidates in k2 order, each fused when reached; the
-        last is ``stage3``.  Reads the cached list instead once
-        ``candidates`` has built it."""
+        last is ``stage3``, and the others share one start, let go after
+        them.  Reads the cached list instead once ``candidates`` built it."""
         if self._candidates is not None:
             yield from self._candidates
             return
-        for k2 in range(self.stage3_lo, self.stage3.k2):
-            yield self.step3.fuse(k2)
+        if self.stage3_lo < self.stage3.k2:
+            start = _uniform_start(self.step3.affinities, self.step3.c)
+            for k2 in range(self.stage3_lo, self.stage3.k2):
+                yield self.step3.fuse(k2, start)
+            del start
         yield self.stage3
 
     @property
@@ -218,9 +220,10 @@ def _uniform_start(affs: list[np.ndarray], c: int) -> tuple[np.ndarray, np.ndarr
     row-projected uniform-weight mean affinity S and the c bottom
     eigenvectors F of I - sym(S)."""
     alpha = np.full(len(affs), 1.0 / len(affs))
-    buf, tmp = np.empty_like(affs[0]), np.empty_like(affs[0])
-    # tmp holds each weighted view, then the projection's cumulative sums
-    s = backend.project_rows(_weighted_sum_into(buf, tmp, alpha, affs), tmp)
+    # S is made first, so the fusion reuses the buffers above it; tmp holds
+    # each weighted view, then the projection's cumulative sums
+    s, buf, tmp = (np.empty_like(affs[0]) for _ in range(3))
+    s = backend.project_rows(_weighted_sum_into(buf, tmp, alpha, affs), tmp, s)
     _, f = numkernel.sym_eig(_laplacian_into(buf, _sym_into(buf, s)), c)
     return s, f
 
@@ -238,16 +241,16 @@ def fuse_affinities(
     alternating minimization.
 
     ``start`` is the (S, F) pair ``_uniform_start`` returns for the same
-    affinities and ``config.c``; it is computed here when omitted, so
-    callers fusing the same affinities under several configs can share it.
+    affinities and ``config.c``.  It is never written, so callers fusing the
+    same affinities under several configs can share it; when omitted it is
+    built here and let go at the first S-step.
 
-    The loop reuses three n x n buffers: ``w`` holds the S-step target and
-    then I - sym(S), which the F-step's eigensolve overwrites; ``s_sym``
-    also serves as the scratch of the S-step sum and as the simplex
-    projection's cumulative sums; and ``ff`` holds F F' and serves as the
-    projection's scratch.  Each S-step returns a new S, and the previous
-    one is let go before it projects, so the returned S aliases no buffer
-    and the shared start is never written.
+    The loop runs in three n x n buffers with fixed roles.  ``s_sym`` holds
+    sym(S), the S-step sum's scratch and the projection's cumulative sums;
+    ``ff`` holds F F', then the S-step target, then I - sym(S) for the
+    eigensolve to overwrite; ``buf``, made at the first S-step, holds gamma
+    F F', then S.  Fixed roles keep the returned S at one place in the heap:
+    with two buffers taking turns, a run's peak RSS followed the sweep counts.
     """
     if len(affinities) < 1:
         raise ValueError("need at least one affinity matrix")
@@ -260,32 +263,30 @@ def fuse_affinities(
             raise ValueError("affinity matrices must be finite")
     if config.c > n:
         raise ValueError(f"c={config.c} exceeds sample count {n}")
-    if start is None:
-        s, f = _uniform_start(affs, config.c)
-    else:
-        s, f = start
-        if s.shape != (n, n) or f.shape != (n, config.c):
-            raise ValueError(f"start must be an {n}x{n} network and an {n}x{config.c} factor")
+    s, f = _uniform_start(affs, config.c) if start is None else start
+    if s.shape != (n, n) or f.shape != (n, config.c):
+        raise ValueError(f"start must be an {n}x{n} network and an {n}x{config.c} factor")
 
     L = len(affs)
     gamma = config.gamma  # the paper's beta = lam = gamma
     fro2 = np.array([float(np.einsum("ij,ij->", a, a)) for a in affs])
 
     alpha = np.full(L, 1.0 / L)
-    w = np.empty((n, n))
     s_sym = _sym_into(np.empty((n, n)), s)
     ff = np.einsum("ik,jk->ij", f, f)
     ips = _inner_products(affs, s)
 
     trace = [_objective(ips, fro2, s, s_sym, f, ff, alpha, gamma)]
     converged = False
+    buf = None
     for it in range(MAX_ITER):
         # S rows: argmin gamma||s||^2 - <w, s> over the simplex
-        _weighted_sum_into(w, s_sym, alpha, affs)
-        w += np.multiply(ff, gamma, out=s_sym)
+        s = None  # a start built here goes before buf is made
+        buf = np.multiply(ff, gamma, out=buf)
+        w = _weighted_sum_into(ff, s_sym, alpha, affs)  # into F F''s buffer, read above
+        w += buf
         w /= 2.0 * gamma
-        s = None  # the previous S goes before the next one is made
-        s = backend.project_rows(w, s_sym, ff)
+        s = backend.project_rows(w, s_sym, out=buf)
         _sym_into(s_sym, s)
 
         # F: c bottom eigenvectors of I - sym(S), exactly symmetric already
@@ -354,7 +355,7 @@ def _fusion_step(affs: list[np.ndarray], c: int, stage: str, hi: int) -> FusionS
         if not all(np.isfinite(a).all() for a in affs):
             raise ValueError("affinity matrices must be finite")
         d = nearest_distances(step_distance(affs), hi + 1)  # exactly a distance matrix
-        return FusionStep(stage, affs, _uniform_start(affs, c), d, c)
+        return FusionStep(stage, affs, d, c)
     except (NumericalFailure, ValueError) as exc:
         raise type(exc)(f"{stage}: {exc}") from exc
 

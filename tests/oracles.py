@@ -758,3 +758,30 @@ def knn_impute_rows(values: np.ndarray, missing: np.ndarray, dists: np.ndarray,
         for f in feats[~full]:
             out[i, f] = values[order[observed[order, f]], f].mean()
     return out
+
+
+def dsq_seed_dgemv(points: np.ndarray, sq_norms: np.ndarray, k: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding with each point's distances from one BLAS dgemv:
+    the seeding before it shared Lloyd's one-column dgemm kernel."""
+    from scipy.linalg import blas
+
+    n = points.shape[0]
+
+    def sq_dists_to(i: int) -> np.ndarray:
+        d2 = sq_norms + sq_norms[i] - 2.0 * blas.dgemv(1.0, points.T, points[i], trans=1)
+        np.maximum(d2, 0.0, out=d2)
+        d2[i] = 0.0
+        return d2
+
+    idx = [int(rng.integers(n))]
+    d2 = sq_dists_to(idx[0])
+    while len(idx) < k:
+        total = d2.sum()
+        if total > 0.0:
+            nxt = int(rng.choice(n, p=d2 / total))
+        else:
+            nxt = int(rng.integers(n))
+        idx.append(nxt)
+        d2 = np.minimum(d2, sq_dists_to(nxt))
+    return points[np.asarray(idx)]

@@ -102,21 +102,42 @@ class TestProjectRows:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_caller_buffers_give_the_allocating_bits(self, seed):
-        """Cumulative sums and condition scratch in buffers the caller
-        passes, holding garbage and reused across calls, give the bits of
-        the projection with arrays of its own."""
+        """Cumulative sums and result in buffers the caller passes, holding
+        garbage and reused across calls, give the bits of the projection
+        with arrays of its own."""
         rng = np.random.default_rng(20 + seed)
         m = int(rng.integers(1, 50))
-        css, scratch = np.full((m, m), np.nan), np.full((m, m), -np.inf)
+        css, buf = np.full((m, m), np.nan), np.full((m, m), -np.inf)
         for _ in range(2):
             v = rng.normal(scale=2.0, size=(m, m))
-            out = project_rows(v, css, scratch)
+            out = project_rows(v, css, buf)
+            assert out is buf
             assert_same_bits(out, project_rows_allocating(v))
             assert_same_bits(out, project_rows_sorted(v))
-            assert not np.shares_memory(out, css) and not np.shares_memory(out, scratch)
+            assert not np.shares_memory(out, css)
         v = _signed_zero_rows()
         assert_same_bits(project_rows(v, np.empty_like(v), np.empty_like(v)),
                          project_rows_allocating(v))
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_row_blocks_give_the_allocating_bits(self, n):
+        """The condition, taken 64 rows at a time, picks the threshold of the
+        whole-matrix condition on every row: random rows, rounded rows full
+        of ties, and rows of signed zeros, with the result in ``out``."""
+        rng = np.random.default_rng(n)
+        zeros = np.resize(_signed_zero_rows(), (n, 4))
+        for v in (rng.normal(scale=2.0, size=(n, 70)),
+                  np.round(rng.normal(size=(n, 40))), zeros):
+            out = np.full_like(v, np.nan)
+            assert project_rows(v, np.full_like(v, -np.inf), out=out) is out
+            assert_same_bits(out, project_rows_allocating(v))
+            assert_same_bits(project_rows(v, out=np.empty_like(v)), project_rows_allocating(v))
+
+    def test_out_aliasing_the_input_is_refused(self):
+        v = np.random.default_rng(5).normal(size=(6, 6))
+        for alias in (v, v[:], v.T, v.reshape(-1).reshape(6, 6)):
+            with pytest.raises(ValueError, match="out must not share memory"):
+                project_rows(v, out=alias)
 
 
 class TestOffDiagonal:

@@ -1,15 +1,20 @@
 """Command-line interface: subcommands, artifacts, exit codes, determinism."""
 
+import contextlib
 import dataclasses
 import filecmp
+import io
 import re
 import subprocess
 import sys
+import tempfile
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omicsfuse import cli, fusion
 from omicsfuse.cca import DIRECTED_PAIR_ORDER
@@ -403,10 +408,10 @@ def test_pipeline_streams_the_candidates(tmp_path, data_dir, pipeline_out, monke
     refs, peak = [], [0]
     fuse = fusion.FusionStep.fuse
 
-    def watching_fuse(step, k2):
+    def watching_fuse(step, k2, start=None):
         if len(step.affinities) == 2:
             peak[0] = max(peak[0], sum(ref() is not None for ref in refs))
-        record = fuse(step, k2)
+        record = fuse(step, k2, start)
         if len(step.affinities) == 2 and k2 != 10:  # 10: the selected candidate
             refs.append(weakref.ref(record.state))
         return record
@@ -430,10 +435,10 @@ def test_pipeline_streams_the_candidates(tmp_path, data_dir, pipeline_out, monke
 def test_failed_candidate_gets_a_row_and_no_file(tmp_path, data_dir, monkeypatch):
     fuse = fusion.FusionStep.fuse
 
-    def failing_fuse(step, k2):
+    def failing_fuse(step, k2, start=None):
         if len(step.affinities) == 2 and k2 == 4:
             return fusion.StageRecord(k2, 0.5, None, error=f"stage 3 candidate k2={k2}: boom")
-        return fuse(step, k2)
+        return fuse(step, k2, start)
 
     monkeypatch.setattr(fusion.FusionStep, "fuse", failing_fuse)
     out = tmp_path / "out"
@@ -511,6 +516,64 @@ def test_input_fault_exit_codes(tmp_path, data_dir, capsys, fault):
                                                                str(bad)]) == code
     err = capsys.readouterr().err
     assert str(bad) + message in err if code else err == ""
+
+
+# malformation -> documented exit code: 1 unparseable input, 2 sample
+# alignment, 4 i/o
+MALFORMATIONS = {"text_cell": 1, "inf_cell": 1, "extra_cell": 1, "missing_cell": 1,
+                 "invalid_utf8": 1, "duplicate_id": 2, "unknown_id": 2, "missing_file": 4,
+                 "bad_event": 1, "nonpositive_time": 1}
+SURVIVAL_ONLY = ("bad_event", "nonpositive_time")
+PREFIX_BY_EXIT_CODE = {1: "omicsfuse: error: ", 2: "omicsfuse: alignment error: ",
+                       4: "omicsfuse: i/o error: "}
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, database=None)
+def test_malformed_inputs_exit_with_their_code_and_write_nothing(data_dir, data):
+    """One random malformation of one random cell, row or file of one input
+    makes the pipeline exit with the fault's documented code and message,
+    and write no artifact."""
+    kind = data.draw(st.sampled_from(["gene_expression", "mirna", "methylation", "survival"]))
+    fault = data.draw(st.sampled_from(
+        [f for f in MALFORMATIONS if kind == "survival" or f not in SURVIVAL_ONLY]))
+    lines = (data_dir / f"{kind}.csv").read_text(encoding="utf-8").splitlines()
+    row = data.draw(st.integers(1, len(lines) - 1))
+    cells = lines[row].split(",")
+    col = data.draw(st.integers(1, len(cells) - 1))
+    if fault == "text_cell":
+        cells[col] = "x" + data.draw(st.text("abe_ -", max_size=4))
+    elif fault == "inf_cell":
+        cells[col] = data.draw(st.sampled_from(["inf", "-inf", "Infinity", "-INF"]))
+    elif fault == "extra_cell":
+        cells.insert(col, data.draw(st.sampled_from(["", "7", "x"])))
+    elif fault == "missing_cell":
+        del cells[col]
+    elif fault == "invalid_utf8":
+        cells[col] += "\udcff"  # written as the byte 0xff
+    elif fault == "duplicate_id":
+        other = data.draw(st.integers(1, len(lines) - 1).filter(lambda r: r != row))
+        cells[0] = lines[other].split(",")[0]
+    elif fault == "unknown_id":
+        cells[0] = f"x{data.draw(st.integers(0, 9999))}"
+    elif fault == "bad_event":
+        cells[2] = data.draw(st.sampled_from(["2", "-1", "yes", "", "0.5", "true"]))
+    elif fault == "nonpositive_time":
+        cells[1] = data.draw(st.sampled_from(["0", "-0", "-3.5", "-1e-9"]))
+    lines[row] = ",".join(cells)
+    with tempfile.TemporaryDirectory() as tmp:
+        bad, out = Path(tmp) / f"{kind}.csv", Path(tmp) / "out"
+        if fault != "missing_file":
+            bad.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_pipeline_cli(data_dir, out, extra=[f"--{kind.replace('_', '-')}", str(bad)])
+        assert code == MALFORMATIONS[fault]
+        assert err.getvalue().startswith(PREFIX_BY_EXIT_CODE[code])
+        # the first matrix sets the sample order, so an ID unknown there is
+        # reported against the next matrix
+        assert str(bad) in err.getvalue() or (fault, kind) == ("unknown_id", "gene_expression")
+        assert not [f for f in out.rglob("*") if f.is_file()]
 
 
 @pytest.mark.parametrize("key", list(FIXED_VALUES))

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omicsfuse import clustering
 from omicsfuse.clustering import Partition, ari, kmeans_pp, nmi, sweep_k2_metrics
 from omicsfuse.fusion import FusionState, StageRecord
 
-from oracles import ari_brute, nmi_brute
+from oracles import ari_brute, dsq_seed_dgemv, nmi_brute
 
 
 def random_partition_pair(rng, n_max=12):
@@ -196,6 +197,27 @@ class TestKmeansPp:
         pts = np.array([[0.0], [0.0], [0.0], [5.0], [5.0], [9.0]])
         part = kmeans_pp(pts, 3, seed=2)
         assert np.unique(part.labels).size == 3
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), p=st.integers(1, 8),
+           distinct=st.integers(1, 60), k=st.integers(1, 6), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    @settings(max_examples=100, deadline=None, database=None)
+    def test_seeding_partitions_match_the_dgemv_oracle(self, seed, n, p, distinct, k, scale):
+        """Seeding through Lloyd's distance kernel gives the partitions of the
+        dgemv seeding it replaced, though the distance bits differ; rows
+        drawn from fewer distinct points than there are rows repeat.  k is
+        at most the distinct count: with more clusters than distinct points,
+        kmeans_pp raises under either seeding, its last assignment leaving a
+        cluster empty."""
+        rng = np.random.default_rng(seed)
+        base = rng.normal(scale=scale, size=(min(distinct, n), p))
+        pts = base[rng.integers(base.shape[0], size=n)]
+        pts[: base.shape[0]] = base
+        k = min(k, base.shape[0])
+        got = kmeans_pp(pts, k, seed=seed % 7)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clustering, "_dsq_seed", dsq_seed_dgemv)
+            want = kmeans_pp(pts, k, seed=seed % 7)
+        assert np.array_equal(got.labels, want.labels)
 
     def test_k_bounds(self):
         pts = np.zeros((4, 2))

@@ -11,6 +11,7 @@ import ast
 import inspect
 import pickle
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -451,10 +452,10 @@ class TestThreeStage:
         calls = []
         fuse = fusion.FusionStep.fuse
 
-        def counting_fuse(step, k2):
+        def counting_fuse(step, k2, start=None):
             if len(step.affinities) == 2:
                 calls.append(k2)
-            return fuse(step, k2)
+            return fuse(step, k2, start)
 
         monkeypatch.setattr(fusion.FusionStep, "fuse", counting_fuse)
         res = three_stage_fuse(intra, inter, cluster_count=3, stage3_k2_range=(2, 7))
@@ -491,9 +492,9 @@ class TestThreeStage:
             # the fusion config carries no k2, so note each fusion's on entry
             fusing = []
 
-            def step_fuse(step, k2):
+            def step_fuse(step, k2, start=None):
                 fusing.append(k2)
-                return fuse_step(step, k2)
+                return fuse_step(step, k2, start)
 
             def fuse(affinities, config, start=None):
                 if len(affinities) == 2 and fusing[-1] == fail_k2:
@@ -554,14 +555,15 @@ def planted_affinities(n, count, seed):
 
 
 def test_working_set_is_bounded():
-    """Beyond its nine inputs, a three-stage fusion holds at most 10.5 n x n
-    float64 matrices at once (10.0 at n = 200).  It keeps up to 7: S of
-    each stage, the two re-kernelized affinities, and stage 3's start S and
-    sorted distances (k2 + 1 columns, half a matrix here).  The rest are
-    the loop's three buffers, which also hold the simplex projection's
-    cumulative sums and condition scratch, and the new S the projection
-    writes.  With the projection's two arrays of its own it took 12.0, and
-    with a new array for every temporary 16.4."""
+    """Beyond its nine inputs, a three-stage fusion holds at most 9.0 n x n
+    float64 matrices at once (8.3 at n = 200).  It keeps 6 when it returns:
+    S of each stage, the two re-kernelized affinities, and stage 3's sorted
+    distances (k2 + 1 columns, half a matrix here).  Each fusion runs in
+    three buffers, which also hold the simplex projection's cumulative sums
+    and the new S it writes, and holds its own start S until its first
+    S-step.  With a fourth buffer for the new S and stage 3's start kept by
+    its step it took 10.0, with the projection's two arrays of its own 12.0,
+    and with a new array for every temporary 16.4."""
     n = 200
     intra, inter = planted_affinities(n, 3, 1), planted_affinities(n, 6, 2)
     sym_eig(np.eye(3), 1)  # imports scipy.linalg before tracing starts
@@ -573,7 +575,7 @@ def test_working_set_is_bounded():
     finally:
         tracemalloc.stop()
     assert res.stage3.state.converged
-    assert (peak - base) / (n * n * 8) < 10.5
+    assert (peak - base) / (n * n * 8) < 9.0
 
 
 def test_inputs_are_left_alone():
@@ -609,25 +611,68 @@ def test_twin_views_fuse_as_three_networks():
                                got.state.objective_trace + ref.gamma * np.log(2.0), rtol=1e-12)
 
 
-def test_no_network_aliases_a_reused_buffer():
+def test_no_network_aliases_a_reused_buffer(monkeypatch):
     """The S of every stage and of every candidate is its own array, and
-    fusing more candidates changes neither them nor the shared start."""
+    fusing more candidates changes neither them nor the candidates' shared
+    start."""
     n = 24
     res = three_stage_fuse(planted_affinities(n, 3, 3), planted_affinities(n, 6, 4),
                            cluster_count=3, stage3_k2_range=(2, 8))
-    start = res.step3.start[0]
-    start_before = start.copy()
-    networks = [res.stage1.s, res.stage2.s, start]
+    starts, uniform_start = [], fusion._uniform_start
+
+    def kept_start(*args):
+        starts.append(uniform_start(*args))
+        return starts[-1]
+
+    monkeypatch.setattr(fusion, "_uniform_start", kept_start)
     kept = []
     for cand in res.iter_candidates():
+        if not kept:
+            start = starts[0][0]
+            start_before = start.copy()
+            networks = [res.stage1.s, res.stage2.s, start]
         networks.append(cand.s)
         kept.append((cand.s, cand.s.copy()))
+    assert len(starts) == 1
     for i, a in enumerate(networks):
         for b in networks[i + 1:]:
             assert not np.shares_memory(a, b)
     assert np.array_equal(start, start_before)
     for s, copy in kept:
         assert np.array_equal(s, copy)
+
+
+def test_each_start_lives_only_while_it_is_used(monkeypatch):
+    """Stages 1 and 2 and the selected stage-3 network each build their own
+    start, and none is alive once ``three_stage_fuse`` returns.  The
+    candidates below the selected k2 share one start, which lives only while
+    ``iter_candidates`` runs, and is not built when there are none."""
+    starts, uniform_start = [], fusion._uniform_start
+
+    def watched(*args):
+        s, f = uniform_start(*args)
+        starts.append((weakref.ref(s), weakref.ref(f)))
+        return s, f
+
+    def alive():
+        return [ref() is not None for pair in starts for ref in pair]
+
+    monkeypatch.setattr(fusion, "_uniform_start", watched)
+    n = 24
+    intra, inter = planted_affinities(n, 3, 3), planted_affinities(n, 6, 4)
+    res = three_stage_fuse(intra, inter, cluster_count=3, stage3_k2_range=(2, 8))
+    assert len(starts) == 3 and not any(alive())
+    stream = res.iter_candidates()
+    records = [next(stream), next(stream)]
+    assert len(starts) == 4 and alive() == [False] * 6 + [True] * 2
+    records += list(stream)
+    assert len(starts) == 4 and not any(alive())
+    assert [r.k2 for r in records] == list(range(2, 9)) and records[-1] is res.stage3
+
+    del starts[:]
+    res = three_stage_fuse(intra, inter, cluster_count=3, stage3_k2_range=(8, 8))
+    assert list(res.iter_candidates()) == [res.stage3]
+    assert len(starts) == 3 and not any(alive())
 
 
 # functions the stage-3 candidate loop runs: the fusion, its simplex

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from omicsfuse import cca, fusion, pipeline
-from omicsfuse.clustering import Partition, kmeans_pp, sweep_k2_metrics
+from omicsfuse.clustering import Partition, ari, kmeans_pp, sweep_k2_metrics
 from omicsfuse.errors import AlignmentError, DegenerateInputError
 from omicsfuse.numkernel import sym_eig
 from omicsfuse.pipeline import PipelineConfig, align_inputs, run_pipeline
@@ -91,6 +91,24 @@ def test_row_order_of_other_matrices_is_realigned(dataset):
     assert np.array_equal(base.fusion.s_final, moved.fusion.s_final)
 
 
+@pytest.mark.xfail(strict=True, reason="the BGMM start and the k-means++ seeding key on row "
+                   "position, so the sample order of the first matrix changes the partition")
+def test_row_order_of_every_input_leaves_the_partition():
+    """Putting every input's rows in one other order, IDs travelling with
+    their rows, gives the same final partition sample by sample.  At
+    separation 1.0, seed 3, the two orders agree only to ARI 0.63."""
+    mats, _, recs = generate(SynthSpec(n=150, k=3, dims=(60, 40, 50), separation=1.0,
+                                       missing_rate=0.05, high_missing_fraction=0.10, seed=3))
+    perm = np.random.default_rng(0).permutation(150)
+    config = PipelineConfig(clusters=3, seed=0)
+    base = run_pipeline(mats, recs, None, config)
+    moved = run_pipeline([_permute_matrix(m, perm) for m in mats], [recs[i] for i in perm],
+                         None, config)
+    position = {sid: i for i, sid in enumerate(moved.sample_ids)}
+    matched = moved.final_partition.labels[[position[sid] for sid in base.sample_ids]]
+    assert ari(base.final_partition, Partition(matched, moved.final_partition.k)) == 1.0
+
+
 def test_survival_record_order_is_realigned(dataset):
     mats, labels, recs = dataset
     rng = np.random.default_rng(3)
@@ -155,10 +173,10 @@ def test_unlabeled_run_fuses_one_stage3_candidate(dataset, monkeypatch):
     stage3_calls = []
     fuse = fusion.FusionStep.fuse
 
-    def counting_fuse(step, k2):
+    def counting_fuse(step, k2, start=None):
         if len(step.affinities) == 2:
             stage3_calls.append(k2)
-        return fuse(step, k2)
+        return fuse(step, k2, start)
 
     monkeypatch.setattr(fusion.FusionStep, "fuse", counting_fuse)
     res = run_pipeline(mats, recs, config=CONFIG)
@@ -207,12 +225,12 @@ def _watch_candidates(monkeypatch, selected_k2):
     fused, refs, peak = [], [], [0]
     fuse = fusion.FusionStep.fuse
 
-    def watching_fuse(step, k2):
+    def watching_fuse(step, k2, start=None):
         if len(step.affinities) != 2:
-            return fuse(step, k2)
+            return fuse(step, k2, start)
         fused.append(k2)
         peak[0] = max(peak[0], len(_alive_states(refs)))
-        record = fuse(step, k2)
+        record = fuse(step, k2, start)
         if k2 != selected_k2 and record.state is not None:
             refs.append(weakref.ref(record.state))
         return record

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from omicsfuse import backend, preprocess
-from omicsfuse.errors import DegenerateInputError, DomainError
+from omicsfuse.errors import AlignmentError, DegenerateInputError, DomainError
 from omicsfuse.preprocess import (
     TRANSFORM_METHODS,
     OmicsMatrix,
@@ -65,6 +65,41 @@ class TestOmicsMatrix:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             make_omics([[1.0]], kind="proteome")
+
+
+    @given(data=st.data(), shape=st.lists(st.integers(0, 5), min_size=1, max_size=3),
+           id_shift=st.sampled_from([0, 0, 0, 1, -1]))
+    @settings(max_examples=150, deadline=None, database=None)
+    def test_validation_on_random_inputs(self, data, shape, id_shift):
+        """Random shapes, NaN and +-inf cells and repeated IDs: a matrix is
+        refused by the first check it fails, in the order the checks run,
+        and otherwise keeps its values and marks exactly the NaN cells."""
+        cells = st.sampled_from([0.0, -1.5, 2.0, np.nan, np.inf, -np.inf])
+        values = data.draw(arrays(np.float64, tuple(shape), elements=cells))
+        n, p = shape if len(shape) == 2 else (0, 0)
+        sample_ids = data.draw(st.lists(st.sampled_from("abcdefgh"),
+                                        min_size=max(n + id_shift, 0), max_size=max(n + id_shift, 0)))
+        feature_ids = data.draw(st.lists(st.sampled_from("uvwxyz"), min_size=p, max_size=p))
+        expected = None
+        if values.ndim != 2:
+            expected = ValueError, "values must be 2-D"
+        elif len(sample_ids) != n:
+            expected = ValueError, f"{len(sample_ids)} sample ids for {n} rows"
+        elif preprocess.duplicate_ids(sample_ids):
+            expected = AlignmentError, "duplicate sample IDs"
+        elif len(set(feature_ids)) != p:
+            expected = ValueError, "feature ids must be unique"
+        elif np.isinf(values).any():
+            expected = ValueError, "observed cells must be finite"
+        if expected is not None:
+            with pytest.raises(expected[0], match=expected[1]) as exc:
+                OmicsMatrix(values, sample_ids, feature_ids, "other")
+            assert type(exc.value) is expected[0]
+            return
+        m = OmicsMatrix(values, sample_ids, feature_ids, "other")
+        assert m.values.tobytes() == values.tobytes()
+        assert np.array_equal(m.missing_mask, np.isnan(values))
+        assert (m.n_samples, m.n_features) == (n, p)
 
 
 class TestFilterSparseFeatures:

@@ -65,8 +65,10 @@ def test_fusion_view_counts_name_the_stages(monkeypatch):
 
 def test_every_call_counted_kernel_is_reached(monkeypatch):
     """A small labeled run calls each kernel the tracer counts through the
-    module attribute it wraps, and the eigensolver once per fusion start
-    and once per sweep: stages 1 and 2 and every stage-3 candidate."""
+    module attribute it wraps, and the eigensolver once per sweep of stages
+    1 and 2 and of every stage-3 candidate, and once per start: one each for
+    stages 1 and 2 and the selected stage-3 network, and one the other
+    candidates share."""
     counts = {}
     for name in _load_tracing(monkeypatch).CALL_COUNTED_SPANS:
         module, attr = name.rsplit(".", 1)
@@ -84,7 +86,7 @@ def test_every_call_counted_kernel_is_reached(monkeypatch):
     assert all(count > 0 for count in counts.values()), counts
     assert all(row.error is None for row in res.metrics_rows)
     sweeps = sum(len(st.state.objective_trace) - 1 for st in (res.fusion.stage1, res.fusion.stage2))
-    assert counts["numkernel.sym_eig"] == 3 + sweeps + sum(row.n_iter for row in res.metrics_rows)
+    assert counts["numkernel.sym_eig"] == 4 + sweeps + sum(row.n_iter for row in res.metrics_rows)
 
 
 def test_each_written_file_is_counted_once(monkeypatch, tmp_path):
