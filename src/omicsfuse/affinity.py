@@ -28,9 +28,7 @@ def _as_values(x) -> np.ndarray:
 def euclidean_distance_matrix(x) -> np.ndarray:
     """Dense pairwise Euclidean distances between samples (rows)."""
     values = _as_values(x)
-    d = np.sqrt(backend.pairwise_sq_dists(values))  # exactly symmetric: x x' is one syrk
-    np.fill_diagonal(d, 0.0)
-    return d
+    return np.sqrt(backend.pairwise_sq_dists(values))  # exactly symmetric: x x' is one syrk
 
 
 def check_distance_matrix(d: np.ndarray) -> np.ndarray:
@@ -52,9 +50,7 @@ def check_distance_matrix(d: np.ndarray) -> np.ndarray:
             raise ValueError("distance matrix must be symmetric")
     if np.any(np.abs(np.diag(d)) > 1e-12):
         raise ValueError("distance matrix must have a zero diagonal")
-    np.add(d, d.T, out=sym)
-    sym *= 0.5
-    return sym
+    return backend.sym_into(sym, d)
 
 
 def local_scales(d: np.ndarray, k1: int | None = None) -> np.ndarray:

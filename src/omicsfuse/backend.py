@@ -66,8 +66,16 @@ def project_rows(v: np.ndarray, css: np.ndarray | None = None,
     return np.maximum(u, 0.0, out=u)
 
 
+def sym_into(out: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sym(S) = (S + S') / 2 into ``out``."""
+    np.add(s, s.T, out=out)
+    out *= 0.5
+    return out
+
+
 def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
-    """Dense pairwise squared Euclidean distances between rows."""
+    """Dense pairwise squared Euclidean distances between rows, with an
+    exactly zero diagonal."""
     x = np.asarray(x, dtype=np.float64)
     sq = np.einsum("ij,ij->i", x, x)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
@@ -115,12 +123,36 @@ def _sq_dists_to(x: np.ndarray, xsq: np.ndarray, cent: np.ndarray) -> np.ndarray
     return d2.reshape(-1, r, k)
 
 
+def _assign(x: np.ndarray, xsq: np.ndarray, cent: np.ndarray) -> tuple:
+    """Each row of x to its nearest centroid, for each of r sets of k; an
+    empty cluster then takes the point farthest from its own centroid among
+    clusters with more than one point.  Returns (d2, labels, counts) of
+    shapes (n, r, k), (r, n) and (r, k)."""
+    d2 = _sq_dists_to(x, xsq, cent)
+    labels = np.ascontiguousarray(np.argmin(d2, axis=2).T)
+    rows = np.arange(x.shape[0])
+    counts = np.empty(cent.shape[:2], dtype=np.int64)
+    for a, lab in enumerate(labels):
+        counts[a] = np.bincount(lab, minlength=cent.shape[1])
+        if counts[a].all():
+            continue
+        dist = d2[rows, a, lab]
+        for c in np.flatnonzero(counts[a] == 0):
+            movable = counts[a][lab] > 1
+            far = int(np.argmax(np.where(movable, dist, -1.0)))
+            counts[a, lab[far]] -= 1
+            lab[far] = c
+            counts[a, c] = 1
+            dist[far] = 0.0
+    return d2, labels, counts
+
+
 def lloyd(x, centroids, max_iter, tol):
     """Lloyd iterations from seeded centroids, r restarts at once.
 
-    ``centroids`` is (r, k, p).  An empty cluster takes the point farthest
-    from its own centroid among clusters with more than one point.  Returns
-    (labels, centroids, wcss) of shapes (r, n), (r, k, p) and (r,).
+    ``centroids`` is (r, k, p).  Every assignment, the last one too, is
+    ``_assign``'s, so no cluster is left empty.  Returns (labels,
+    centroids, wcss) of shapes (r, n), (r, k, p) and (r,).
     """
     from scipy.linalg import blas
 
@@ -132,21 +164,7 @@ def lloyd(x, centroids, max_iter, tol):
     xsq = np.einsum("ij,ij->i", x, x)
     active = np.arange(r)
     for _ in range(max_iter):
-        d2 = _sq_dists_to(x, xsq, cent[active])
-        labels = np.ascontiguousarray(np.argmin(d2, axis=2).T)  # (a, n)
-        counts = np.empty((active.size, k), dtype=np.int64)
-        for a, lab in enumerate(labels):
-            counts[a] = np.bincount(lab, minlength=k)
-            if counts[a].all():
-                continue
-            dist = d2[rows, a, lab]
-            for c in np.flatnonzero(counts[a] == 0):
-                movable = counts[a][lab] > 1
-                far = int(np.argmax(np.where(movable, dist, -1.0)))
-                counts[a, lab[far]] -= 1
-                lab[far] = c
-                counts[a, c] = 1
-                dist[far] = 0.0
+        _, labels, counts = _assign(x, xsq, cent[active])
         # one-hot GEMM: column a*k + c sums the rows of cluster c of restart a
         onehot = np.zeros((n, active.size * k))
         onehot[rows[None, :], labels + (k * np.arange(active.size))[:, None]] = 1.0
@@ -157,7 +175,6 @@ def lloyd(x, centroids, max_iter, tol):
         active = active[shift >= tol]
         if active.size == 0:
             break
-    d2 = _sq_dists_to(x, xsq, cent)
-    labels = np.ascontiguousarray(np.argmin(d2, axis=2).T)
+    d2, labels, _ = _assign(x, xsq, cent)
     wcss = np.array([d2[rows, a, lab].sum() for a, lab in enumerate(labels)])
     return labels, cent, wcss

@@ -15,6 +15,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DegenerateInputError, NumericalFailure
+from .preprocess import OmicsMatrix
 
 VARIANCE_FLOOR = 1e-6
 WEIGHT_CUTOFF = 1e-3
@@ -176,8 +177,6 @@ def select_features_bgmm(x, model: GmmModel, cumulative_target: float = 0.95):
     ``model`` (fitted to ``x``), that reaches the cumulative-relevance
     target; returns (matrix, selected indices) with the selection in
     original feature order."""
-    from .preprocess import OmicsMatrix  # local import to avoid a cycle
-
     if not 0.0 < cumulative_target <= 1.0:
         raise ValueError(f"cumulative_target must be in (0, 1], got {cumulative_target}")
     if not isinstance(x, OmicsMatrix):

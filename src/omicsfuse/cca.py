@@ -55,11 +55,10 @@ class DirectedPair:
 
 def _center_and_whiten(block: np.ndarray, name: str) -> np.ndarray:
     centered = block - block.mean(axis=0)
-    factors = svd_thin(centered)
-    s = factors.singular_values
+    u, s, _ = svd_thin(centered)
     if s.size == 0 or s[0] <= 0.0:
         raise DegenerateInputError(f"{name} block has zero variance after centering")
-    return factors.u[:, s > RELATIVE_RANK_TOL * s[0]]  # keeps column 0
+    return u[:, s > RELATIVE_RANK_TOL * s[0]]  # keeps column 0
 
 
 def _checked_blocks(*blocks: np.ndarray) -> list[np.ndarray]:
@@ -79,14 +78,14 @@ def _checked_blocks(*blocks: np.ndarray) -> list[np.ndarray]:
 
 def _fit_whitened(ux: np.ndarray, uy: np.ndarray) -> CcaResult:
     """CCA of two blocks from their whitened bases."""
-    core = svd_thin(ux.T @ uy)
-    corr = np.clip(core.singular_values, 0.0, 1.0)
+    u, s, vt = svd_thin(ux.T @ uy)
+    corr = np.clip(s, 0.0, 1.0)
     if corr.size and corr[0] > 0.0:
-        rank = int(np.sum(core.singular_values > RELATIVE_RANK_TOL * core.singular_values[0]))
+        rank = int(np.sum(s > RELATIVE_RANK_TOL * s[0]))
     else:
         rank = 0
-    wx = ux @ core.u[:, :rank]
-    wy = uy @ core.vt[:rank, :].T
+    wx = ux @ u[:, :rank]
+    wy = uy @ vt[:rank, :].T
     return CcaResult(x_variates=wx, y_variates=wy, correlations=corr[:rank], rank=rank)
 
 

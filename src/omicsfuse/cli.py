@@ -207,7 +207,7 @@ def cmd_pipeline(args) -> int:
     outdir = _resolve_outdir(paths["outdir"])
 
     matrices = [read_matrix_csv(paths[kind], kind=kind) for kind in PAPER_KINDS]
-    ids = list(matrices[0].sample_ids)  # the pipeline's sample order
+    ids = list(matrices[0].sample_ids)  # the order the run takes its labels in
     for m in matrices[1:]:
         align_by_id(ids, m.sample_ids, m.sample_ids, str(paths[m.kind]))
     records = read_survival_csv(paths["survival"])
@@ -217,6 +217,7 @@ def cmd_pipeline(args) -> int:
         true_labels = _align_labels_to(ids, paths["labels"])
 
     result = run_pipeline(matrices, records, true_labels, config)
+    ids = result.sample_ids  # artifacts follow the run's sorted sample IDs
 
     echo = asdict(config)
     echo.update({k: paths[k] for k in _PATH_KEYS if paths[k] and k != "outdir"})

@@ -198,13 +198,6 @@ def _weighted_sum_into(w, scratch, alpha, affs):
     return w
 
 
-def _sym_into(out, s):
-    """sym(S) = (S + S') / 2 into ``out``."""
-    np.add(s, s.T, out=out)
-    out *= 0.5
-    return out
-
-
 def _laplacian_into(out, s_sym):
     """I - sym(S) into ``out``, with no identity matrix.  Off the diagonal
     it is 0.0 - x, not -x: the two differ in the sign of a zero, and
@@ -224,7 +217,7 @@ def _uniform_start(affs: list[np.ndarray], c: int) -> tuple[np.ndarray, np.ndarr
     # each weighted view, then the projection's cumulative sums
     s, buf, tmp = (np.empty_like(affs[0]) for _ in range(3))
     s = backend.project_rows(_weighted_sum_into(buf, tmp, alpha, affs), tmp, s)
-    _, f = numkernel.sym_eig(_laplacian_into(buf, _sym_into(buf, s)), c)
+    _, f = numkernel.sym_eig(_laplacian_into(buf, backend.sym_into(buf, s)), c)
     return s, f
 
 
@@ -272,7 +265,7 @@ def fuse_affinities(
     fro2 = np.array([float(np.einsum("ij,ij->", a, a)) for a in affs])
 
     alpha = np.full(L, 1.0 / L)
-    s_sym = _sym_into(np.empty((n, n)), s)
+    s_sym = backend.sym_into(np.empty((n, n)), s)
     ff = np.einsum("ik,jk->ij", f, f)
     ips = _inner_products(affs, s)
 
@@ -287,7 +280,7 @@ def fuse_affinities(
         w += buf
         w /= 2.0 * gamma
         s = backend.project_rows(w, s_sym, out=buf)
-        _sym_into(s_sym, s)
+        backend.sym_into(s_sym, s)
 
         # F: c bottom eigenvectors of I - sym(S), exactly symmetric already
         _, f = numkernel.sym_eig(_laplacian_into(w, s_sym), config.c)
@@ -328,7 +321,7 @@ def step_distance(affinities: list[np.ndarray]) -> np.ndarray:
     for a in affinities[1:]:
         total += a
     total /= len(affinities)
-    d = _sym_into(np.empty_like(total), total)
+    d = backend.sym_into(np.empty_like(total), total)
     m = d.max()
     if m <= 0.0:
         raise NumericalFailure("mean affinity has no positive entries")

@@ -10,37 +10,26 @@ triangle is read, and its buffer is overwritten.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import special
 
 from .errors import NumericalFailure
 
 
-@dataclass
-class SvdFactors:
-    """Thin SVD factors: a = u @ diag(singular_values) @ vt."""
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    vt: np.ndarray
-
-
-def svd_thin(a: np.ndarray) -> SvdFactors:
-    """Thin SVD with r = min(m, n) components, singular values descending."""
+def svd_thin(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD (u, s, vt) with r = min(m, n) components, a = u @ diag(s) @ vt
+    and s descending."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.size == 0:
         raise ValueError(f"svd_thin expects a non-empty 2-D array, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("svd_thin expects finite entries")
     try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        return np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(
             f"SVD did not converge for a {a.shape[0]}x{a.shape[1]} matrix"
         ) from exc
-    return SvdFactors(u=u, singular_values=s, vt=vt)
 
 
 def sym_eig(a: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:

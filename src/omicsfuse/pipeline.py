@@ -3,8 +3,10 @@ three-stage fusion, clustering, evaluation, and survival testing.
 
 Input contract: one gene-expression, one miRNA and one methylation
 matrix (and the survival file, when given) cover exactly the same sample
-IDs; everything is reordered to the first matrix's order, and every
-setting is checked against the sample count, before any computation.
+IDs; everything is reordered to sorted sample-ID order, and every setting
+is checked against the sample count, before any computation.  A run is
+thus a function of the sample IDs and values, not of the row order, and
+its results follow sorted sample IDs.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .affinity import affinity_from_distance, euclidean_distance_matrix
-from .bgmm import MAX_COMPONENTS, fit_bayesian_gmm
+from .bgmm import MAX_COMPONENTS, fit_bayesian_gmm, select_features_bgmm
 from .cca import all_directed_pair_distances
 from .clustering import Partition, SweepRow, ari, kmeans_pp, nmi, sweep_k2_metrics
 from .errors import AlignmentError, DegenerateInputError
@@ -27,7 +29,6 @@ from .preprocess import (
     fit_power_transform,
     knn_impute,
     require_paper_kinds,
-    select_features_bgmm,
     zscore_standardize,
 )
 from .survival import SurvivalRecord, SurvivalReport, logrank_test
@@ -100,11 +101,11 @@ def align_inputs(
     omics: list[OmicsMatrix],
     records: list[SurvivalRecord] | None,
 ) -> tuple[list[OmicsMatrix], list[SurvivalRecord] | None]:
-    """Reorder every input to the first matrix's sample order.  There must
-    be one matrix of each of the paper's three kinds, and the ID sets must
-    already coincide."""
+    """Reorder every input to sorted sample-ID order.  There must be one
+    matrix of each of the paper's three kinds, and the ID sets must already
+    coincide."""
     require_paper_kinds(omics)
-    order = omics[0].sample_ids
+    order = sorted(omics[0].sample_ids)
     aligned = []
     for m in omics:
         idx = align_by_id(order, m.sample_ids, range(m.n_samples), f"{m.kind} matrix")
@@ -176,25 +177,28 @@ def run_pipeline(
     config: PipelineConfig | None = None,
 ) -> PipelineResult:
     """Full labeled or unlabeled run.  ``true_labels`` must follow the first
-    matrix's sample order.
+    matrix's sample order; the result follows sorted sample IDs.
 
     With ``true_labels``, the k2 sweep fuses and scores the stage-3
     candidates one at a time, each dropped before the next; without them,
     only the selected candidate is fused."""
     config = config or PipelineConfig()
-    omics, records = align_inputs(omics, records)
+    aligned, records = align_inputs(omics, records)
     if records is not None and not any(r.event for r in records):
         raise DegenerateInputError("no observed events in any group")
-    order = omics[0].sample_ids
-    if true_labels is not None and true_labels.n != len(order):
-        raise AlignmentError(
-            f"true labels cover {true_labels.n} samples, matrices have {len(order)}"
-        )
+    order = aligned[0].sample_ids
+    if true_labels is not None:
+        if true_labels.n != len(order):
+            raise AlignmentError(
+                f"true labels cover {true_labels.n} samples, matrices have {len(order)}"
+            )
+        true_labels = Partition(align_by_id(order, omics[0].sample_ids, true_labels.labels,
+                                            "true labels"), true_labels.k)
     _check_settings_fit(config, len(order))
 
     processed = []
     reports = []
-    for idx, m in enumerate(omics):
+    for idx, m in enumerate(aligned):
         sel, rep = preprocess_matrix(m, seed=config.seed + idx)
         processed.append(sel)
         reports.append(rep)

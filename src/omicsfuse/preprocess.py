@@ -2,15 +2,14 @@
 Z-score standardization, and monotone power transforms.
 
 The fixed pipeline order is filter -> impute -> zscore -> power
-transform -> select (selection lives in :mod:`omicsfuse.bgmm` and is
-re-exported here).
+transform -> select (selection lives in :mod:`omicsfuse.bgmm`).
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -76,12 +75,8 @@ class OmicsMatrix:
 
     def take_features(self, idx: np.ndarray) -> "OmicsMatrix":
         idx = np.asarray(idx, dtype=int)
-        return OmicsMatrix(
-            values=self.values[:, idx],
-            sample_ids=list(self.sample_ids),
-            feature_ids=[self.feature_ids[i] for i in idx],
-            kind=self.kind,
-        )
+        return replace(self, values=self.values[:, idx],
+                       feature_ids=[self.feature_ids[i] for i in idx])
 
 
 @dataclass
@@ -193,13 +188,7 @@ def knn_impute(x: OmicsMatrix, k: int | None = None) -> tuple[OmicsMatrix, int]:
         for lo in range(0, rows.size, step):
             _impute_cells(values, x.values, observed, orders[rows[lo:lo + step]],
                           incomplete[rows[lo:lo + step]], feats[lo:lo + step], k)
-    out = OmicsMatrix(
-        values=values,
-        sample_ids=list(x.sample_ids),
-        feature_ids=list(x.feature_ids),
-        kind=x.kind,
-    )
-    return out, int(x.missing_mask.sum())
+    return replace(x, values=values), int(x.missing_mask.sum())
 
 
 def _impute_cells(out, values, observed, order, rows, feats, k):
@@ -237,13 +226,7 @@ def zscore_standardize(x: OmicsMatrix) -> tuple[OmicsMatrix, list[str]]:
     if kept.size == 0:
         raise DegenerateInputError(f"{x.kind}: every feature is constant")
     vals = (x.values[:, kept] - mean[kept]) / std[kept]
-    out = OmicsMatrix(
-        values=vals,
-        sample_ids=list(x.sample_ids),
-        feature_ids=[x.feature_ids[i] for i in kept],
-        kind=x.kind,
-    )
-    return out, dropped
+    return replace(x, values=vals, feature_ids=[x.feature_ids[i] for i in kept]), dropped
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +374,4 @@ def apply_power_transform(x: OmicsMatrix, params: PowerTransformParams) -> Omics
     out = _transform_columns(x.values, params.lambdas, params.method)
     if not np.all(np.isfinite(out)):
         raise DomainError("power transform produced non-finite values")
-    return OmicsMatrix(
-        values=out,
-        sample_ids=list(x.sample_ids),
-        feature_ids=list(x.feature_ids),
-        kind=x.kind,
-    )
-
-
-# re-exported so the preprocessing surface lives in one module
-from .bgmm import GmmModel, fit_bayesian_gmm, select_features_bgmm  # noqa: E402,F401
+    return replace(x, values=out)

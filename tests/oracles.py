@@ -508,29 +508,31 @@ def masked_pairwise_dists_loops(x: np.ndarray, observed: np.ndarray) -> np.ndarr
 
 
 def lloyd_loops(x: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float):
-    """One k-means restart, point by point.  An empty cluster takes the
-    point farthest from its centroid among clusters with more than one
-    point.  Returns (labels, centroids, wcss)."""
+    """One k-means restart, point by point.  In every assignment, the last
+    one too, an empty cluster takes the point farthest from its centroid
+    among clusters with more than one point.  Returns (labels, centroids,
+    wcss)."""
     n, p = x.shape
     k = centroids.shape[0]
     cent = centroids.copy()
     labels = np.zeros(n, dtype=np.int64)
     dist = np.zeros(n, dtype=np.float64)
 
-    def nearest(i):
-        best, bestd = 0, np.inf
-        for c in range(k):
-            acc = 0.0
-            for f in range(p):
-                d = x[i, f] - cent[c, f]
-                acc += d * d
-            if acc < bestd:
-                best, bestd = c, acc
-        return best, bestd
+    def sq_dist(i, c):
+        acc = 0.0
+        for f in range(p):
+            d = x[i, f] - cent[c, f]
+            acc += d * d
+        return acc
 
-    for _ in range(max_iter):
+    def assign():
         for i in range(n):
-            labels[i], dist[i] = nearest(i)
+            best, bestd = 0, np.inf
+            for c in range(k):
+                acc = sq_dist(i, c)
+                if acc < bestd:
+                    best, bestd = c, acc
+            labels[i], dist[i] = best, bestd
         counts = np.zeros(k, dtype=np.int64)
         for i in range(n):
             counts[labels[i]] += 1
@@ -546,6 +548,10 @@ def lloyd_loops(x: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float)
                 labels[far] = c
                 counts[c] = 1
                 dist[far] = 0.0
+        return counts
+
+    for _ in range(max_iter):
+        counts = assign()
         newcent = np.zeros((k, p), dtype=np.float64)
         for i in range(n):
             for f in range(p):
@@ -563,10 +569,10 @@ def lloyd_loops(x: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float)
         cent = newcent
         if shift < tol:
             break
+    assign()
     wcss = 0.0
     for i in range(n):
-        labels[i], bestd = nearest(i)
-        wcss += bestd
+        wcss += sq_dist(i, labels[i])
     return labels, cent, wcss
 
 

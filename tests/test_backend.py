@@ -178,14 +178,22 @@ def test_lloyd_lockstep_restarts_follow_their_own_paths(monkeypatch):
 
 
 def test_lloyd_repairs_empty_clusters():
-    # duplicate starting centroids force an initially empty cluster
+    # duplicate starting centroids force an initially empty cluster; with
+    # more clusters than distinct points, centroids coincide and the
+    # assignment after the last step leaves a cluster empty as well
     rng = np.random.default_rng(3)
     x = rng.normal(size=(12, 2))
-    centroids = np.vstack([x[0], x[0], x[5]])
-    labels, cent, wcss = _lloyd_one(x, centroids, 50, 1e-10)
-    assert sorted(np.unique(labels).tolist()) == [0, 1, 2]
-    assert wcss >= 0.0
-    _assert_lloyd_matches_loops((labels, cent, wcss), x, centroids, 50, 1e-10)
+    dup = np.array([[0.0], [0.0], [0.0], [5.0], [5.0], [9.0]])
+    cases = [(x, np.vstack([x[0], x[0], x[5]])[None]),
+             (dup, np.stack([dup[[0, 1, 3, 5]], dup[[5, 0, 1, 3]]])),
+             (np.zeros((5, 2)), np.zeros((1, 3, 2))),
+             (np.repeat(dup, 2, axis=0), np.stack([dup[[0, 0, 0, 3, 3]], dup[[5, 0, 3, 0, 3]]]))]
+    for pts, starts in cases:
+        labels, cent, wcss = backend.lloyd(pts, starts, 50, 1e-10)
+        for r, start in enumerate(starts):
+            assert np.unique(labels[r]).size == start.shape[0]
+            assert wcss[r] >= 0.0
+            _assert_lloyd_matches_loops((labels[r], cent[r], wcss[r]), pts, start, 50, 1e-10)
 
 
 def test_public_names_agree_with_reference():

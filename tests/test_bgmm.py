@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from omicsfuse.preprocess import OmicsMatrix, fit_bayesian_gmm, select_features_bgmm
+from omicsfuse.bgmm import fit_bayesian_gmm, select_features_bgmm
+from omicsfuse.preprocess import OmicsMatrix
 
 
 def make_omics(values):

@@ -21,9 +21,9 @@ from omicsfuse.affinity import (
     nearest_distances,
     off_diagonal,
 )
-from omicsfuse.backend import masked_pairwise_dists, pairwise_sq_dists, project_rows
+from omicsfuse.backend import masked_pairwise_dists, pairwise_sq_dists, project_rows, sym_into
 from omicsfuse.errors import NumericalFailure
-from omicsfuse.fusion import _fusion_step, _gap_scale, _laplacian_into, _sym_into, step_distance
+from omicsfuse.fusion import _fusion_step, _gap_scale, _laplacian_into, step_distance
 from omicsfuse.numkernel import sym_eig
 from omicsfuse.preprocess import OmicsMatrix, knn_impute
 from omicsfuse.survival import SurvivalRecord, logrank_test
@@ -333,7 +333,7 @@ class TestSymEig:
         the bits of symmetrizing it again first."""
         for seed in range(3):
             s = project_rows(np.random.default_rng(30 + seed).normal(size=(40, 40)))
-            lap = _laplacian_into(np.empty_like(s), _sym_into(np.empty_like(s), s))
+            lap = _laplacian_into(np.empty_like(s), sym_into(np.empty_like(s), s))
             ref = sym_eig_symmetrizing(lap, 3)
             for got, want in zip(sym_eig(lap.copy(), 3), ref):
                 assert_same_bits(got, want)

@@ -160,6 +160,21 @@ def test_pipeline_rerun_is_byte_identical(tmp_path, data_dir, pipeline_out):
     assert _tree_bytes(pipeline_out) == _tree_bytes(second)
 
 
+def test_row_order_of_the_input_files_leaves_every_artifact(tmp_path, data_dir, pipeline_out):
+    # artifacts follow sorted sample IDs; config.json echoes the input paths
+    rng = np.random.default_rng(3)
+    moved = tmp_path / "moved"
+    moved.mkdir()
+    for name in (*(f"{kind}.csv" for kind in PAPER_KINDS), "survival.csv", "labels.csv"):
+        header, *body = (data_dir / name).read_text().splitlines(keepends=True)
+        (moved / name).write_text(header + "".join(body[i] for i in rng.permutation(len(body))))
+    out = tmp_path / "out"
+    assert run_pipeline_cli(moved, out) == 0
+    want, got = _tree_bytes(pipeline_out), _tree_bytes(out)
+    assert want.pop(Path("config.json")) != got.pop(Path("config.json"))
+    assert want == got
+
+
 def test_square_artifacts_round_trip(pipeline_out):
     m = read_matrix_csv(pipeline_out / "s_final.csv")
     assert m.feature_ids == m.sample_ids

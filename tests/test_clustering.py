@@ -193,10 +193,15 @@ class TestKmeansPp:
         assert np.array_equal(p1.labels, p2.labels)
 
     def test_no_empty_clusters_with_duplicates(self):
-        # more clusters than distinct points forces the repair path
+        # more clusters than distinct points forces the repair path, in the
+        # final assignment too
         pts = np.array([[0.0], [0.0], [0.0], [5.0], [5.0], [9.0]])
         part = kmeans_pp(pts, 3, seed=2)
         assert np.unique(part.labels).size == 3
+        for pts, k, seed, want in ((pts, 4, 2, [3, 1, 1, 2, 2, 0]),
+                                   (np.array([[0.3], [0.3]]), 2, 0, [1, 0]),
+                                   (np.zeros((5, 2)), 3, 0, [1, 2, 0, 0, 0])):
+            assert kmeans_pp(pts, k, seed=seed).labels.tolist() == want
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), p=st.integers(1, 8),
            distinct=st.integers(1, 60), k=st.integers(1, 6), scale=st.sampled_from([1e-3, 1.0, 1e3]))
@@ -204,20 +209,22 @@ class TestKmeansPp:
     def test_seeding_partitions_match_the_dgemv_oracle(self, seed, n, p, distinct, k, scale):
         """Seeding through Lloyd's distance kernel gives the partitions of the
         dgemv seeding it replaced, though the distance bits differ; rows
-        drawn from fewer distinct points than there are rows repeat.  k is
-        at most the distinct count: with more clusters than distinct points,
-        kmeans_pp raises under either seeding, its last assignment leaving a
-        cluster empty."""
+        drawn from fewer distinct points than there are rows repeat.  With
+        more clusters than distinct points, the seedings pick among
+        coincident points by rounding noise and the restarts tie in WCSS up
+        to rounding, so there both only return k nonempty clusters."""
         rng = np.random.default_rng(seed)
         base = rng.normal(scale=scale, size=(min(distinct, n), p))
         pts = base[rng.integers(base.shape[0], size=n)]
         pts[: base.shape[0]] = base
-        k = min(k, base.shape[0])
+        k = min(k, n)
         got = kmeans_pp(pts, k, seed=seed % 7)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(clustering, "_dsq_seed", dsq_seed_dgemv)
             want = kmeans_pp(pts, k, seed=seed % 7)
-        assert np.array_equal(got.labels, want.labels)
+        if k <= base.shape[0]:
+            assert np.array_equal(got.labels, want.labels)
+        assert got.k == want.k == k  # Partition checks that no cluster is empty
 
     def test_k_bounds(self):
         pts = np.zeros((4, 2))

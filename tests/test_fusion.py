@@ -679,9 +679,9 @@ def test_each_start_lives_only_while_it_is_used(monkeypatch):
 # projection and eigensolve, and the k2 sweep's k-means
 SINGLE_POOL_FUNCTIONS = {
     fusion: ("fuse_affinities", "_objective", "_inner_products", "_weighted_sum_into",
-             "_sym_into", "_laplacian_into"),
+             "_laplacian_into"),
     numkernel: ("sym_eig",),
-    backend: ("project_rows", "lloyd", "_sq_dists_to"),
+    backend: ("project_rows", "sym_into", "lloyd", "_assign", "_sq_dists_to"),
     clustering: ("_dsq_seed",),
 }
 NUMPY_BLAS_NAMES = {"vdot", "dot", "matmul", "linalg"}

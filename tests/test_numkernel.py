@@ -8,43 +8,43 @@ import pytest
 
 from omicsfuse.backend import project_rows
 from omicsfuse.errors import NumericalFailure
-from omicsfuse.numkernel import SvdFactors, chi_square_sf, svd_thin, sym_eig
+from omicsfuse.numkernel import chi_square_sf, svd_thin, sym_eig
 
 from oracles import chi2_cdf_quad, chi2_sf_quad, eig_by_charpoly, simplex_project_grid
 
 
 class TestSvdThin:
     def test_identity(self):
-        f = svd_thin(np.eye(4))
-        assert np.allclose(f.singular_values, np.ones(4))
+        _, s, _ = svd_thin(np.eye(4))
+        assert np.allclose(s, np.ones(4))
 
     def test_reconstruction(self):
         rng = np.random.default_rng(11)
         for m, n in [(5, 3), (3, 5), (6, 6), (1, 4)]:
             a = rng.normal(size=(m, n))
-            f = svd_thin(a)
-            rec = f.u @ np.diag(f.singular_values) @ f.vt
+            u, s, vt = svd_thin(a)
+            rec = u @ np.diag(s) @ vt
             scale = np.linalg.norm(a)
             assert np.linalg.norm(rec - a) <= 1e-10 * scale
-            assert f.singular_values.shape == (min(m, n),)
-            assert np.all(np.diff(f.singular_values) <= 0)
-            assert np.all(f.singular_values >= 0)
+            assert s.shape == (min(m, n),)
+            assert np.all(np.diff(s) <= 0)
+            assert np.all(s >= 0)
 
     def test_values_match_gram_spectrum(self):
         # singular values = sqrt of eigenvalues of A^T A, eigenvalues from
         # the characteristic-polynomial bisection oracle
         rng = np.random.default_rng(12)
         a = rng.normal(size=(6, 4))
-        f = svd_thin(a)
+        _, s, _ = svd_thin(a)
         gram_eigs = eig_by_charpoly(a.T @ a)
         expected = np.sqrt(np.clip(gram_eigs[::-1], 0.0, None))
-        assert np.allclose(f.singular_values, expected, atol=1e-8)
+        assert np.allclose(s, expected, atol=1e-8)
 
     def test_rank_deficient(self):
         a = np.ones((4, 3))
-        f = svd_thin(a)
-        assert f.singular_values[0] == pytest.approx(np.sqrt(12.0))
-        assert np.all(f.singular_values[1:] < 1e-12)
+        _, s, _ = svd_thin(a)
+        assert s[0] == pytest.approx(np.sqrt(12.0))
+        assert np.all(s[1:] < 1e-12)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -140,6 +140,34 @@ class TestSymEig:
             sym_eig(np.eye(3), 1)
 
 
+LAYERING_CODE = """
+import importlib, importlib.util, pkgutil, sys, types
+path = list(importlib.util.find_spec('omicsfuse').submodule_search_locations)
+
+def fresh():
+    for name in [m for m in sys.modules if m == 'omicsfuse' or m.startswith('omicsfuse.')]:
+        del sys.modules[name]
+    package = types.ModuleType('omicsfuse')  # its __init__, which imports them all, not run
+    package.__path__ = path
+    sys.modules['omicsfuse'] = package
+
+for module in pkgutil.iter_modules(path):
+    fresh()
+    importlib.import_module('omicsfuse.' + module.name)
+fresh()
+importlib.import_module('omicsfuse.preprocess')
+print('omicsfuse.bgmm' in sys.modules)
+"""
+
+
+def test_every_module_imports_first_and_preprocess_leaves_bgmm_unloaded():
+    # a module imported before any other finds no import cycle, and
+    # preprocessing stands below feature selection, which builds on it
+    proc = subprocess.run([sys.executable, "-c", LAYERING_CODE], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def project_vector(v):
     # a vector is projected as a one-row matrix
     return project_rows(np.asarray(v, dtype=np.float64)[None, :])[0]
@@ -223,7 +251,6 @@ def test_numerical_failure_is_arithmetic_error():
 
 
 def test_svd_factors_fields():
-    f = svd_thin(np.array([[2.0]]))
-    assert isinstance(f, SvdFactors)
-    assert f.u.shape == (1, 1) and f.vt.shape == (1, 1)
-    assert f.singular_values[0] == pytest.approx(2.0)
+    u, s, vt = svd_thin(np.array([[2.0]]))
+    assert u.shape == (1, 1) and s.shape == (1,) and vt.shape == (1, 1)
+    assert s[0] == pytest.approx(2.0)
