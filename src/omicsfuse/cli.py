@@ -208,10 +208,11 @@ def cmd_pipeline(args) -> int:
 
     matrices = [read_matrix_csv(paths[kind], kind=kind) for kind in PAPER_KINDS]
     ids = list(matrices[0].sample_ids)  # the order the run takes its labels in
+    # checks only, so that an ID mismatch names its file; run_pipeline orders the inputs
     for m in matrices[1:]:
         align_by_id(ids, m.sample_ids, m.sample_ids, str(paths[m.kind]))
     records = read_survival_csv(paths["survival"])
-    records = align_by_id(ids, [r.sample_id for r in records], records, str(paths["survival"]))
+    align_by_id(ids, [r.sample_id for r in records], records, str(paths["survival"]))
     true_labels = None
     if paths["labels"]:
         true_labels = _align_labels_to(ids, paths["labels"])

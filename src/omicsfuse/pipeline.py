@@ -3,10 +3,10 @@ three-stage fusion, clustering, evaluation, and survival testing.
 
 Input contract: one gene-expression, one miRNA and one methylation
 matrix (and the survival file, when given) cover exactly the same sample
-IDs; everything is reordered to sorted sample-ID order, and every setting
-is checked against the sample count, before any computation.  A run is
-thus a function of the sample IDs and values, not of the row order, and
-its results follow sorted sample IDs.
+IDs; matrices are put in PAPER_KINDS order and rows in sorted sample-ID
+order, and every setting is checked against the sample count, before any
+computation.  A run is thus a function of the sample IDs and values, not
+of the row or matrix order; its results follow paper-kind and ID order.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .clustering import Partition, SweepRow, ari, kmeans_pp, nmi, sweep_k2_metri
 from .errors import AlignmentError, DegenerateInputError
 from .fusion import ThreeStageResult, clamp_k2_range, eigenvector_count, three_stage_fuse
 from .preprocess import (
+    PAPER_KINDS,
     OmicsMatrix,
     align_by_id,
     apply_power_transform,
@@ -72,7 +73,6 @@ class PreprocessReport:
     transform_method: str
     lambda_min: float
     lambda_max: float
-    power_grid_fallbacks: int
     selected_features: list[str]
     effective_components: int
 
@@ -101,10 +101,11 @@ def align_inputs(
     omics: list[OmicsMatrix],
     records: list[SurvivalRecord] | None,
 ) -> tuple[list[OmicsMatrix], list[SurvivalRecord] | None]:
-    """Reorder every input to sorted sample-ID order.  There must be one
-    matrix of each of the paper's three kinds, and the ID sets must already
-    coincide."""
+    """Put the matrices in PAPER_KINDS order and every input in sorted
+    sample-ID order.  There must be one matrix of each of the paper's three
+    kinds, and the ID sets must already coincide."""
     require_paper_kinds(omics)
+    omics = sorted(omics, key=lambda m: PAPER_KINDS.index(m.kind))
     order = sorted(omics[0].sample_ids)
     aligned = []
     for m in omics:
@@ -158,7 +159,6 @@ def preprocess_matrix(m: OmicsMatrix, seed: int) -> tuple[OmicsMatrix, Preproces
         transform_method=params.method,
         lambda_min=float(params.lambdas.min()),
         lambda_max=float(params.lambdas.max()),
-        power_grid_fallbacks=params.grid_fallbacks,
         selected_features=list(selected.feature_ids),
         effective_components=model.effective_components,
     )
@@ -176,8 +176,9 @@ def run_pipeline(
     true_labels: Partition | None = None,
     config: PipelineConfig | None = None,
 ) -> PipelineResult:
-    """Full labeled or unlabeled run.  ``true_labels`` must follow the first
-    matrix's sample order; the result follows sorted sample IDs.
+    """Full labeled or unlabeled run of the three matrices, given in any
+    order.  ``true_labels`` must follow the sample order of ``omics[0]``;
+    the result follows PAPER_KINDS order and sorted sample IDs.
 
     With ``true_labels``, the k2 sweep fuses and scores the stage-3
     candidates one at a time, each dropped before the next; without them,

@@ -24,7 +24,6 @@ TRANSFORM_METHODS = ("box_cox", "yeo_johnson")
 
 LAMBDA_RANGE = (-5.0, 5.0)
 GOLDEN_TOL = 1e-4
-GRID_POINTS = 101
 # KNN imputation gathers donors for at most this many (cell, sample) pairs
 # at a time; blocks of 2**20 raised the cli-wide-n150 peak RSS by 18 MB
 IMPUTE_BLOCK_ENTRIES = 1 << 16
@@ -86,7 +85,6 @@ class PowerTransformParams:
     method: str
     lambdas: np.ndarray
     feature_ids: list[str] = field(default_factory=list)
-    grid_fallbacks: int = 0  # features fitted on the 101-point grid
 
     def __post_init__(self):
         if self.method not in TRANSFORM_METHODS:
@@ -287,15 +285,6 @@ def _loglik(terms: tuple, jac: np.ndarray, lam) -> np.ndarray:
     return ll
 
 
-def _unimodal(probe: np.ndarray) -> np.ndarray:
-    """Per column of (points, features): non-strictly rising to a peak, then
-    non-strictly falling, up to a relative 1e-12."""
-    eps = 1e-12 * np.where(np.isfinite(probe), np.abs(probe), 0.0).max(axis=0, initial=1.0)
-    diffs = np.diff(probe, axis=0)
-    fallen = np.logical_or.accumulate(diffs < -eps, axis=0)
-    return ~(fallen & (diffs > eps)).any(axis=0)
-
-
 def _golden_lockstep(fun, lo: float, hi: float, p: int, tol: float) -> np.ndarray:
     """Golden-section maxima of p functions at once; ``fun`` maps one point
     per function to their p values.  Every function takes the same step at
@@ -327,35 +316,26 @@ def _require_positive(x: OmicsMatrix) -> None:
 
 def fit_power_transform(x: OmicsMatrix, method: str = "yeo_johnson") -> PowerTransformParams:
     """Per-feature exponent maximizing the Gaussian profile log-likelihood
-    over [-5, 5]: golden-section search, or the best of a 101-point grid
-    (``grid_fallbacks``) where a 21-point probe is not unimodal.
+    over [-5, 5] by golden-section search, to within GOLDEN_TOL.
 
     All features are fitted at once; each likelihood evaluation takes one
-    exponent per feature.  The golden-section searches run in lockstep,
-    and each feature stops when its own bracket is within GOLDEN_TOL.  One
-    ``_terms`` serves every evaluation and the log Jacobian."""
+    exponent per feature.  The searches run in lockstep, and each feature
+    stops when its own bracket is within GOLDEN_TOL: 26 evaluations over
+    [-5, 5].  One ``_terms`` serves every evaluation and the log Jacobian.
+    The Box-Cox exponent does not change when a feature is rescaled."""
     if method not in TRANSFORM_METHODS:
         raise ValueError(f"method must be one of {TRANSFORM_METHODS}, got {method!r}")
     if x.missing_mask.any():
         raise ValueError("fit_power_transform expects fully observed data; impute first")
     if method == "box_cox":
         _require_positive(x)
-    lo, hi = LAMBDA_RANGE
     rows = np.ascontiguousarray(x.values.T)  # one feature per row
     with np.errstate(over="ignore", invalid="ignore"):
         terms = _, log_term, sign = _terms(rows, method)
         jac = (log_term if sign is None else log_term * sign).sum(axis=1)  # log Jacobian
-        probe = [_loglik(terms, jac, lam) for lam in np.linspace(lo, hi, 21)]
         lambdas = _golden_lockstep(lambda lam: _loglik(terms, jac, lam),
-                                   lo, hi, rows.shape[0], GOLDEN_TOL)
-        fallback = np.flatnonzero(~_unimodal(np.array(probe)))
-        if fallback.size:
-            terms = _terms(rows[fallback], method)
-            grid = np.linspace(lo, hi, GRID_POINTS)
-            scores = [_loglik(terms, jac[fallback], lam) for lam in grid]
-            lambdas[fallback] = grid[np.argmax(scores, axis=0)]
-    return PowerTransformParams(method=method, lambdas=lambdas, feature_ids=list(x.feature_ids),
-                                grid_fallbacks=int(fallback.size))
+                                   *LAMBDA_RANGE, rows.shape[0], GOLDEN_TOL)
+    return PowerTransformParams(method=method, lambdas=lambdas, feature_ids=list(x.feature_ids))
 
 
 def apply_power_transform(x: OmicsMatrix, params: PowerTransformParams) -> OmicsMatrix:

@@ -300,7 +300,6 @@ def logrank_permutation_p_fast(times, events, labels, n_perm: int, seed: int) ->
 
 POWER_LAMBDA_RANGE = (-5.0, 5.0)
 POWER_GOLDEN_TOL = 1e-4
-POWER_GRID_POINTS = 101
 
 
 def box_cox_column(col: np.ndarray, lam: float) -> np.ndarray:
@@ -350,26 +349,11 @@ def golden_max(fun, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def is_unimodal(vals: np.ndarray) -> bool:
-    # non-strictly increasing to a peak, then non-strictly decreasing
-    eps = 1e-12 * max(1.0, float(np.abs(vals[np.isfinite(vals)]).max(initial=1.0)))
-    rising = True
-    for d in np.diff(vals):
-        if rising:
-            if d < -eps:
-                rising = False
-        elif d > eps:
-            return False
-    return True
-
-
-def power_fit_columns(values: np.ndarray, method: str) -> tuple[np.ndarray, int]:
-    """Per-column maximum-likelihood exponents over [-5, 5]: a 21-point
-    probe, golden-section search when the probe is unimodal, else the best
-    of a 101-point grid.  Returns (lambdas, number of grid fallbacks)."""
+def power_fit_columns(values: np.ndarray, method: str) -> np.ndarray:
+    """Per-column maximum-likelihood exponents over [-5, 5] by
+    golden-section search."""
     lo, hi = POWER_LAMBDA_RANGE
     lambdas = np.empty(values.shape[1])
-    fallbacks = 0
     for j in range(values.shape[1]):
         col = values[:, j]
         if method == "box_cox":
@@ -380,14 +364,8 @@ def power_fit_columns(values: np.ndarray, method: str) -> tuple[np.ndarray, int]
         def ll(lam, _col=col, _jac=jac):
             return _column_loglik(_col, lam, method, _jac)
 
-        probe = np.array([ll(lam) for lam in np.linspace(lo, hi, 21)])
-        if is_unimodal(probe):
-            lambdas[j] = golden_max(ll, lo, hi, POWER_GOLDEN_TOL)
-        else:
-            fallbacks += 1
-            grid = np.linspace(lo, hi, POWER_GRID_POINTS)
-            lambdas[j] = grid[int(np.argmax([ll(lam) for lam in grid]))]
-    return lambdas, fallbacks
+        lambdas[j] = golden_max(ll, lo, hi, POWER_GOLDEN_TOL)
+    return lambdas
 
 
 def power_apply_columns(values: np.ndarray, lambdas: np.ndarray, method: str) -> np.ndarray:

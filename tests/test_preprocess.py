@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from omicsfuse import backend, preprocess
 from omicsfuse.errors import AlignmentError, DegenerateInputError, DomainError
 from omicsfuse.preprocess import (
+    GOLDEN_TOL,
     TRANSFORM_METHODS,
     OmicsMatrix,
     PowerTransformParams,
@@ -24,12 +25,10 @@ from omicsfuse.preprocess import (
     _terms,
     _transform,
     _transform_columns,
-    _unimodal,
 )
 
 from oracles import (
     golden_max,
-    is_unimodal,
     knn_impute_cells,
     power_apply_columns,
     power_fit_columns,
@@ -312,15 +311,13 @@ class TestPowerTransformFit:
 
 def assert_matches_columns(values, method="yeo_johnson"):
     """The batched fit and transform equal the per-column reference bit for
-    bit; returns the fitted params."""
+    bit."""
     m = make_omics(values)
     params = fit_power_transform(m, method)
-    lambdas, fallbacks = power_fit_columns(m.values, method)
+    lambdas = power_fit_columns(m.values, method)
     assert np.array_equal(params.lambdas, lambdas)
-    assert params.grid_fallbacks == fallbacks
     out = apply_power_transform(m, params).values
     assert np.array_equal(out, power_apply_columns(m.values, lambdas, method))
-    return params
 
 
 class TestBatchedFitMatchesColumns:
@@ -333,8 +330,7 @@ class TestBatchedFitMatchesColumns:
             rng.gamma(2.0, size=60) - 1.0,
         ])
         vals[7, 3] = 0.0
-        params = assert_matches_columns(vals)
-        assert params.grid_fallbacks == 0
+        assert_matches_columns(vals)
 
     def test_box_cox_on_positive_data(self):
         rng = np.random.default_rng(48)
@@ -351,14 +347,43 @@ class TestBatchedFitMatchesColumns:
         with pytest.raises(DomainError, match="feature 'f1' has minimum -0.5"):
             apply_power_transform(make_omics(vals), params)
 
-    def test_non_unimodal_probe_falls_back_to_the_grid(self):
+    def test_constant_columns_take_the_one_search(self):
         # a constant column's transformed variance is rounding noise, so its
-        # probe rises and falls more than once
+        # likelihood rises and falls more than once; it is searched all the same
         rng = np.random.default_rng(49)
         vals = np.column_stack([rng.normal(size=7), np.full(7, 0.1), rng.normal(size=7),
                                 np.full(7, 0.3)])
-        params = assert_matches_columns(vals)
-        assert params.grid_fallbacks == 2
+        assert_matches_columns(vals)
+
+    @pytest.mark.parametrize("method", TRANSFORM_METHODS)
+    def test_one_feature_fit_makes_26_likelihood_evaluations(self, method, monkeypatch):
+        # golden-section steps shrink [-5, 5] by 0.618 each: 24 steps to
+        # reach GOLDEN_TOL, after the first two points
+        calls = []
+        loglik = preprocess._loglik
+
+        def spy(terms, jac, lam):
+            calls.append(lam)
+            return loglik(terms, jac, lam)
+
+        monkeypatch.setattr(preprocess, "_loglik", spy)
+        vals = np.random.default_rng(54).exponential(size=(30, 1)) + 0.1
+        fit_power_transform(make_omics(vals), method)
+        assert len(calls) == 26
+
+    @pytest.mark.parametrize("k", [10.0, -10.0, 20.0, -20.0, 30.0, -30.0])
+    def test_box_cox_exponent_is_scale_invariant(self, k):
+        # rescaling by c shifts every Box-Cox log-likelihood by one constant,
+        # so the maximizing exponent stays where it is; the 101-point grid
+        # that once took over from a rounding-noise probe moved it by up to 3.7
+        rng = np.random.default_rng(5)
+        vals = np.column_stack([
+            np.exp(rng.normal(size=(80, 5)) * [0.3, 0.7, 1.0, 1.5, 2.0]),
+            rng.gamma([0.5, 2.0, 8.0], size=(80, 3)) + 0.05,
+        ])
+        base = fit_power_transform(make_omics(vals), "box_cox").lambdas
+        scaled = fit_power_transform(make_omics(vals * np.exp(k)), "box_cox").lambdas
+        assert np.abs(scaled - base).max() <= GOLDEN_TOL
 
     def test_apply_takes_numpy_scalar_power_shortcuts_per_feature(self):
         # grid exponents at which numpy's scalar power computes x*x, sqrt(x)
@@ -394,16 +419,6 @@ class TestBatchedFitMatchesColumns:
                                peaks.size, tol)
         assert np.array_equal(got, expected)
 
-    @settings(max_examples=100, deadline=None, database=None)
-    @given(arrays(np.int8, (21, 6), elements=st.integers(-2, 2)),
-           st.sampled_from([1e-14, 1e-12, 1e-9, 1.0]))
-    def test_unimodal_matches_the_column_check(self, steps, scale):
-        # random walks, some within the 1e-12 relative tolerance of flat
-        probe = 1000.0 * (1.0 + scale * np.cumsum(steps, axis=0))
-        probe[0, 0] = probe[-1, 1] = -np.inf
-        expected = [is_unimodal(probe[:, j]) for j in range(probe.shape[1])]
-        assert _unimodal(probe).tolist() == expected
-
     @settings(max_examples=60, deadline=None, database=None)
     @given(arrays(np.float64, st.tuples(st.integers(3, 12), st.integers(1, 4)),
                   elements=st.floats(-20.0, 20.0, width=32)))
@@ -435,9 +450,10 @@ def _power_rows(method):
 
 
 def _exponents(p):
-    """Every exponent of the probe and fallback grids; per-feature vectors
-    holding each shortcut exponent e (and 0) next to 2 - e, so that both
-    Yeo-Johnson branches meet it; exponents within 1e-16 of 0."""
+    """Every exponent of a 21- and a 101-point grid over [-5, 5];
+    per-feature vectors holding each shortcut exponent e (and 0) next to
+    2 - e, so that both Yeo-Johnson branches meet it; exponents within
+    1e-16 of 0."""
     per_feature = [np.resize([e, 2.0 - e, 0.3], p) for e in (2.0, 0.5, -1.0, 0.0)]
     return [*np.linspace(-5.0, 5.0, 21), *np.linspace(-5.0, 5.0, 101), *per_feature,
             1e-17, -1e-17, np.resize([1e-17, -1e-17, 2.0, -0.0], p),
@@ -477,7 +493,7 @@ class TestPerEntryTerms:
            st.lists(st.booleans(), min_size=5, max_size=5),
            st.sampled_from(TRANSFORM_METHODS))
     def test_fit_and_apply_match_the_columns(self, vals, constant, method):
-        # a constant column's probe is rounding noise: it takes the grid
+        # a constant column's likelihood is rounding noise
         vals = vals.copy()
         for j in np.flatnonzero(constant[:vals.shape[1]]):
             vals[:, j] = vals[0, j]
