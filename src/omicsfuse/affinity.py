@@ -32,6 +32,9 @@ def euclidean_distance_matrix(x) -> np.ndarray:
 
 
 def check_distance_matrix(d: np.ndarray) -> np.ndarray:
+    """sym(d) = (d + d')/2 of a square, finite, nonnegative d, symmetric by
+    np.allclose's rule, with a zero diagonal.  A float64 d with the bits of d'
+    is its own sym(d) and is returned as is, not copied: do not write it."""
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {d.shape}")
@@ -39,18 +42,21 @@ def check_distance_matrix(d: np.ndarray) -> np.ndarray:
         raise ValueError("distance matrix must be finite")
     if np.any(d < 0.0):
         raise ValueError("distance matrix must be nonnegative")
-    # np.allclose(d, d.T)'s rule, |d - d.T| <= 1e-8 + 1e-5 |d.T|, without
-    # its n x n temporaries: the differences go into the buffer that then
-    # holds the symmetrized matrix, and the bound is taken in row blocks
-    sym = np.subtract(d, d.T)
-    np.abs(sym, out=sym)
-    for lo in range(0, d.shape[0], backend.ROW_BLOCK):
-        rows = slice(lo, lo + backend.ROW_BLOCK)
-        if not np.all(sym[rows] <= 1e-8 + 1e-5 * np.abs(d.T[rows])):
-            raise ValueError("distance matrix must be symmetric")
+    blocks = [slice(lo, lo + backend.ROW_BLOCK) for lo in range(0, d.shape[0], backend.ROW_BLOCK)]
+    bits = d.view(np.uint64)  # -0.0 and 0.0 differ here
+    exact = all(np.array_equal(bits[rows], bits.T[rows]) for rows in blocks)
+    if not exact:
+        # np.allclose(d, d.T)'s rule, |d - d.T| <= 1e-8 + 1e-5 |d.T|, without
+        # its n x n temporaries: the differences go into the buffer that then
+        # holds the symmetrized matrix, and the bound is taken in row blocks
+        sym = np.subtract(d, d.T)
+        np.abs(sym, out=sym)
+        for rows in blocks:
+            if not np.all(sym[rows] <= 1e-8 + 1e-5 * np.abs(d.T[rows])):
+                raise ValueError("distance matrix must be symmetric")
     if np.any(np.abs(np.diag(d)) > 1e-12):
         raise ValueError("distance matrix must have a zero diagonal")
-    return backend.sym_into(sym, d)
+    return d if exact else backend.sym_into(sym, d)
 
 
 def local_scales(d: np.ndarray, k1: int | None = None) -> np.ndarray:

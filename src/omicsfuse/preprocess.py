@@ -24,8 +24,8 @@ TRANSFORM_METHODS = ("box_cox", "yeo_johnson")
 
 LAMBDA_RANGE = (-5.0, 5.0)
 GOLDEN_TOL = 1e-4
-# KNN imputation gathers donors for at most this many (cell, sample) pairs
-# at a time; blocks of 2**20 raised the cli-wide-n150 peak RSS by 18 MB
+# KNN imputation gathers donors for at most this many (cell, order entry)
+# pairs at a time; blocks of 2**20 raised the cli-wide-n150 peak RSS by 18 MB
 IMPUTE_BLOCK_ENTRIES = 1 << 16
 
 
@@ -158,8 +158,8 @@ def filter_sparse_features(
 
 def knn_impute(x: OmicsMatrix, k: int | None = None) -> tuple[OmicsMatrix, int]:
     """Fill missing cells with the mean over the k nearest samples (masked
-    Euclidean distance, rescaled by sqrt(p / shared)) that observe the
-    feature.  Returns (imputed matrix, number of imputed cells)."""
+    Euclidean distance, rescaled by sqrt(p / shared), ties by index) that
+    observe the feature.  Returns (imputed matrix, number of imputed cells)."""
     n, p = x.values.shape
     if k is None:
         k = default_neighbor_count(n)
@@ -177,31 +177,40 @@ def knn_impute(x: OmicsMatrix, k: int | None = None) -> tuple[OmicsMatrix, int]:
     values = x.values.copy()
     incomplete = np.flatnonzero(x.missing_mask.any(axis=1))
     if incomplete.size:
-        dists = backend.masked_pairwise_dists(x.values, observed)
-        # each incomplete sample's donors, nearest first, ties by index
-        orders = np.argsort(dists[incomplete], axis=1, kind="stable")
-        del dists
+        dists = backend.masked_pairwise_dists(x.values, observed)[incomplete]
         rows, feats = np.nonzero(x.missing_mask[incomplete])
-        step = max(1, IMPUTE_BLOCK_ENTRIES // n)
-        for lo in range(0, rows.size, step):
-            _impute_cells(values, x.values, observed, orders[rows[lo:lo + step]],
-                          incomplete[rows[lo:lo + step]], feats[lo:lo + step], k)
+        # each row's w nearest samples by (distance, index): those nearer than the
+        # farthest stand as in the whole row's order; the cells left use that order
+        w = min(n, 2 * k)
+        near = np.sort(np.argpartition(dists, w - 1, axis=1)[:, :w], axis=1)
+        near_d = np.take_along_axis(dists, near, axis=1)
+        window = np.take_along_axis(near, np.argsort(near_d, axis=1, kind="stable"), axis=1)
+        certain = (near_d < near_d.max(axis=1, keepdims=True)).sum(axis=1)
+        _impute_cells(values, x, window, certain, incomplete, rows, feats, k)
+        left = np.isnan(values[incomplete[rows], feats])
+        at, rows = np.unique(rows[left], return_inverse=True)
+        orders = np.argsort(dists[at], axis=1, kind="stable")
+        _impute_cells(values, x, orders, np.full(at.size, n), incomplete[at], rows, feats[left], k)
     return replace(x, values=values), int(x.missing_mask.sum())
 
 
-def _impute_cells(out, values, observed, order, rows, feats, k):
-    """Fill the cells (rows[c], feats[c]) of ``out``; ``order[c]`` lists
-    the samples by distance from rows[c].  The donors of a cell are the
-    first k samples in that order that observe its feature, or all of
-    them where fewer than k do."""
-    seen = observed[order, feats[:, None]]
-    rank = np.cumsum(seen, axis=1, dtype=np.int32)
-    full = rank[:, -1] >= k
-    pos = np.nonzero(seen[full] & (rank[full] <= k))[1].reshape(-1, k)
-    donors = np.take_along_axis(order[full], pos, axis=1)
-    out[rows[full], feats[full]] = values[donors, feats[full, None]].mean(axis=1)
-    for c in np.flatnonzero(~full):
-        out[rows[c], feats[c]] = values[order[c][seen[c]], feats[c]].mean()
+def _impute_cells(out, x, orders, certain, samples, rows, feats, k):
+    """Fill each cell (samples[rows[c]], feats[c]) of ``out`` whose donors are
+    settled; leave the others NaN.  orders[r] lists samples by (distance,
+    index), its first certain[r] as in the whole row: the first k observers
+    of the feature there, or, once the whole row is, all where fewer observe."""
+    step = max(1, IMPUTE_BLOCK_ENTRIES // orders.shape[1])
+    for lo in range(0, rows.size, step):
+        r, f = rows[lo:lo + step], feats[lo:lo + step]
+        order, cut, dest = orders[r], certain[r], samples[r]
+        seen = ~x.missing_mask[order, f[:, None]]
+        rank = np.cumsum(seen, axis=1, dtype=np.int32)
+        full = (rank[:, -1] >= k) & (np.argmax(rank >= k, axis=1) < cut)
+        pos = np.nonzero(seen[full] & (rank[full] <= k))[1].reshape(-1, k)
+        donors = np.take_along_axis(order[full], pos, axis=1)
+        out[dest[full], f[full]] = x.values[donors, f[full, None]].mean(axis=1)
+        for c in np.flatnonzero(~full & (cut == x.n_samples)):  # fewer than k in all
+            out[dest[c], f[c]] = x.values[order[c][seen[c]], f[c]].mean()
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +252,16 @@ def _terms(rows: np.ndarray, method: str) -> tuple:
     return mag + 1.0, np.log1p(mag), sign
 
 
-def _transform(terms: tuple, lam) -> np.ndarray:
+def _transform(terms: tuple, lam, out: tuple = (None, None)) -> np.ndarray:
     """Transformed (features, samples) values at a scalar ``lam`` or at one
-    exponent per feature."""
+    exponent per feature, in the (exponent, result) buffers ``out`` if given."""
     base, log_term, sign = terms
     lam = np.broadcast_to(lam, base.shape[:1])[:, None]
     # sign * lam + (1 - sign) is lam where sign is 1 and 2 - lam where it is -1
-    mu = np.broadcast_to(lam, base.shape) if sign is None else sign * lam + (1.0 - sign)
+    mu = np.broadcast_to(lam, base.shape) if sign is None else np.add(
+        np.multiply(sign, lam, out=out[0]), np.subtract(1.0, sign, out=out[1]), out=out[0])
     with np.errstate(divide="ignore", invalid="ignore"):
-        y = np.power(base, mu)
+        y = np.power(base, mu, out=out[1])
         # numpy's power takes these exact shortcuts for a scalar exponent;
         # taking them per entry keeps its values independent of the batch.
         # Mirrored entries test 2 - lam == e: lam == 2 - e misses tiny lam
@@ -275,13 +285,14 @@ def _transform_columns(x, lam, method: str) -> np.ndarray:
     return np.ascontiguousarray(y.T).reshape(x.shape)
 
 
-def _loglik(terms: tuple, jac: np.ndarray, lam) -> np.ndarray:
-    """Gaussian profile log-likelihood of every feature at ``lam``; -inf
-    where its transform is not finite."""
-    y = _transform(terms, lam)
-    var = y.var(axis=1)  # MLE variance (n divisor)
+def _loglik(terms: tuple, jac: np.ndarray, lam, out: tuple) -> np.ndarray:
+    """Gaussian profile log-likelihood of every feature at ``lam``, in
+    ``_transform``'s buffers ``out``; -inf where the transform is not finite."""
+    y = _transform(terms, lam, out)
+    y -= y.sum(axis=1, keepdims=True) / y.shape[1]  # y.var(axis=1)'s steps, in y
+    var = np.square(y, out=y).sum(axis=1) / y.shape[1]  # MLE variance (n divisor)
     ll = -0.5 * y.shape[1] * np.log(np.maximum(var, 1e-300)) + (lam - 1.0) * jac
-    ll[~np.isfinite(y).all(axis=1)] = -np.inf
+    ll[~np.isfinite(var)] = -np.inf  # a non-finite entry makes var nan or inf
     return ll
 
 
@@ -333,7 +344,8 @@ def fit_power_transform(x: OmicsMatrix, method: str = "yeo_johnson") -> PowerTra
     with np.errstate(over="ignore", invalid="ignore"):
         terms = _, log_term, sign = _terms(rows, method)
         jac = (log_term if sign is None else log_term * sign).sum(axis=1)  # log Jacobian
-        lambdas = _golden_lockstep(lambda lam: _loglik(terms, jac, lam),
+        out = (None if sign is None else np.empty_like(rows), np.empty_like(rows))
+        lambdas = _golden_lockstep(lambda lam: _loglik(terms, jac, lam, out),
                                    *LAMBDA_RANGE, rows.shape[0], GOLDEN_TOL)
     return PowerTransformParams(method=method, lambdas=lambdas, feature_ids=list(x.feature_ids))
 

@@ -7,6 +7,8 @@ equal the plain numpy references in tests/oracles.py bit for bit, signed
 zeros included.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -27,11 +29,13 @@ from omicsfuse.fusion import _fusion_step, _gap_scale, _laplacian_into, step_dis
 from omicsfuse.numkernel import sym_eig
 from omicsfuse.preprocess import OmicsMatrix, knn_impute
 from omicsfuse.survival import SurvivalRecord, logrank_test
+from omicsfuse.synthgen import SynthSpec, generate
 from oracles import (
     affinity_kernel,
     affinity_symmetrized,
     check_distance_matrix_allclose,
     distances_symmetrized,
+    knn_impute_cells,
     knn_impute_rows,
     logrank_test_loop,
     off_diagonal_masked,
@@ -194,6 +198,44 @@ class TestCheckDistanceMatrix:
         d = np.array([[0.0, -0.0, 1.0], [0.0, -0.0, 2.0], [1.0, 2.0, 0.0]])
         assert_same_bits(check_distance_matrix(d), check_distance_matrix_allclose(d))
 
+    def test_symmetric_signed_zeros_are_returned_as_they_are(self):
+        d = np.array([[0.0, -0.0, 1.0], [-0.0, -0.0, 2.0], [1.0, 2.0, 0.0]])
+        out = check_distance_matrix(d)
+        assert out is d
+        assert_same_bits(out, check_distance_matrix_allclose(d))
+
+    def test_an_exactly_symmetric_input_is_returned_without_a_copy(self):
+        """n = 600: the bits of d and d' are compared in row blocks and
+        nothing n x n is made; the allclose rule and the symmetrized copy
+        took 1.14 n^2 float64."""
+        d = euclidean_distance_matrix(np.random.default_rng(16).normal(size=(600, 5)))
+        ref = check_distance_matrix_allclose(d)
+        tracemalloc.start()
+        try:
+            out = check_distance_matrix(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out is d
+        assert peak < 0.2 * d.nbytes
+        assert_same_bits(out, ref)
+
+    @pytest.mark.parametrize("d, message", [
+        (np.zeros((2, 3)), "square"),
+        ([[0.0, np.nan], [-1.0, 0.0]], "finite"),
+        ([[0.0, -1.0], [2.0, 0.0]], "nonnegative"),
+        ([[1.0, 1.0], [2.0, 0.0]], "symmetric"),  # and a nonzero diagonal
+        ([[1.0, 2.0], [2.0, 0.0]], "zero diagonal"),  # exactly symmetric
+        ([[1.0, 2.0], [2.0 + 1e-12, 0.0]], "zero diagonal"),  # within the tolerance
+    ])
+    def test_errors_and_their_precedence(self, d, message):
+        messages = []
+        for check in (check_distance_matrix, check_distance_matrix_allclose):
+            with pytest.raises(ValueError, match=message) as err:
+                check(np.array(d))
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
 
 class TestSortedDistances:
     @pytest.mark.parametrize("ties", [False, True])
@@ -234,13 +276,13 @@ class TestStepDistance:
 
     @pytest.mark.parametrize("count", [1, 3, 6])
     def test_is_its_own_checked_distance(self, count):
-        """The distance check hands the step distance back bit for bit, so
-        the fusion step reads it unchecked; a stage's fused S, which is not
+        """The distance check hands the step distance back as it is, so the
+        fusion step reads it unchecked; a stage's fused S, which is not
         symmetric, is one view too."""
         views = _affinities(30, count, count + 20)
         views[0] = np.random.default_rng(count).uniform(size=(30, 30))
         d = step_distance(views)
-        assert_same_bits(check_distance_matrix(d), d)
+        assert check_distance_matrix(d) is d
 
     def test_inputs_are_left_alone(self):
         affs = _affinities(12, 3, 9)
@@ -365,6 +407,126 @@ class TestKnnImpute:
             out, count = knn_impute(m, k=k)
             assert count == missing.sum()
             assert_same_bits(out.values, knn_impute_rows(values, missing, dists, k))
+
+
+def _omics(values):
+    n, p = values.shape
+    return OmicsMatrix(values, [f"s{i}" for i in range(n)], [f"f{j}" for j in range(p)],
+                       "gene_expression")
+
+
+def _impute_with_calls(monkeypatch, values, k):
+    """``knn_impute`` with a record of its donor-routine calls: (order
+    width, cells handed over) for the window and then for the whole rows."""
+    calls = []
+    impute = preprocess._impute_cells
+
+    def spy(out, x, orders, certain, samples, rows, feats, k):
+        calls.append((orders.shape[1], rows.size))
+        return impute(out, x, orders, certain, samples, rows, feats, k)
+
+    monkeypatch.setattr(preprocess, "_impute_cells", spy)
+    try:
+        out, count = knn_impute(_omics(values), k=k)
+    finally:
+        monkeypatch.undo()
+    return out.values, count, calls
+
+
+def _reference(values, k):
+    missing = np.isnan(values)
+    dists = masked_pairwise_dists(np.where(missing, 0.0, values), ~missing)
+    return knn_impute_cells(values, missing, dists, k)
+
+
+def _ties_at_the_window_edge():
+    """k = 3, a window of 6: samples 1 and 2 are nearer sample 0 than the
+    seven samples 3-9, which tie at the window's farthest distance; the
+    third donor is the lowest-indexed of them."""
+    values = np.column_stack([[0.0, 0.5, 0.5] + [1.0] * 7, 10.0 * np.arange(10)])
+    values[0, 1] = np.nan
+    return values, 3
+
+
+def _observers_beyond_the_window():
+    """k = 2, a window of 4: the three samples nearest sample 0 miss the
+    feature it misses too; eight farther samples observe it."""
+    values = np.column_stack([np.arange(12.0), 10.0 * np.arange(12)])
+    values[:4, 1] = np.nan
+    return values, 2
+
+
+def _fewer_observers_than_k():
+    """k = 3: two samples observe the second feature, so each sample
+    missing it takes the mean of both."""
+    values = np.column_stack([np.arange(8.0) ** 1.5, 10.0 * np.arange(8)])
+    values[:6, 1] = np.nan
+    return values, 3
+
+
+def _k_is_n_minus_one():
+    """k = n - 1: the window is the whole row."""
+    values = np.round(np.random.default_rng(21).normal(size=(7, 3)), 1)
+    values[[0, 3, 5], [1, 2, 1]] = np.nan
+    return values, 6
+
+
+EDGE_CASES = [_ties_at_the_window_edge, _observers_beyond_the_window,
+              _fewer_observers_than_k, _k_is_n_minus_one]
+
+
+@st.composite
+def _impute_inputs(draw):
+    """Coarse values (tied distances), duplicate rows, random masks in which
+    every sample and every feature keeps an observed cell, k in [2, n - 1]."""
+    n, p = draw(st.integers(4, 30)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.round(rng.normal(size=(n, p)), draw(st.integers(0, 2)))
+    values[rng.integers(0, n, draw(st.integers(0, n // 2)))] = values[0]
+    missing = rng.uniform(size=(n, p)) < draw(st.floats(0.05, 0.7))
+    missing[np.arange(n), rng.integers(0, p, n)] = False
+    missing[rng.integers(0, n)] = False
+    values[missing] = np.nan
+    return values, draw(st.integers(2, n - 1))
+
+
+class TestDonorWindow:
+    """``knn_impute`` settles each cell in a window of the 2k nearest samples
+    when it can and sorts the whole row when it cannot; the donors are
+    those of the per-cell reference bit for bit either way."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_impute_inputs())
+    def test_matches_the_per_cell_reference(self, case):
+        values, k = case
+        out, count = knn_impute(_omics(values), k=k)
+        assert count == np.isnan(values).sum()
+        assert_same_bits(out.values, _reference(values, k))
+
+    @pytest.mark.parametrize("case", EDGE_CASES, ids=lambda c: c.__name__.strip("_"))
+    def test_edge_cases_fall_back_to_the_whole_row(self, monkeypatch, case):
+        values, k = case()
+        n = values.shape[0]
+        out, _, calls = _impute_with_calls(monkeypatch, values, k)
+        assert_same_bits(out, _reference(values, k))
+        (width, cells), (whole, left) = calls
+        assert (width, cells, whole) == (min(n, 2 * k), np.isnan(values).sum(), n)
+        assert left >= 1
+
+    def test_ties_at_the_window_edge_take_the_lowest_indices(self):
+        values, k = _ties_at_the_window_edge()
+        out, _ = knn_impute(_omics(values), k=k)
+        assert out.values[0, 1] == np.mean([10.0, 20.0, 30.0])
+
+    def test_the_window_settles_every_cell_at_benchmark_shape(self, monkeypatch):
+        """n = 600 with 5% of cells missing: no cell needs its whole row."""
+        mats, _, _ = generate(SynthSpec(n=600, k=3, dims=(60, 40, 50), missing_rate=0.05,
+                                        high_missing_fraction=0.10, seed=23))
+        for m in mats:
+            values = preprocess.filter_sparse_features(m)[0].values
+            _, count, calls = _impute_with_calls(monkeypatch, values, None)
+            assert calls == [(2 * preprocess.default_neighbor_count(600), count), (600, 0)]
+            assert count > 1000
 
 
 def _logrank_bits(labels, times, events):

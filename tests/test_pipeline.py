@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from omicsfuse import cca, fusion, pipeline
+from omicsfuse import affinity, cca, fusion, pipeline
 from omicsfuse.clustering import Partition, ari, kmeans_pp, sweep_k2_metrics
 from omicsfuse.errors import AlignmentError, DegenerateInputError
 from omicsfuse.numkernel import sym_eig
@@ -45,6 +45,25 @@ def _permute_matrix(m: OmicsMatrix, perm) -> OmicsMatrix:
 def test_recovers_planted_clusters(result):
     assert result.final_ari == 1.0
     assert result.final_nmi == 1.0
+
+
+def test_every_kernelized_distance_takes_the_exact_symmetry_path(dataset, monkeypatch):
+    """The check hands back each distance the run kernelizes as it is: the
+    three intra distances, the three CCA pair distances and the step
+    distances of the two fused stages.  A change that broke their exact
+    symmetry would add an n x n copy to every kernel, and fails here."""
+    kept = []
+    check = affinity.check_distance_matrix
+
+    def spy(d):
+        out = check(d)
+        kept.append(out is d)
+        return out
+
+    monkeypatch.setattr(affinity, "check_distance_matrix", spy)
+    mats, _, recs = dataset
+    run_pipeline(mats, recs, None, CONFIG)
+    assert kept == [True] * 8
 
 
 def test_result_bookkeeping(result, dataset):

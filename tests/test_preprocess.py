@@ -362,9 +362,9 @@ class TestBatchedFitMatchesColumns:
         calls = []
         loglik = preprocess._loglik
 
-        def spy(terms, jac, lam):
+        def spy(terms, jac, lam, out):
             calls.append(lam)
-            return loglik(terms, jac, lam)
+            return loglik(terms, jac, lam, out)
 
         monkeypatch.setattr(preprocess, "_loglik", spy)
         vals = np.random.default_rng(54).exponential(size=(30, 1)) + 0.1
@@ -479,9 +479,9 @@ class TestPerEntryTerms:
         jacobians = []
         loglik = preprocess._loglik
 
-        def spy(terms, jac, lam):
+        def spy(terms, jac, lam, out):
             jacobians.append(jac)
-            return loglik(terms, jac, lam)
+            return loglik(terms, jac, lam, out)
 
         monkeypatch.setattr(preprocess, "_loglik", spy)
         fit_power_transform(make_omics(rows.T), method)
