@@ -11,23 +11,16 @@ from __future__ import annotations
 import numpy as np
 
 from . import backend
-from .preprocess import OmicsMatrix, default_neighbor_count
+from .preprocess import default_neighbor_count
 
 
-def _as_values(x) -> np.ndarray:
-    values = x.values if isinstance(x, OmicsMatrix) else np.asarray(x, dtype=np.float64)
+def euclidean_distance_matrix(x: np.ndarray) -> np.ndarray:
+    """Dense pairwise Euclidean distances between rows of a 2-D array."""
+    values = np.asarray(x, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError(f"expected a 2-D array of samples, got shape {values.shape}")
-    if isinstance(x, OmicsMatrix) and x.missing_mask.any():
-        raise ValueError("distance computation expects fully observed data; impute first")
     if not np.all(np.isfinite(values)):
         raise ValueError("distance computation expects finite values")
-    return values
-
-
-def euclidean_distance_matrix(x) -> np.ndarray:
-    """Dense pairwise Euclidean distances between samples (rows)."""
-    values = _as_values(x)
     return np.sqrt(backend.pairwise_sq_dists(values))  # exactly symmetric: x x' is one syrk
 
 

@@ -102,8 +102,6 @@ def fit_bayesian_gmm(x, max_components: int = MAX_COMPONENTS, seed: int = 0) -> 
     r = rng.dirichlet(np.ones(M), size=n)
 
     xsq = values**2
-    alpha = kappa = a = None
-    m = b = None
     trace = []
     prev = -np.inf
     converged = False

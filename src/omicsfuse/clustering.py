@@ -173,13 +173,11 @@ class SweepRow:
 def sweep_k2_metrics(
     candidates,
     true_labels: Partition,
-    k: int | None = None,
+    k: int,
     seed: int = 0,
 ) -> list[SweepRow]:
-    """Cluster every stage-3 candidate's fused network and score it against
-    the reference labels; one row per candidate, errors recorded in place."""
-    if k is None:
-        k = true_labels.k
+    """Cluster every stage-3 candidate's fused network into k clusters and
+    score it against the reference labels; one row each, errors in place."""
     rows: list[SweepRow] = []
     for cand in candidates:
         trace = [np.nan] if cand.state is None else cand.state.objective_trace

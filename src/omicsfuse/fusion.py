@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -112,8 +113,10 @@ class ThreeStageResult:
     stage3: StageRecord
     step3: FusionStep
     stage3_lo: int
-    eigenvector_count: int
-    _candidates: list[StageRecord] | None = field(default=None, init=False, repr=False)
+
+    @property
+    def eigenvector_count(self) -> int:
+        return self.step3.c
 
     @property
     def selected_k2(self) -> int:
@@ -127,8 +130,8 @@ class ThreeStageResult:
         """The stage-3 candidates in k2 order, each fused when reached; the
         last is ``stage3``, and the others share one start, let go after
         them.  Reads the cached list instead once ``candidates`` built it."""
-        if self._candidates is not None:
-            yield from self._candidates
+        if "candidates" in vars(self):
+            yield from self.candidates
             return
         if self.stage3_lo < self.stage3.k2:
             start = _uniform_start(self.step3.affinities, self.step3.c)
@@ -137,11 +140,9 @@ class ThreeStageResult:
             del start
         yield self.stage3
 
-    @property
+    @cached_property
     def candidates(self) -> list[StageRecord]:
-        if self._candidates is None:
-            self._candidates = list(self.iter_candidates())
-        return self._candidates
+        return list(self.iter_candidates())
 
 
 def eigenvector_count(cluster_count: int) -> int:
@@ -398,5 +399,5 @@ def three_stage_fuse(
     step3 = _fusion_step(rekernelized, c, "stage 3 candidate", hi)
     return ThreeStageResult(
         stage1=stages[0], stage2=stages[1], stage3=_raise_failure(step3.fuse(hi)),
-        step3=step3, stage3_lo=lo, eigenvector_count=c,
+        step3=step3, stage3_lo=lo,
     )

@@ -26,7 +26,7 @@ _LABELS_HEADER = ["sample_id", "label"]
 
 
 def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
+    if math.isnan(x):  # any float type, numpy's float32 too
         return ""
     return f"{x:.12g}"
 
@@ -151,6 +151,8 @@ def write_table_csv(path, header: list[str], rows, row_ids=None) -> None:
     ``row_ids``, ``rows`` is a 2-D float array and each line is a row id
     followed by that row's values, byte for byte as the generic path
     writes them."""
+    if row_ids is not None and rows.shape[1] == 0:  # the id alone; csv quotes a lone ""
+        rows, row_ids = ([rid] for rid in row_ids), None
     if row_ids is None:
         _write_rows(path, header, ([_fmt(v) if isinstance(v, (float, np.floating)) else v
                                     for v in row] for row in rows))

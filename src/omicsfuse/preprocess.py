@@ -22,6 +22,7 @@ OMICS_KINDS = (*PAPER_KINDS, "other")
 
 TRANSFORM_METHODS = ("box_cox", "yeo_johnson")
 
+SPARSE_THRESHOLD = 0.20  # largest kept fraction of zero or missing cells
 LAMBDA_RANGE = (-5.0, 5.0)
 GOLDEN_TOL = 1e-4
 # KNN imputation gathers donors for at most this many (cell, order entry)
@@ -132,21 +133,18 @@ def default_neighbor_count(n: int) -> int:
 # sparse-feature filter
 
 
-def filter_sparse_features(
-    x: OmicsMatrix, threshold: float = 0.20
-) -> tuple[OmicsMatrix, np.ndarray]:
+def filter_sparse_features(x: OmicsMatrix) -> tuple[OmicsMatrix, np.ndarray]:
     """Drop features whose fraction of zero or missing cells exceeds
-    ``threshold``.  Returns (filtered matrix, indices of removed features)."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+    ``SPARSE_THRESHOLD``.  Returns (filtered matrix, indices of removed
+    features)."""
     n = x.n_samples
     bad = x.missing_mask | (x.values == 0.0)
     frac = bad.sum(axis=0) / n
-    removed = np.flatnonzero(frac > threshold)
-    kept = np.flatnonzero(frac <= threshold)
+    removed = np.flatnonzero(frac > SPARSE_THRESHOLD)
+    kept = np.flatnonzero(frac <= SPARSE_THRESHOLD)
     if kept.size == 0:
         raise DegenerateInputError(
-            f"{x.kind}: all {x.n_features} features exceed the {threshold:.0%} "
+            f"{x.kind}: all {x.n_features} features exceed the {SPARSE_THRESHOLD:.0%} "
             "zero/missing threshold"
         )
     return x.take_features(kept), removed

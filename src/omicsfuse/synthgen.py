@@ -70,7 +70,7 @@ def _synth_matrix(rng, spec: SynthSpec, labels, kind, d, sample_ids):
     d_signal = d - n_noise
 
     values = rng.normal(size=(n, d))
-    if d_signal > 0 and spec.k >= 1:
+    if d_signal > 0:
         means = _cluster_signatures(rng, spec.k, d_signal, spec.separation)
         values[:, :d_signal] += means[labels]
 
@@ -80,7 +80,6 @@ def _synth_matrix(rng, spec: SynthSpec, labels, kind, d, sample_ids):
         high_idx = rng.choice(d, size=n_high, replace=False)
         mask[:, high_idx] |= rng.uniform(size=(n, n_high)) < spec.high_missing_rate
 
-    values = values.copy()
     values[mask] = np.nan
     feature_ids = [f"{prefix}_{j:04d}" for j in range(d)]
     return OmicsMatrix(

@@ -529,7 +529,7 @@ class TestThreeStage:
         intra, inter = random_affinities(n, 3, 51), random_affinities(n, 6, 52)
         streamed = three_stage_fuse(intra, inter, cluster_count=3, stage3_k2_range=(2, 7))
         records = list(streamed.iter_candidates())
-        assert streamed._candidates is None  # the stream caches nothing
+        assert "candidates" not in vars(streamed)  # the stream caches nothing
         assert records[-1] is streamed.stage3
         listed = three_stage_fuse(intra, inter, cluster_count=3, stage3_k2_range=(2, 7))
         assert len(records) == len(listed.candidates) == 6

@@ -254,9 +254,14 @@ class TestTableCsv:
         rng = np.random.default_rng(3)
         matrix = rng.normal(size=(len(ids), len(ids))) * 10.0 ** rng.integers(-8, 8, (7, 7))
         matrix[0, :4] = [np.nan, np.inf, -0.0, 1.0 / 3.0]
-        header = ["sample_id", *ids]
-        generic, fast = tmp_path / "generic.csv", tmp_path / "fast.csv"
-        write_table_csv(generic, header,
-                        [[rid, *(float(v) for v in row)] for rid, row in zip(ids, matrix)])
-        write_table_csv(fast, header, matrix, row_ids=ids)
-        assert fast.read_bytes() == generic.read_bytes()
+        # generic cells as Python floats and as numpy scalars (a float32 NaN
+        # too), and a matrix with no columns, where each line is the id alone
+        cases = [(matrix, float), (matrix, np.float64), (matrix.astype(np.float32), np.float32),
+                 (matrix[:, :0], float)]
+        for i, (values, cell) in enumerate(cases):
+            header = ["sample_id", *ids[:values.shape[1]]]
+            generic, fast = tmp_path / f"generic{i}.csv", tmp_path / f"fast{i}.csv"
+            write_table_csv(generic, header,
+                            [[rid, *(cell(v) for v in row)] for rid, row in zip(ids, values)])
+            write_table_csv(fast, header, values, row_ids=ids)
+            assert fast.read_bytes() == generic.read_bytes(), i

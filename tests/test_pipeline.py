@@ -326,7 +326,7 @@ def test_labeled_run_streams_the_candidates(dataset, monkeypatch):
     mats, labels, recs = dataset
     fused, refs, peak = _watch_candidates(monkeypatch, selected_k2=10)
     res = run_pipeline(mats, recs, labels, CONFIG)
-    assert res.fusion._candidates is None
+    assert "candidates" not in vars(res.fusion)
     # the selected candidate is fused first, then the sweep fuses the grid in order
     assert fused == [10, *range(2, 10)]
     # the previous candidate, still held by the sweep, is the only one alive

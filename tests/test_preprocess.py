@@ -134,10 +134,6 @@ class TestFilterSparseFeatures:
         with pytest.raises(DegenerateInputError):
             filter_sparse_features(make_omics(vals))
 
-    def test_bad_threshold(self):
-        with pytest.raises(ValueError):
-            filter_sparse_features(make_omics([[1.0]]), threshold=1.5)
-
 
 class TestKnnImpute:
     def test_default_neighbor_count(self):
