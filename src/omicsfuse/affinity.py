@@ -31,25 +31,19 @@ def check_distance_matrix(d: np.ndarray) -> np.ndarray:
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {d.shape}")
-    if not np.all(np.isfinite(d)):
+    lo, hi = d.min(initial=0.0), d.max(initial=0.0)  # NaN and +-inf reach one
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("distance matrix must be finite")
-    if np.any(d < 0.0):
+    if lo < 0.0:
         raise ValueError("distance matrix must be nonnegative")
-    blocks = [slice(lo, lo + backend.ROW_BLOCK) for lo in range(0, d.shape[0], backend.ROW_BLOCK)]
     bits = d.view(np.uint64)  # -0.0 and 0.0 differ here
-    exact = all(np.array_equal(bits[rows], bits.T[rows]) for rows in blocks)
-    if not exact:
-        # np.allclose(d, d.T)'s rule, |d - d.T| <= 1e-8 + 1e-5 |d.T|, without
-        # its n x n temporaries: the differences go into the buffer that then
-        # holds the symmetrized matrix, and the bound is taken in row blocks
-        sym = np.subtract(d, d.T)
-        np.abs(sym, out=sym)
-        for rows in blocks:
-            if not np.all(sym[rows] <= 1e-8 + 1e-5 * np.abs(d.T[rows])):
-                raise ValueError("distance matrix must be symmetric")
+    exact = all(np.array_equal(bits[i:i + backend.ROW_BLOCK], bits.T[i:i + backend.ROW_BLOCK])
+                for i in range(0, d.shape[0], backend.ROW_BLOCK))
+    if not exact and not np.allclose(d, d.T):
+        raise ValueError("distance matrix must be symmetric")
     if np.any(np.abs(np.diag(d)) > 1e-12):
         raise ValueError("distance matrix must have a zero diagonal")
-    return d if exact else backend.sym_into(sym, d)
+    return d if exact else backend.sym_into(np.empty_like(d), d)
 
 
 def local_scales(d: np.ndarray, k1: int | None = None) -> np.ndarray:
@@ -63,7 +57,7 @@ def _local_scales(d: np.ndarray, k1: int | None) -> np.ndarray:
     if n < 2:
         raise ValueError("need at least 2 samples for local scales")
     if k1 is None:
-        k1 = min(max(default_neighbor_count(n), 1), n - 1)
+        k1 = default_neighbor_count(n)
     if not 1 <= k1 <= n - 1:
         raise ValueError(f"k1={k1} outside [1, {n - 1}]")
     return nearest_distances(d, k1).mean(axis=1)
@@ -103,10 +97,8 @@ def affinity_from_distance(d: np.ndarray, k1: int | None = None) -> np.ndarray:
     denom += a
     np.square(d, out=a)
     np.negative(a, out=a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(a, denom, out=a)
-        np.exp(a, out=a)
-    # duplicate samples: zero distance with zero scales is affinity 1
-    a[denom <= 0.0] = 1.0
+    # duplicate samples, zero distance with zero scales, keep -0.0: affinity 1
+    np.divide(a, denom, out=a, where=denom > 0.0)
+    np.exp(a, out=a)
     np.fill_diagonal(a, 1.0)
     return a

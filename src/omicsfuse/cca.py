@@ -22,15 +22,13 @@ from .preprocess import OmicsMatrix, align_by_id, require_paper_kinds
 
 RELATIVE_RANK_TOL = 1e-10
 
-# (predictor, response) kind pairs in canonical report order
-DIRECTED_PAIR_ORDER = [
+# (predictor, response) kind pairs; in report order each precedes its reverse
+FORWARD_PAIRS = [
     ("mirna", "gene_expression"),
-    ("gene_expression", "mirna"),
     ("mirna", "methylation"),
-    ("methylation", "mirna"),
     ("gene_expression", "methylation"),
-    ("methylation", "gene_expression"),
 ]
+DIRECTED_PAIR_ORDER = [pair for p, r in FORWARD_PAIRS for pair in ((p, r), (r, p))]
 
 
 @dataclass
@@ -104,9 +102,9 @@ def canonical_distance_matrix(result: CcaResult) -> np.ndarray:
 def all_directed_pair_distances(
     omics: list[OmicsMatrix],
 ) -> list[tuple[DirectedPair, np.ndarray]]:
-    """Canonical-variate distance matrices for all six directed pairs of
-    the three omics blocks, one of each of the paper's kinds, in canonical
-    report order; a reverse pair holds its forward pair's array."""
+    """Canonical-variate distance matrices for all six directed pairs of the
+    three omics blocks, one of each of the paper's kinds, in report order:
+    each forward pair, then its reverse, which holds the same array."""
     require_paper_kinds(omics)
     order = omics[0].sample_ids
     for m in omics[1:]:
@@ -119,8 +117,8 @@ def all_directed_pair_distances(
 
     blocks = _checked_blocks(*(m.values for m in omics))
     bases = {m.kind: _center_and_whiten(b, m.kind) for m, b in zip(omics, blocks)}
-    dist = {}
-    for p, r in DIRECTED_PAIR_ORDER:
-        if (p, r) not in dist:
-            dist[p, r] = dist[r, p] = canonical_distance_matrix(_fit_whitened(bases[p], bases[r]))
-    return [(DirectedPair(p, r), dist[p, r]) for p, r in DIRECTED_PAIR_ORDER]
+    pairs = []
+    for p, r in FORWARD_PAIRS:
+        d = canonical_distance_matrix(_fit_whitened(bases[p], bases[r]))
+        pairs += [(DirectedPair(p, r), d), (DirectedPair(r, p), d)]
+    return pairs

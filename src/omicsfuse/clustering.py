@@ -17,6 +17,7 @@ from . import backend
 LLOYD_MAX_ITER = 300
 LLOYD_TOL = 1e-8  # a restart stops once every centroid moves less than this
 RESTARTS = 10  # k-means++ seedings per clustering; the best by WCSS is kept
+CLUSTER_INPUTS = ("network", "spectral")  # the rows of S, the rows of F
 
 
 @dataclass
@@ -170,21 +171,26 @@ class SweepRow:
     error: str | None = None
 
 
-def sweep_k2_metrics(
-    candidates,
-    true_labels: Partition,
-    k: int,
-    seed: int = 0,
-) -> list[SweepRow]:
-    """Cluster every stage-3 candidate's fused network into k clusters and
-    score it against the reference labels; one row each, errors in place."""
+def clustered_rows(record, cluster_on: str) -> np.ndarray:
+    """The rows a fusion record is clustered by: its network S ("network"),
+    or the F its last F-step solved from I - sym(S) ("spectral")."""
+    if cluster_on not in CLUSTER_INPUTS:
+        raise ValueError(f"cluster_on must be one of {CLUSTER_INPUTS}, got {cluster_on!r}")
+    return record.s if cluster_on == "network" else record.state.f
+
+
+def sweep_k2_metrics(candidates, true_labels: Partition, k: int, cluster_on: str,
+                     seed: int = 0) -> list[SweepRow]:
+    """Cluster the rows of every stage-3 candidate that ``cluster_on`` picks
+    into k clusters and score them against the reference labels; one row
+    each, errors in place."""
     rows: list[SweepRow] = []
     for cand in candidates:
         trace = [np.nan] if cand.state is None else cand.state.objective_trace
         row = SweepRow(cand.k2, cand.gamma, float(trace[-1]), len(trace) - 1, error=cand.error)
         if cand.error is None:
             try:
-                part = kmeans_pp(cand.s, k, seed=seed)
+                part = kmeans_pp(clustered_rows(cand, cluster_on), k, seed=seed)
                 row.ari, row.nmi = ari(part, true_labels), nmi(part, true_labels)
             except (ValueError, ArithmeticError) as exc:
                 row.error = f"k2={cand.k2}: {exc}"

@@ -18,7 +18,8 @@ import numpy as np
 from .affinity import affinity_from_distance, euclidean_distance_matrix
 from .bgmm import MAX_COMPONENTS, fit_bayesian_gmm, select_features_bgmm
 from .cca import all_directed_pair_distances
-from .clustering import Partition, SweepRow, ari, kmeans_pp, nmi, sweep_k2_metrics
+from .clustering import (
+    CLUSTER_INPUTS, Partition, SweepRow, ari, clustered_rows, kmeans_pp, nmi, sweep_k2_metrics)
 from .errors import AlignmentError, DegenerateInputError
 from .fusion import ThreeStageResult, clamp_k2_range, eigenvector_count, three_stage_fuse
 from .preprocess import (
@@ -34,7 +35,6 @@ from .preprocess import (
 )
 from .survival import SurvivalRecord, SurvivalReport, logrank_test
 
-CLUSTER_INPUTS = ("network", "spectral")
 K3_SET = (3, 4, 5)  # survival group counts
 
 
@@ -165,11 +165,6 @@ def preprocess_matrix(m: OmicsMatrix, seed: int) -> tuple[OmicsMatrix, Preproces
     return selected, report
 
 
-def _cluster_points(fusion: ThreeStageResult, config: PipelineConfig) -> np.ndarray:
-    # the last F-step of stage 3 solved I - sym(S_final) for these eigenvectors
-    return fusion.s_final if config.cluster_on == "network" else fusion.stage3.state.f
-
-
 def run_pipeline(
     omics: list[OmicsMatrix],
     records: list[SurvivalRecord] | None = None,
@@ -208,13 +203,11 @@ def run_pipeline(
     for m in processed:
         intra[m.kind] = affinity_from_distance(euclidean_distance_matrix(m.values))
 
-    inter, kernels = {}, {}  # kernels: id of a distance array -> its one affinity
+    inter = {}
     pairs = all_directed_pair_distances(processed)
-    while pairs:  # each pair distance is dropped once its last entry is read
-        pair, d = pairs.pop(0)
-        if id(d) not in kernels:
-            kernels[id(d)] = affinity_from_distance(d)
-        inter[pair.label()] = kernels[id(d)]
+    while pairs:  # a pair and its reverse share one distance, dropped once kernelized
+        (pair, d), reverse = pairs.pop(0), pairs.pop(0)[0]
+        inter[pair.label()] = inter[reverse.label()] = affinity_from_distance(d)
         del d
 
     fusion = three_stage_fuse(
@@ -226,14 +219,14 @@ def run_pipeline(
         stage3_k2_range=config.stage3_k2,
     )
 
-    points = _cluster_points(fusion, config)
+    points = clustered_rows(fusion.stage3, config.cluster_on)
     final_partition = kmeans_pp(points, config.clusters, seed=config.seed)
 
     metrics_rows = None
     final_ari = final_nmi = None
     if true_labels is not None:
-        metrics_rows = sweep_k2_metrics(fusion.iter_candidates(), true_labels,
-                                        k=config.clusters, seed=config.seed)
+        metrics_rows = sweep_k2_metrics(fusion.iter_candidates(), true_labels, config.clusters,
+                                        config.cluster_on, seed=config.seed)
         final_ari = ari(final_partition, true_labels)
         final_nmi = nmi(final_partition, true_labels)
 

@@ -261,7 +261,7 @@ class TestSweep:
 
     def test_one_row_per_candidate_and_errors_kept(self):
         cands, truth = self._candidates()
-        rows = sweep_k2_metrics(cands, truth, truth.k)
+        rows = sweep_k2_metrics(cands, truth, truth.k, "network")
         assert [r.k2 for r in rows] == [2, 3, 4]
         assert [r.gamma for r in rows] == [1.0, 1.0, 1.0]
         assert rows[0].ari == 1.0 and rows[0].nmi == pytest.approx(1.0, abs=1e-12)
@@ -274,12 +274,20 @@ class TestSweep:
         cands, truth = self._candidates()
         # candidate with non-finite entries triggers a recorded error, not a raise
         cands[1].s = np.full((16, 16), np.nan)
-        rows = sweep_k2_metrics(cands, truth, truth.k)
+        rows = sweep_k2_metrics(cands, truth, truth.k, "network")
         assert len(rows) == 3
         assert rows[1].error is not None and "3" in rows[1].error
 
+    def test_an_unknown_cluster_input_is_an_error_in_place(self):
+        cands, truth = self._candidates()
+        rows = sweep_k2_metrics(cands, truth, truth.k, "rows")
+        assert [r.error for r in rows] == [
+            "k2=2: cluster_on must be one of ('network', 'spectral'), got 'rows'",
+            "k2=3: cluster_on must be one of ('network', 'spectral'), got 'rows'",
+            "diverged"]
+
     def test_deterministic(self):
         cands, truth = self._candidates()
-        r1 = sweep_k2_metrics(cands, truth, truth.k, seed=9)
-        r2 = sweep_k2_metrics(cands, truth, truth.k, seed=9)
+        r1 = sweep_k2_metrics(cands, truth, truth.k, "network", seed=9)
+        r2 = sweep_k2_metrics(cands, truth, truth.k, "network", seed=9)
         assert [(r.k2, r.ari, r.nmi) for r in r1] == [(r.k2, r.ari, r.nmi) for r in r2]

@@ -333,7 +333,7 @@ def test_labeled_run_streams_the_candidates(dataset, monkeypatch):
     assert len(refs) == 8 and peak[0] <= 1
     # the streamed sweep scores what the cached list gives
     monkeypatch.undo()
-    rows = sweep_k2_metrics(res.fusion.candidates, labels, k=CONFIG.clusters,
+    rows = sweep_k2_metrics(res.fusion.candidates, labels, CONFIG.clusters, CONFIG.cluster_on,
                             seed=CONFIG.seed)
     assert res.metrics_rows == rows
 
@@ -426,6 +426,18 @@ def test_spectral_clustering_input(dataset):
     _, f = sym_eig(np.eye(s_sym.shape[0]) - s_sym, res.fusion.eigenvector_count)
     again = kmeans_pp(f, cfg.clusters, seed=cfg.seed)
     assert np.array_equal(again.labels, res.final_partition.labels)
+
+
+def test_the_k2_sweep_clusters_the_rows_the_run_clusters():
+    """With cluster_on="spectral" the sweep's row of the selected k2 scores
+    the final partition.  On this weakly separated set the rows of S and of
+    F part ways: clustering S there gives ARI 0.2308 against a final 0.1565."""
+    mats, labels, recs = generate(SynthSpec(n=36, k=3, dims=(12, 10, 11), separation=1.0,
+                                            seed=2))
+    cfg = PipelineConfig(clusters=3, stage3_k2=(2, 10), cluster_on="spectral")
+    res = run_pipeline(mats, recs, labels, cfg)
+    (row,) = [r for r in res.metrics_rows if r.k2 == res.fusion.selected_k2]
+    assert (row.ari, row.nmi) == (res.final_ari, res.final_nmi)
 
 
 def test_deterministic_across_runs(dataset):

@@ -10,7 +10,10 @@ a stage would mislabel the per-stage times.  The tracer counts the calls
 of a few kernels through their module attributes, so a caller that
 reaches a kernel some other way would make its count read zero.  It counts
 a written file per call of a wrapped writer, so a writer that called
-another would count its file twice.
+another would count its file twice.  It notes each read of a stage-3
+candidate's network by swapping the record's class, so a record whose
+``s`` is not a plain attribute, or a sweep that skipped the cached
+records, would break traced runs or misreport the candidates read.
 """
 
 import importlib
@@ -21,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from omicsfuse import cli, fusion
+from omicsfuse.clustering import Partition, sweep_k2_metrics
 from omicsfuse.pipeline import PipelineConfig, run_pipeline
 from omicsfuse.synthgen import SynthSpec, generate
 
@@ -42,6 +46,13 @@ def test_every_hook_resolves_to_a_callable(monkeypatch):
     assert tracing.HOOKS and missing == []
 
 
+def _two_blob_fusion():
+    """Three-stage fusion of 20 samples in two blobs, stage 3 over k2 = 2..6."""
+    x = np.random.default_rng(0).normal(size=(20, 2)) + 4.0 * (np.arange(20) % 2)[:, None]
+    a = np.exp(-((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
+    return fusion.three_stage_fuse([a] * 3, [a] * 6, cluster_count=2, stage3_k2_range=(2, 6))
+
+
 def test_fusion_view_counts_name_the_stages(monkeypatch):
     """``three_stage_fuse`` fuses 3 views in stage 1, 6 in stage 2 and 2 in
     stage 3, the counts by which the tracer names each fusion's stage."""
@@ -54,13 +65,25 @@ def test_fusion_view_counts_name_the_stages(monkeypatch):
         return fuse(affinities, *args, **kwargs)
 
     monkeypatch.setattr(fusion, "fuse_affinities", counting_fuse)
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(20, 2)) + 4.0 * (np.arange(20) % 2)[:, None]
-    a = np.exp(-((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
-    fusion.three_stage_fuse([a] * 3, [a] * 6, cluster_count=2, stage3_k2_range=(2, 6))
+    _two_blob_fusion()
     assert views == [3, 6, 2]
     assert [stage_by_views[v] for v in views] == [
         "fusion.stage1", "fusion.stage2", "fusion.stage3"]
+
+
+def test_the_tracer_sees_the_sweep_read_every_candidate(monkeypatch):
+    """The tracer counts the stage-3 candidates and tracks each read of a
+    candidate's ``s`` by swapping the record's class, so the sweep must read
+    the records ``iter_candidates`` yields from the cached list, through a
+    plain ``s`` attribute."""
+    tracing = _load_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    result = _two_blob_fusion()
+    tracing._count_three_stage(tracer, (), {}, result, "fusion.schedule")
+    sweep_k2_metrics(result.iter_candidates(), Partition(np.arange(20) % 2, 2), 2, "network")
+    reported = ["fusion.candidates", "fusion.candidate_use_ratio"]
+    assert tracing.layer_metrics(tracer, reported) == {
+        "fusion.candidates": 5.0, "fusion.candidate_use_ratio": 1.0}
 
 
 def test_every_call_counted_kernel_is_reached(monkeypatch):
