@@ -227,13 +227,13 @@ class TestCheckDistanceMatrix:
     @pytest.mark.parametrize("d, message", [
         (np.zeros((2, 3)), "square"),
         ([[0.0, np.nan], [-1.0, 0.0]], "finite"),
-        ([[0.0, np.inf], [np.inf, 0.0]], "finite"),
-        ([[0.0, -np.inf], [-np.inf, 0.0]], "finite"),  # before the sign
-        (np.full((2, 2), np.nan), "finite"),
         ([[0.0, -1.0], [2.0, 0.0]], "nonnegative"),
         ([[1.0, 1.0], [2.0, 0.0]], "symmetric"),  # and a nonzero diagonal
         ([[1.0, 2.0], [2.0, 0.0]], "zero diagonal"),  # exactly symmetric
         ([[1.0, 2.0], [2.0 + 1e-12, 0.0]], "zero diagonal"),  # within the tolerance
+        ([[0.0, np.inf], [np.inf, 0.0]], "finite"),
+        ([[0.0, -np.inf], [-np.inf, 0.0]], "finite"),  # before the sign
+        (np.full((2, 2), np.nan), "finite"),
     ])
     def test_errors_and_their_precedence(self, d, message):
         messages = []
