@@ -5,8 +5,8 @@ Each block is centered and whitened through its thin SVD, once however
 many pairs use it; the canonical structure is the SVD of the whitened
 cross-product, so correlations are singular values of an orthonormal core
 and land in [0, 1] by construction.  Swapping the blocks only swaps and
-rotates the variates, which Euclidean distances ignore, so a directed pair
-and its reverse share one distance matrix, computed once.
+rotates the variates, which Euclidean distances ignore, so a pair and its
+reverse are one distance matrix, and the three pairs give three networks.
 """
 
 from __future__ import annotations
@@ -22,13 +22,12 @@ from .preprocess import OmicsMatrix, align_by_id, require_paper_kinds
 
 RELATIVE_RANK_TOL = 1e-10
 
-# (predictor, response) kind pairs; in report order each precedes its reverse
+# (predictor, response) kind pairs, in report order; each stands for its reverse too
 FORWARD_PAIRS = [
     ("mirna", "gene_expression"),
     ("mirna", "methylation"),
     ("gene_expression", "methylation"),
 ]
-DIRECTED_PAIR_ORDER = [pair for p, r in FORWARD_PAIRS for pair in ((p, r), (r, p))]
 
 
 @dataclass
@@ -40,15 +39,6 @@ class CcaResult:
     y_variates: np.ndarray
     correlations: np.ndarray
     rank: int
-
-
-@dataclass(frozen=True)
-class DirectedPair:
-    predictor: str
-    response: str
-
-    def label(self) -> str:
-        return f"{self.predictor}__to__{self.response}"
 
 
 def _center_and_whiten(block: np.ndarray, name: str) -> np.ndarray:
@@ -99,12 +89,10 @@ def canonical_distance_matrix(result: CcaResult) -> np.ndarray:
     return euclidean_distance_matrix(np.hstack([result.x_variates, result.y_variates]))
 
 
-def all_directed_pair_distances(
-    omics: list[OmicsMatrix],
-) -> list[tuple[DirectedPair, np.ndarray]]:
-    """Canonical-variate distance matrices for all six directed pairs of the
-    three omics blocks, one of each of the paper's kinds, in report order:
-    each forward pair, then its reverse, which holds the same array."""
+def all_directed_pair_distances(omics: list[OmicsMatrix]) -> list[tuple[str, np.ndarray]]:
+    """One ``("{predictor}__to__{response}", distances)`` entry per
+    FORWARD_PAIRS entry, in its order, for one matrix of each paper kind;
+    a pair's reverse has the same canonical-variate distances."""
     require_paper_kinds(omics)
     order = omics[0].sample_ids
     for m in omics[1:]:
@@ -117,8 +105,5 @@ def all_directed_pair_distances(
 
     blocks = _checked_blocks(*(m.values for m in omics))
     bases = {m.kind: _center_and_whiten(b, m.kind) for m, b in zip(omics, blocks)}
-    pairs = []
-    for p, r in FORWARD_PAIRS:
-        d = canonical_distance_matrix(_fit_whitened(bases[p], bases[r]))
-        pairs += [(DirectedPair(p, r), d), (DirectedPair(r, p), d)]
-    return pairs
+    return [(f"{p}__to__{r}", canonical_distance_matrix(_fit_whitened(bases[p], bases[r])))
+            for p, r in FORWARD_PAIRS]

@@ -32,6 +32,7 @@ from .io import (
     read_labels_csv,
     read_matrix_csv,
     read_survival_csv,
+    utf8_error,
     write_json,
     write_labels_csv,
     write_matrix_csv,
@@ -90,8 +91,12 @@ _PATH_KEYS = ("gene_expression", "mirna", "methylation", "survival", "labels", "
 def read_config_file(path) -> dict:
     """Flat ``key = value`` lines; '#' starts a comment; blank lines and a
     leading byte-order mark ignored."""
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise utf8_error(Path(path), exc.reason) from None
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

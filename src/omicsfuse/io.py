@@ -36,14 +36,16 @@ def write_matrix_csv(path, matrix: OmicsMatrix) -> None:
                     row_ids=matrix.sample_ids)
 
 
-def _utf8_error_line(path: Path) -> int:
-    """The line holding the first byte of ``path`` that is not UTF-8."""
+def utf8_error(path: Path, reason: str) -> ValueError:
+    """``path:line: not valid UTF-8 (reason)``, at the line holding the
+    first byte of ``path`` that is not UTF-8."""
     data = path.read_bytes()
+    line = 1
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        return data.count(b"\n", 0, exc.start) + 1
-    return 1
+        line = data.count(b"\n", 0, exc.start) + 1
+    return ValueError(f"{path}:{line}: not valid UTF-8 ({reason})")
 
 
 def _numbered_rows(reader, path: Path):
@@ -58,8 +60,7 @@ def _numbered_rows(reader, path: Path):
         except csv.Error as exc:
             raise ValueError(f"{path}:{line}: {exc}") from None
         except UnicodeDecodeError as exc:
-            raise ValueError(
-                f"{path}:{_utf8_error_line(path)}: not valid UTF-8 ({exc.reason})") from None
+            raise utf8_error(path, exc.reason) from None
 
 
 def _read_rows(path, header_ok, expected: str, parse=None) -> tuple[list[str], list]:

@@ -205,14 +205,15 @@ def run_pipeline(
 
     inter = {}
     pairs = all_directed_pair_distances(processed)
-    while pairs:  # a pair and its reverse share one distance, dropped once kernelized
-        (pair, d), reverse = pairs.pop(0), pairs.pop(0)[0]
-        inter[pair.label()] = inter[reverse.label()] = affinity_from_distance(d)
+    while pairs:  # each distance is dropped once kernelized
+        label, d = pairs.pop(0)
+        inter[label] = affinity_from_distance(d)
         del d
 
     fusion = three_stage_fuse(
         list(intra.values()),
-        list(inter.values()),
+        # each network twice: the tracer's FUSION_STAGE_BY_VIEWS keys stage 2 on 6 (ROADMAP dir. 4)
+        [a for a in inter.values() for _ in range(2)],
         cluster_count=config.clusters,
         stage1_k2_range=config.stage1_k2,
         stage2_k2_range=config.stage2_k2,

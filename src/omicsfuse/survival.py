@@ -54,8 +54,8 @@ def logrank_test(labels, records: list[SurvivalRecord]) -> SurvivalReport:
 
     labels[i] assigns records[i] to a group; groups are the distinct
     label values. Accepts a Partition or any label vector. Raises
-    ValueError with fewer than two groups and DegenerateInputError when
-    no events were observed at all.
+    DegenerateInputError, a ValueError, with fewer than two groups or
+    when no events were observed at all.
     """
     labels = np.asarray(getattr(labels, "labels", labels))
     if labels.ndim != 1 or labels.size != len(records):
@@ -67,7 +67,7 @@ def logrank_test(labels, records: list[SurvivalRecord]) -> SurvivalReport:
     uniq, codes = np.unique(labels, return_inverse=True)
     k = int(uniq.size)
     if k < 2:
-        raise ValueError(f"log-rank needs at least two groups, got {k}")
+        raise DegenerateInputError(f"log-rank needs at least two groups, got {k}")
     if events.sum() == 0:
         raise DegenerateInputError("no observed events in any group")
 

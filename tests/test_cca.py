@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from omicsfuse import cca
 from omicsfuse.cca import (
+    FORWARD_PAIRS,
     CcaResult,
-    DIRECTED_PAIR_ORDER,
     all_directed_pair_distances,
     canonical_distance_matrix,
     cca_fit,
@@ -171,23 +171,13 @@ class TestDirectedPairs:
         me = make_omics(base @ rng.normal(size=(3, 3)) + 0.2 * rng.normal(size=(n, 3)), "methylation")
         return [ge, mi, me]
 
-    def test_exactly_six_in_canonical_order(self):
+    def test_three_in_forward_pairs_order(self):
         pairs = all_directed_pair_distances(self.three_omics())
-        assert len(pairs) == 6
-        labels = [(p.predictor, p.response) for p, _ in pairs]
-        assert labels == DIRECTED_PAIR_ORDER
-
-    def test_reverse_pairs_hold_the_forward_arrays(self):
-        pairs = all_directed_pair_distances(self.three_omics())
-        by_pair = {(p.predictor, p.response): d for p, d in pairs}
-        for (p, r), d in by_pair.items():
-            assert by_pair[r, p] is d
-        assert len({id(d) for d in by_pair.values()}) == 3
+        assert [label for label, _ in pairs] == [f"{p}__to__{r}" for p, r in FORWARD_PAIRS]
 
     def test_each_block_whitened_once(self, monkeypatch):
-        """Three whitenings and three fits; each forward pair's distances
-        are a standalone fit's bit for bit, and its reverse pair holds the
-        same array."""
+        """Three whitenings and three fits; each pair's distances are a
+        standalone fit's bit for bit."""
         omics = self.three_omics()
         by_kind = {m.kind: m for m in omics}
         whitened, fitted = [], []
@@ -206,11 +196,9 @@ class TestDirectedPairs:
         pairs = all_directed_pair_distances(omics)
         assert sorted(whitened) == ["gene_expression", "methylation", "mirna"]
         assert len(fitted) == 3
-        for (pair, d), (reverse, d_reverse) in zip(pairs[::2], pairs[1::2]):
-            alone = cca_fit(by_kind[pair.predictor].values, by_kind[pair.response].values)
+        for (p, r), (_, d) in zip(FORWARD_PAIRS, pairs):
+            alone = cca_fit(by_kind[p].values, by_kind[r].values)
             assert np.array_equal(d, canonical_distance_matrix(alone))
-            assert (reverse.predictor, reverse.response) == (pair.response, pair.predictor)
-            assert d_reverse is d
 
     def test_misaligned_samples_raise(self):
         omics = self.three_omics()

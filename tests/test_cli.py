@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omicsfuse import cli, fusion
-from omicsfuse.cca import DIRECTED_PAIR_ORDER
+from omicsfuse.cca import FORWARD_PAIRS
 from omicsfuse.cli import main
 from omicsfuse.clustering import Partition, ari
 from omicsfuse.io import (
@@ -111,7 +111,7 @@ ARTIFACTS = {
     "labels_final.csv", "labels_k3_3.csv", "labels_k3_4.csv", "labels_k3_5.csv",
     "survival_report.json",
     *(f"affinities/intra_{kind}.csv" for kind in PAPER_KINDS),
-    *(f"affinities/inter_{p}__to__{r}.csv" for p, r in DIRECTED_PAIR_ORDER),
+    *(f"affinities/inter_{p}__to__{r}.csv" for p, r in FORWARD_PAIRS),
 }
 LABELED_ARTIFACTS = {"metrics_k2_sweep.csv", "metrics_final.json"}
 
@@ -269,6 +269,13 @@ def test_unknown_config_key_fails_usage(tmp_path):
     assert main(["pipeline", "--config", str(cfg), "--outdir", str(tmp_path)]) == 1
 
 
+def test_non_utf8_config_names_its_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"seed = 1\n\xff = 2\n")
+    assert main(["pipeline", "--config", str(cfg), "--outdir", str(tmp_path)]) == 1
+    assert f"{cfg}:2: not valid UTF-8 (invalid start byte)" in capsys.readouterr().err
+
+
 def test_null_separation_gives_no_signal(tmp_path):
     data = tmp_path / "null"
     run_synth(data, extra=["--separation", "0"])
@@ -346,6 +353,17 @@ def test_label_mismatch_exits_two(tmp_path, data_dir, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "s0000" in err and "x9999" in err
+
+
+def test_one_group_labels_exit_three(tmp_path, data_dir, capsys):
+    one = tmp_path / "one_group.csv"
+    header, *rows = (data_dir / "labels.csv").read_text(encoding="utf-8").splitlines()
+    one.write_text("\n".join([header, *(r.split(",")[0] + ",0" for r in rows)]) + "\n",
+                   encoding="utf-8")
+    code = main(["survival", "--labels", str(one),
+                 "--survival", str(data_dir / "survival.csv"), "--outdir", str(tmp_path)])
+    assert code == 3
+    assert "at least two groups" in capsys.readouterr().err
 
 
 def test_zero_events_exit_three(tmp_path, data_dir, capsys):

@@ -70,7 +70,7 @@ def test_result_bookkeeping(result, dataset):
     mats, _, _ = dataset
     assert result.sample_ids == mats[0].sample_ids
     assert set(result.intra_affinities) == {m.kind for m in mats}
-    assert len(result.inter_affinities) == 6
+    assert len(result.inter_affinities) == 3
     for a in result.intra_affinities.values():
         assert a.shape == (SPEC.n, SPEC.n)
     assert sorted(result.partitions_by_k3) == [3, 4, 5]
@@ -266,12 +266,13 @@ def test_unlabeled_run_fuses_one_stage3_candidate(dataset, monkeypatch):
 
 def test_each_block_pair_is_fitted_and_kernelized_once(dataset, monkeypatch):
     """Three CCA fits and eight kernels (3 intra, 3 inter, 2 re-kernelized)
-    a run; the six inter labels stay, in canonical order, and each reverse
-    label holds its forward pair's affinity; stage 2 still fuses six views."""
+    a run; the three inter labels follow FORWARD_PAIRS, and stage 2 still
+    fuses six views: each inter affinity twice, adjacent, in order."""
     mats, _, recs = dataset
     calls = {"fits": 0, "kernels": 0}
-    views = []
+    views, inter_in = [], []
     fit, kernel, fuse = cca._fit_whitened, pipeline.affinity_from_distance, fusion.fuse_affinities
+    three_stage = pipeline.three_stage_fuse
 
     def counting_fit(ux, uy):
         calls["fits"] += 1
@@ -285,15 +286,21 @@ def test_each_block_pair_is_fitted_and_kernelized_once(dataset, monkeypatch):
         views.append(len(affinities))
         return fuse(affinities, *args, **kwargs)
 
+    def capturing_three_stage(intra, inter, **kwargs):
+        inter_in.extend(inter)
+        return three_stage(intra, inter, **kwargs)
+
     monkeypatch.setattr(cca, "_fit_whitened", counting_fit)
     monkeypatch.setattr(pipeline, "affinity_from_distance", counting_kernel)
     monkeypatch.setattr(fusion, "affinity_from_distance", counting_kernel)
     monkeypatch.setattr(fusion, "fuse_affinities", counting_fuse)
+    monkeypatch.setattr(pipeline, "three_stage_fuse", capturing_three_stage)
     res = run_pipeline(mats, recs, config=CONFIG)
     assert calls == {"fits": 3, "kernels": 8}
-    assert list(res.inter_affinities) == [f"{p}__to__{r}" for p, r in cca.DIRECTED_PAIR_ORDER]
-    for p, r in cca.DIRECTED_PAIR_ORDER:
-        assert res.inter_affinities[f"{p}__to__{r}"] is res.inter_affinities[f"{r}__to__{p}"]
+    assert list(res.inter_affinities) == [f"{p}__to__{r}" for p, r in cca.FORWARD_PAIRS]
+    networks = list(res.inter_affinities.values())
+    assert len(inter_in) == 6
+    assert all(a is networks[i // 2] for i, a in enumerate(inter_in))
     assert views == [3, 6, 2] and len(res.fusion.stage2.state.alpha) == 6
 
 
