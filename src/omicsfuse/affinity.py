@@ -11,16 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import backend
+from .numkernel import finite_matrix
 from .preprocess import default_neighbor_count
 
 
 def euclidean_distance_matrix(x: np.ndarray) -> np.ndarray:
     """Dense pairwise Euclidean distances between rows of a 2-D array."""
-    values = np.asarray(x, dtype=np.float64)
-    if values.ndim != 2:
-        raise ValueError(f"expected a 2-D array of samples, got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("distance computation expects finite values")
+    values = finite_matrix(x, "euclidean_distance_matrix")
     return np.sqrt(backend.pairwise_sq_dists(values))  # exactly symmetric: x x' is one syrk
 
 

@@ -15,6 +15,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DegenerateInputError, NumericalFailure
+from .numkernel import finite_matrix
 from .preprocess import OmicsMatrix
 
 VARIANCE_FLOOR = 1e-6
@@ -78,12 +79,7 @@ def _elbo(log_rho_norm, alpha, alpha0, kappa, kappa0, m, m0, a, a0, b, b0):
 def fit_bayesian_gmm(x, max_components: int = MAX_COMPONENTS, seed: int = 0) -> GmmModel:
     """Fit the variational mixture to the rows of ``x`` (an OmicsMatrix or
     a plain 2-D array)."""
-    values = getattr(x, "values", x)
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("fit_bayesian_gmm expects fully observed, finite data")
+    values = finite_matrix(getattr(x, "values", x), "fit_bayesian_gmm")
     n, p = values.shape
     if max_components < 1:
         raise ValueError(f"max_components must be >= 1, got {max_components}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .affinity import euclidean_distance_matrix
 from .errors import AlignmentError, DegenerateInputError
-from .numkernel import svd_thin
+from .numkernel import finite_matrix, svd_thin
 from .preprocess import OmicsMatrix, align_by_id, require_paper_kinds
 
 RELATIVE_RANK_TOL = 1e-10
@@ -50,17 +50,13 @@ def _center_and_whiten(block: np.ndarray, name: str) -> np.ndarray:
 
 
 def _checked_blocks(*blocks: np.ndarray) -> list[np.ndarray]:
-    out = [np.asarray(b, dtype=np.float64) for b in blocks]
-    if any(b.ndim != 2 for b in out):
-        raise ValueError("cca_fit expects 2-D blocks")
+    out = [finite_matrix(b, "cca_fit") for b in blocks]
     n = out[0].shape[0]
     for b in out[1:]:
         if b.shape[0] != n:
             raise ValueError(f"sample counts differ: {n} vs {b.shape[0]}")
     if n < 3:
         raise ValueError(f"cca_fit needs at least 3 samples, got {n}")
-    if not all(np.all(np.isfinite(b)) for b in out):
-        raise ValueError("cca_fit expects finite, fully observed blocks")
     return out
 
 

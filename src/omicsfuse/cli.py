@@ -62,25 +62,27 @@ class CliParser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _int_pair(text: str) -> tuple[int, int]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected 'lo,hi', got {text!r}")
-    return int(parts[0]), int(parts[1])
+def _comma_ints(form: str):
+    """Parser of as many comma-separated integers as ``form`` (``"LO,HI"``)
+    names; any other text is an error quoting ``form``."""
+    count = form.count(",") + 1
+
+    def parse(text: str) -> tuple[int, ...]:
+        try:
+            values = tuple(int(part) for part in text.split(","))
+        except ValueError:
+            values = ()
+        if len(values) != count:
+            raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+        return values
+
+    return parse
 
 
-def _int_triple(text: str) -> tuple[int, int, int]:
-    parts = tuple(int(p.strip()) for p in text.split(","))
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected three counts, got {text!r}")
-    return parts
-
-
+_K2_SETTINGS = ("stage1_k2", "stage2_k2", "stage3_k2")
 # pipeline knobs: flag/config-file name -> parser from text
 _KNOB_PARSERS = {
-    "stage1_k2": _int_pair,
-    "stage2_k2": _int_pair,
-    "stage3_k2": _int_pair,
+    **{name: _comma_ints("LO,HI") for name in _K2_SETTINGS},
     "clusters": int,
     "cluster_on": str,
     "seed": int,
@@ -130,7 +132,7 @@ def build_parser() -> CliParser:
     p.add_argument("--config", help="flat key = value config file; flags override")
     for name, parse in _KNOB_PARSERS.items():
         k2_args = {}
-        if parse is _int_pair:
+        if name in _K2_SETTINGS:
             lo_role = ("the bottom of the candidate grid" if name == "stage3_k2"
                        else "only validated")
             k2_args = {"metavar": "LO,HI",
@@ -141,7 +143,7 @@ def build_parser() -> CliParser:
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--k", type=int, required=True)
     # unset flags take SynthSpec's defaults
-    s.add_argument("--dims", type=_int_triple, metavar="D1,D2,D3")
+    s.add_argument("--dims", type=_comma_ints("D1,D2,D3"), metavar="D1,D2,D3")
     s.add_argument("--separation", type=float)
     s.add_argument("--noise-fraction", dest="noise_features_fraction", type=float,
                    metavar="NOISE_FRACTION")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
+from .numkernel import finite_matrix
 
 LLOYD_MAX_ITER = 300
 LLOYD_TOL = 1e-8  # a restart stops once every centroid moves less than this
@@ -82,11 +83,9 @@ def kmeans_pp(points: np.ndarray, k: int, seed: int = 0) -> Partition:
     """k-means++ with Lloyd refinement; best of RESTARTS runs by
     within-cluster sum of squares (the first on ties), deterministic given
     the seed.  All seedings are drawn first, then refined in lockstep."""
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.size == 0:
-        raise ValueError(f"points must be a non-empty 2-D array, got shape {points.shape}")
-    if not np.all(np.isfinite(points)):
-        raise ValueError("points must be finite")
+    points = np.ascontiguousarray(finite_matrix(points, "kmeans_pp"))
+    if points.size == 0:
+        raise ValueError(f"kmeans_pp expects a non-empty array, got shape {points.shape}")
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside [1, {n}]")

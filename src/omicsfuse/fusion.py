@@ -153,13 +153,7 @@ def eigenvector_count(cluster_count: int) -> int:
     return 3 if cluster_count == 2 else cluster_count
 
 
-def _check_k2(k2: int, n: int) -> None:
-    if not 1 <= k2 <= n - 2:
-        raise ValueError(f"k2={k2} outside [1, {n - 2}]")
-
-
 def _gap_scale(s: np.ndarray, k2: int) -> float:
-    _check_k2(k2, s.shape[0])
     gap = k2 * s[:, k2] ** 2 - (s[:, :k2] ** 2).sum(axis=1)
     return float(gap.mean())
 
@@ -169,7 +163,9 @@ def gamma_from_neighbors(d: np.ndarray, k2: int) -> float:
     sum_{n<=k2} (s_{j,k2+1}^2 - s_{j,n}^2) on ascending sorted off-diagonal
     distances."""
     d = check_distance_matrix(d)
-    _check_k2(k2, d.shape[0])  # before the partition reads k2
+    n = d.shape[0]
+    if not 1 <= k2 <= n - 2:  # before the partition reads k2
+        raise ValueError(f"k2={k2} outside [1, {n - 2}]")
     return _gap_scale(nearest_distances(d, k2 + 1), k2)
 
 
@@ -248,13 +244,10 @@ def fuse_affinities(
     """
     if len(affinities) < 1:
         raise ValueError("need at least one affinity matrix")
-    affs = [np.asarray(a, dtype=np.float64) for a in affinities]
+    affs = [numkernel.finite_matrix(a, "fuse_affinities") for a in affinities]
     n = affs[0].shape[0]
-    for a in affs:
-        if a.shape != (n, n):
-            raise ValueError("affinity matrices must share one square shape")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("affinity matrices must be finite")
+    if any(a.shape != (n, n) for a in affs):
+        raise ValueError("affinity matrices must share one square shape")
     if config.c > n:
         raise ValueError(f"c={config.c} exceeds sample count {n}")
     s, f = _uniform_start(affs, config.c) if start is None else start
@@ -333,12 +326,23 @@ def step_distance(affinities: list[np.ndarray]) -> np.ndarray:
     return d
 
 
-def clamp_k2_range(k2_range: tuple[int, int], n: int, stage: str) -> tuple[int, int]:
-    lo = max(2, int(k2_range[0]))
-    hi = min(int(k2_range[1]), n - 2)
-    if lo > hi:
-        raise ValueError(f"{stage}: k2 range [{k2_range[0]}, {k2_range[1]}] is empty for n={n}")
-    return lo, hi
+def resolve_schedule(n: int, cluster_count: int, stage1_k2_range: tuple[int, int],
+                     stage2_k2_range: tuple[int, int] | None,
+                     stage3_k2_range: tuple[int, int]) -> tuple[int, int, int, int, int]:
+    """(c, stage-1 k2, stage-2 k2, stage-3 lo, stage-3 hi) of a three-stage
+    fusion of n samples: each k2 range clamped to [2, n - 2], stage 2's None
+    read as (2, n + 2).  Errors name the ``PipelineConfig`` setting."""
+    c = eigenvector_count(cluster_count)
+    if c > n:
+        raise ValueError(f"clusters={cluster_count} needs {c} eigenvectors, got {n} samples")
+    if stage2_k2_range is None:
+        stage2_k2_range = (2, n + 2)
+    clamped = []
+    for stage, (lo, hi) in enumerate((stage1_k2_range, stage2_k2_range, stage3_k2_range), 1):
+        clamped.append((max(2, int(lo)), min(int(hi), n - 2)))
+        if clamped[-1][0] > clamped[-1][1]:
+            raise ValueError(f"stage{stage}_k2: k2 range [{lo}, {hi}] is empty for n={n}")
+    return (c, clamped[0][1], clamped[1][1], *clamped[2])
 
 
 def _fusion_step(affs: list[np.ndarray], c: int, stage: str, hi: int) -> FusionStep:
@@ -346,8 +350,7 @@ def _fusion_step(affs: list[np.ndarray], c: int, stage: str, hi: int) -> FusionS
     reads the first hi + 1 sorted distances of each row, so only those are
     kept."""
     try:
-        if not all(np.isfinite(a).all() for a in affs):
-            raise ValueError("affinity matrices must be finite")
+        affs = [numkernel.finite_matrix(a, "three_stage_fuse") for a in affs]
         d = nearest_distances(step_distance(affs), hi + 1)  # exactly a distance matrix
         return FusionStep(stage, affs, d, c)
     except (NumericalFailure, ValueError) as exc:
@@ -381,21 +384,13 @@ def three_stage_fuse(
     for a in [*intra, *inter]:
         if np.asarray(a).shape != (n, n):
             raise ValueError("all affinity matrices must share one square shape")
-    c = eigenvector_count(cluster_count)
-    if stage2_k2_range is None:
-        stage2_k2_range = (2, n + 2)
-
-    stages = []
-    for affs, k2_range, stage in ((intra, stage1_k2_range, "stage 1 (intra)"),
-                                  (inter, stage2_k2_range, "stage 2 (inter)")):
-        _, k2 = clamp_k2_range(k2_range, n, stage)
-        stages.append(_raise_failure(_fusion_step(affs, c, stage, k2).fuse(k2)))
-
-    try:
-        rekernelized = [affinity_from_distance(step_distance([st.s])) for st in stages]
-    except (NumericalFailure, ValueError) as exc:
-        raise type(exc)(f"stage 3 re-kernelization: {exc}") from exc
-    lo, hi = clamp_k2_range(stage3_k2_range, n, "stage 3")
+    c, k2_1, k2_2, lo, hi = resolve_schedule(n, cluster_count, stage1_k2_range,
+                                             stage2_k2_range, stage3_k2_range)
+    stages = [_raise_failure(_fusion_step(affs, c, stage, k2).fuse(k2))
+              for affs, k2, stage in ((intra, k2_1, "stage 1 (intra)"),
+                                      (inter, k2_2, "stage 2 (inter)"))]
+    # cannot fail: a fused S is finite with simplex rows, and the k2 clamps need n >= 4
+    rekernelized = [affinity_from_distance(step_distance([st.s])) for st in stages]
     step3 = _fusion_step(rekernelized, c, "stage 3 candidate", hi)
     return ThreeStageResult(
         stage1=stages[0], stage2=stages[1], stage3=_raise_failure(step3.fuse(hi)),

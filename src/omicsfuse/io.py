@@ -91,7 +91,10 @@ def _read_rows(path, header_ok, expected: str, parse=None) -> tuple[list[str], l
 
 
 def _matrix_row(row: list[str]) -> tuple[str, list[float]]:
-    return row[0], [np.nan if cell == "" else float(cell) for cell in row[1:]]
+    values = [np.nan if cell == "" else float(cell) for cell in row[1:]]
+    if any(map(math.isinf, values)):  # "inf", "-inf" and overflow such as "1e999"
+        raise ValueError("observed cells must be finite")
+    return row[0], values
 
 
 def read_matrix_csv(path, kind: str = "other") -> OmicsMatrix:

@@ -1,10 +1,11 @@
-"""Shared numeric primitives: thin SVD, symmetric eigenpairs, and the
-chi-square survival function.
+"""Shared numeric primitives: the finite-matrix input check, thin SVD,
+symmetric eigenpairs, and the chi-square survival function.
 
 Thin wrappers over numpy.linalg, scipy.linalg (the partial symmetric
 eigensolve) and scipy.special, with a stable error taxonomy so callers
-never touch their exceptions directly.  ``sym_eig``, the one
-eigensolver, keeps LAPACK's contract: its input must be symmetric, one
+never touch their exceptions directly.  ``finite_matrix`` is the one
+2-D, float64, finite check of the numeric entry points.  ``sym_eig``, the
+one eigensolver, keeps LAPACK's contract: its input must be symmetric, one
 triangle is read, and its buffer is overwritten.
 """
 
@@ -16,14 +17,23 @@ from scipy import special
 from .errors import NumericalFailure
 
 
+def finite_matrix(x, what: str) -> np.ndarray:
+    """``x`` as a float64 array, not copied when it is one already; a
+    ValueError naming ``what`` unless it is 2-D with finite entries."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"{what} expects a 2-D array, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} expects finite entries")
+    return x
+
+
 def svd_thin(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD (u, s, vt) with r = min(m, n) components, a = u @ diag(s) @ vt
     and s descending."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.size == 0:
-        raise ValueError(f"svd_thin expects a non-empty 2-D array, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("svd_thin expects finite entries")
+    a = finite_matrix(a, "svd_thin")
+    if a.size == 0:
+        raise ValueError(f"svd_thin expects a non-empty array, got shape {a.shape}")
     try:
         return np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:

@@ -21,7 +21,7 @@ from .cca import all_directed_pair_distances
 from .clustering import (
     CLUSTER_INPUTS, Partition, SweepRow, ari, clustered_rows, kmeans_pp, nmi, sweep_k2_metrics)
 from .errors import AlignmentError, DegenerateInputError
-from .fusion import ThreeStageResult, clamp_k2_range, eigenvector_count, three_stage_fuse
+from .fusion import ThreeStageResult, resolve_schedule, three_stage_fuse
 from .preprocess import (
     PAPER_KINDS,
     OmicsMatrix,
@@ -118,17 +118,11 @@ def align_inputs(
 
 
 def _check_settings_fit(config: PipelineConfig, n: int) -> None:
-    """Reject, before any work, a setting that n samples rule out; each
-    stage checks its own bound again where it uses it."""
+    """Reject, before any work, a setting that n samples rule out: the
+    Bayesian GMM's sample floor, then the rule ``three_stage_fuse`` applies."""
     if n < MAX_COMPONENTS:  # the Bayesian GMM's component cap
         raise DegenerateInputError(f"need at least {MAX_COMPONENTS} samples, got {n}")
-    c = eigenvector_count(config.clusters)
-    if c > n:
-        raise ValueError(f"clusters={config.clusters} needs {c} eigenvectors, got {n} samples")
-    for name in ("stage1_k2", "stage2_k2", "stage3_k2"):
-        # the default stage-2 range is empty only where stage 1's is
-        if getattr(config, name) is not None:
-            clamp_k2_range(getattr(config, name), n, name)
+    resolve_schedule(n, config.clusters, config.stage1_k2, config.stage2_k2, config.stage3_k2)
 
 
 def preprocess_matrix(m: OmicsMatrix, seed: int) -> tuple[OmicsMatrix, PreprocessReport]:

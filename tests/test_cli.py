@@ -324,6 +324,27 @@ def test_missing_outdir_is_usage_error(data_dir, monkeypatch, capsys):
     assert "OMICSFUSE_OUTDIR" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["pipeline", "--stage3-k2", "a,b"], "argument --stage3-k2: expected LO,HI, got 'a,b'"),
+    (["pipeline", "--stage1-k2", "2,3,4"], "argument --stage1-k2: expected LO,HI, got '2,3,4'"),
+    (["synth", "--n", "9", "--k", "2", "--dims", "1,x,3"],
+     "argument --dims: expected D1,D2,D3, got '1,x,3'"),
+], ids=["k2_text", "k2_count", "dims_text"])
+def test_bad_integer_list_names_the_expected_form(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert message in err and "_int" not in err
+
+
+def test_bad_k2_pair_in_a_config_file_names_the_expected_form(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("stage3_k2 = a,b\n", encoding="utf-8")
+    assert main(["pipeline", "--config", str(cfg), "--outdir", str(tmp_path)]) == 1
+    assert f"{cfg}:1: bad value for stage3_k2: expected LO,HI, got 'a,b'" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_one():
     with pytest.raises(SystemExit) as exc:
         main(["pipeline", "--bogus"])
@@ -517,7 +538,7 @@ INPUT_FAULTS = {
     "ragged_row": ("gene_expression", _set_cell(2, 13, "7"), 1, ":3: expected 13 cells, got 14"),
     "text_cell": ("mirna", _set_cell(1, 1, "abc"), 1,
                   ":2: could not convert string to float: 'abc'"),
-    "inf_cell": ("methylation", _set_cell(1, 1, "inf"), 1, ": observed cells must be finite"),
+    "inf_cell": ("methylation", _set_cell(1, 1, "inf"), 1, ":2: observed cells must be finite"),
     "duplicate_id": ("mirna", _set_cell(2, 0, "s0000"), 2, ": duplicate sample IDs ['s0000']"),
     "unknown_matrix_sample": ("mirna", _set_cell(2, 0, "x9999"), 2,
                               ": sample IDs do not match (missing: ['s0001'], "

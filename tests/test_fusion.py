@@ -428,8 +428,18 @@ class TestThreeStage:
 
     def test_empty_stage3_range(self):
         a, _ = planted_two_block(12)
-        with pytest.raises(ValueError, match="stage 3"):
+        with pytest.raises(ValueError, match="stage3_k2"):
             three_stage_fuse([a] * 3, [a] * 6, cluster_count=2, stage3_k2_range=(50, 60))
+
+    def test_too_many_eigenvectors_fail_before_any_fusion(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a fusion ran")
+
+        monkeypatch.setattr(fusion, "fuse_affinities", unreachable)
+        a, _ = planted_two_block(4)
+        with pytest.raises(ValueError) as err:
+            three_stage_fuse([a] * 3, [a] * 6, cluster_count=5)
+        assert str(err.value) == "clusters=5 needs 5 eigenvectors, got 4 samples"
 
     def test_stage3_candidates_match_standalone_fusion(self):
         # the shared uniform-weight start gives each candidate exactly what

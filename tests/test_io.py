@@ -119,6 +119,15 @@ class TestMatrixCsv:
         with pytest.raises(ValueError):
             read_matrix_csv(path)
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "1e999", "-1e999"])
+    def test_infinite_cell_names_its_line(self, tmp_path, cell):
+        # a blank line before the bad row still counts as a line
+        path = tmp_path / "m.csv"
+        path.write_text(f"sample_id,f1,f2\nx,1,\n\ny,2,{cell}\n")
+        with pytest.raises(ValueError) as err:
+            read_matrix_csv(path)
+        assert str(err.value) == f"{path}:4: observed cells must be finite"
+
 
 class TestSurvivalCsv:
     def test_round_trip(self, tmp_path):

@@ -6,11 +6,49 @@ import sys
 import numpy as np
 import pytest
 
+from omicsfuse import fusion
+from omicsfuse.affinity import euclidean_distance_matrix
 from omicsfuse.backend import project_rows
+from omicsfuse.bgmm import fit_bayesian_gmm
+from omicsfuse.cca import cca_fit
+from omicsfuse.clustering import kmeans_pp
 from omicsfuse.errors import NumericalFailure
 from omicsfuse.numkernel import chi_square_sf, svd_thin, sym_eig
 
 from oracles import chi2_cdf_quad, chi2_sf_quad, eig_by_charpoly, simplex_project_grid
+
+
+# entry point -> its call on one bad matrix
+FINITE_MATRIX_ENTRY_POINTS = {
+    "euclidean_distance_matrix": euclidean_distance_matrix,
+    "fit_bayesian_gmm": fit_bayesian_gmm,
+    "cca_fit": lambda x: cca_fit(x, np.eye(12)),
+    "kmeans_pp": lambda x: kmeans_pp(x, 2),
+    "svd_thin": svd_thin,
+    "fuse_affinities": lambda x: fusion.fuse_affinities([x], fusion.FusionConfig(2, 1.0)),
+    "_fusion_step": lambda x: fusion._fusion_step([x], 2, "stage 1 (intra)", 2),
+}
+
+
+@pytest.mark.parametrize("fault", ["nan", "+inf", "-inf", "1-D"])
+@pytest.mark.parametrize("entry", list(FINITE_MATRIX_ENTRY_POINTS))
+def test_every_numeric_entry_point_rejects_a_non_finite_or_1d_matrix(entry, fault):
+    x = np.eye(12)
+    if fault == "1-D":
+        x, expected = x[0], "expects a 2-D array, got shape (12,)"
+    else:
+        x[3, 5] = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}[fault]
+        expected = "expects finite entries"
+    with pytest.raises(ValueError) as err:
+        FINITE_MATRIX_ENTRY_POINTS[entry](x)
+    # the step is reached through three_stage_fuse, the name its error gives
+    name = "stage 1 (intra): three_stage_fuse" if entry == "_fusion_step" else entry
+    assert str(err.value) == f"{name} {expected}"
+
+
+def test_a_distance_matrix_of_no_features_is_zero():
+    # a CCA of rank 0 gives canonical_distance_matrix an (n, 0) array
+    assert np.array_equal(euclidean_distance_matrix(np.zeros((4, 0))), np.zeros((4, 4)))
 
 
 class TestSvdThin:

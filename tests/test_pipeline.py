@@ -414,6 +414,24 @@ def test_settings_the_sample_count_rules_out_fail_before_preprocessing(
         run_pipeline(mats, recs[:n], labels, config)
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"clusters": 40}, "clusters=40 needs 40 eigenvectors, got 36 samples"),
+    ({"stage1_k2": (50, 60)}, "stage1_k2: k2 range [50, 60] is empty for n=36"),
+    ({"stage2_k2": (35, 40)}, "stage2_k2: k2 range [35, 40] is empty for n=36"),
+    ({"stage3_k2": (35, 40)}, "stage3_k2: k2 range [35, 40] is empty for n=36"),
+], ids=["clusters", "stage1_k2", "stage2_k2", "stage3_k2"])
+def test_the_fail_fast_check_is_the_rule_three_stage_fuse_applies(setting, message):
+    # the schedule cases of the test above, at n = 36, through both callers
+    config = PipelineConfig(**{"clusters": 3, "stage3_k2": (2, 10), **setting})
+    a = np.eye(36)
+    with pytest.raises(ValueError) as check:
+        pipeline._check_settings_fit(config, 36)
+    with pytest.raises(ValueError) as fuse:
+        fusion.three_stage_fuse([a] * 3, [a] * 6, config.clusters, config.stage1_k2,
+                                config.stage2_k2, config.stage3_k2)
+    assert str(check.value) == str(fuse.value) == message
+
+
 def test_settings_at_the_sample_count_edges_pass_the_check():
     pipeline._check_settings_fit(
         PipelineConfig(clusters=36, stage1_k2=(34, 99), stage2_k2=(2, 34), stage3_k2=(34, 34)),
