@@ -16,8 +16,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -64,7 +65,7 @@ class CliParser(argparse.ArgumentParser):
 
 def _comma_ints(form: str):
     """Parser of as many comma-separated integers as ``form`` (``"LO,HI"``)
-    names; any other text is an error quoting ``form``."""
+    names; any other text is an error quoting ``form``, its metavar."""
     count = form.count(",") + 1
 
     def parse(text: str) -> tuple[int, ...]:
@@ -76,18 +77,22 @@ def _comma_ints(form: str):
             raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
         return values
 
+    parse.metavar = form
     return parse
 
 
-_K2_SETTINGS = ("stage1_k2", "stage2_k2", "stage3_k2")
-# pipeline knobs: flag/config-file name -> parser from text
-_KNOB_PARSERS = {
-    **{name: _comma_ints("LO,HI") for name in _K2_SETTINGS},
-    "clusters": int,
-    "cluster_on": str,
-    "seed": int,
-}
-_PATH_KEYS = ("gene_expression", "mirna", "methylation", "survival", "labels", "outdir")
+_LO_HI = _comma_ints("LO,HI")
+# a dataclass field's annotation -> the parser of its flag and config-file text;
+# a field of any other type is a KeyError below, at import, and gets no default
+_PARSER_BY_TYPE = {int: int, float: float, str: str, tuple[int, int]: _LO_HI,
+                   tuple[int, int] | None: _LO_HI, tuple[int, int, int]: _comma_ints("D1,D2,D3")}
+_FLAG_RENAMES = {"noise_features_fraction": "noise-fraction"}
+# field name -> parser: the pipeline's flags and config-file keys, the synth flags
+_KNOB_PARSERS, _SYNTH_PARSERS = (
+    {name: _PARSER_BY_TYPE[hint] for name, hint in get_type_hints(cls).items()}
+    for cls in (PipelineConfig, SynthSpec))
+_PATH_KEYS = (*PAPER_KINDS, "survival", "labels", "outdir")
+_CONFIG_PARSERS = {**_KNOB_PARSERS, **dict.fromkeys(_PATH_KEYS, str)}  # config-file keys
 
 
 def read_config_file(path) -> dict:
@@ -106,63 +111,54 @@ def read_config_file(path) -> dict:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key in _KNOB_PARSERS:
-            try:
-                values[key] = _KNOB_PARSERS[key](val)
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-        elif key in _PATH_KEYS:
-            values[key] = val
-        else:
+        if key not in _CONFIG_PARSERS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            values[key] = _CONFIG_PARSERS[key](val)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
+
+
+def _add_field_flags(parser, cls, parsers: dict, helps: dict) -> None:
+    """One flag per field of ``cls``, its dest the field name, required
+    where the field has no default."""
+    for f in fields(cls):
+        flag, parse = _FLAG_RENAMES.get(f.name, f.name.replace("_", "-")), parsers[f.name]
+        parser.add_argument("--" + flag, dest=f.name, type=parse, required=f.default is MISSING,
+                            metavar=getattr(parse, "metavar", flag.replace("-", "_").upper()),
+                            help=helps.get(f.name))
 
 
 def build_parser() -> CliParser:
     parser = CliParser(prog="omicsfuse", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=CliParser)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--outdir", help=f"output directory (default ${OUTDIR_ENV})")
 
-    p = sub.add_parser("pipeline", help="run the full integration pipeline")
+    p = sub.add_parser("pipeline", parents=[common], help="run the full integration pipeline")
     p.add_argument("--gene-expression", dest="gene_expression", help="gene expression matrix CSV")
     p.add_argument("--mirna", help="miRNA matrix CSV")
     p.add_argument("--methylation", help="methylation matrix CSV")
     p.add_argument("--survival", help="survival CSV (sample_id,time,event)")
     p.add_argument("--labels", help="optional true labels CSV for evaluation")
-    p.add_argument("--outdir", help=f"output directory (default ${OUTDIR_ENV})")
     p.add_argument("--config", help="flat key = value config file; flags override")
-    for name, parse in _KNOB_PARSERS.items():
-        k2_args = {}
-        if name in _K2_SETTINGS:
-            lo_role = ("the bottom of the candidate grid" if name == "stage3_k2"
-                       else "only validated")
-            k2_args = {"metavar": "LO,HI",
-                       "help": f"HI, clamped to n - 2, is the k2 used; LO is {lo_role}"}
-        p.add_argument("--" + name.replace("_", "-"), type=parse, **k2_args)
+    k2_help = "HI, clamped to n - 2, is the k2 used; LO is "
+    _add_field_flags(p, PipelineConfig, _KNOB_PARSERS, {
+        "stage1_k2": k2_help + "only validated", "stage2_k2": k2_help + "only validated",
+        "stage3_k2": k2_help + "the bottom of the candidate grid"})
 
-    s = sub.add_parser("synth", help="write a planted synthetic dataset")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--k", type=int, required=True)
     # unset flags take SynthSpec's defaults
-    s.add_argument("--dims", type=_comma_ints("D1,D2,D3"), metavar="D1,D2,D3")
-    s.add_argument("--separation", type=float)
-    s.add_argument("--noise-fraction", dest="noise_features_fraction", type=float,
-                   metavar="NOISE_FRACTION")
-    s.add_argument("--missing-rate", type=float)
-    s.add_argument("--hazard-ratio", type=float)
-    s.add_argument("--high-missing-fraction", type=float)
-    s.add_argument("--high-missing-rate", type=float)
-    s.add_argument("--seed", type=int)
-    s.add_argument("--outdir", help=f"output directory (default ${OUTDIR_ENV})")
+    s = sub.add_parser("synth", parents=[common], help="write a planted synthetic dataset")
+    _add_field_flags(s, SynthSpec, _SYNTH_PARSERS, {})
 
-    v = sub.add_parser("survival", help="log-rank report for a labeling")
+    v = sub.add_parser("survival", parents=[common], help="log-rank report for a labeling")
     v.add_argument("--labels", required=True, help="labels CSV (sample_id,label)")
     v.add_argument("--survival", required=True, help="survival CSV")
-    v.add_argument("--outdir", help=f"output directory (default ${OUTDIR_ENV})")
 
-    m = sub.add_parser("metrics", help="ARI/NMI between two label files")
+    m = sub.add_parser("metrics", parents=[common], help="ARI/NMI between two label files")
     m.add_argument("--labels", required=True, help="labels CSV to score")
     m.add_argument("--reference", required=True, help="reference labels CSV")
-    m.add_argument("--outdir", help=f"output directory (default ${OUTDIR_ENV})")
     return parser
 
 
@@ -204,8 +200,7 @@ def cmd_pipeline(args) -> int:
         return flag if flag is not None else file_cfg.get(name)
 
     paths = {key: pick(key) for key in _PATH_KEYS}
-    missing = [k for k in ("gene_expression", "mirna", "methylation", "survival")
-               if not paths[k]]
+    missing = [k for k in (*PAPER_KINDS, "survival") if not paths[k]]
     if missing:
         raise ValueError(f"missing required input path(s): {', '.join(missing)}")
 
@@ -245,8 +240,7 @@ def cmd_pipeline(args) -> int:
     write_json(outdir / "fusion_stages.json", {
         "stage1": _stage_payload(fusion.stage1),
         "stage2": _stage_payload(fusion.stage2),
-        "stage3": {**_stage_payload(fusion.stage3),
-                   "eigenvector_count": fusion.eigenvector_count},
+        "stage3": {**_stage_payload(fusion.stage3), "eigenvector_count": fusion.step3.c},
     })
 
     _write_square_csv(outdir / "s_final.csv", ids, fusion.s_final)

@@ -115,10 +115,6 @@ class ThreeStageResult:
     stage3_lo: int
 
     @property
-    def eigenvector_count(self) -> int:
-        return self.step3.c
-
-    @property
     def selected_k2(self) -> int:
         return self.stage3.k2
 

@@ -12,6 +12,7 @@ of the row or matrix order; its results follow paper-kind and ID order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -19,8 +20,8 @@ from .affinity import affinity_from_distance, euclidean_distance_matrix
 from .bgmm import MAX_COMPONENTS, fit_bayesian_gmm, select_features_bgmm
 from .cca import all_directed_pair_distances
 from .clustering import (
-    CLUSTER_INPUTS, Partition, SweepRow, ari, clustered_rows, kmeans_pp, nmi, sweep_k2_metrics)
-from .errors import AlignmentError, DegenerateInputError
+    CLUSTER_INPUTS, Partition, SweepRow, clustered_rows, kmeans_pp, sweep_k2_metrics)
+from .errors import DegenerateInputError
 from .fusion import ThreeStageResult, resolve_schedule, three_stage_fuse
 from .preprocess import (
     PAPER_KINDS,
@@ -55,8 +56,16 @@ class PipelineConfig:
             raise ValueError(f"cluster_on must be one of {CLUSTER_INPUTS}, got {self.cluster_on!r}")
         for name in ("stage1_k2", "stage2_k2", "stage3_k2"):
             pair = getattr(self, name)
-            if pair is not None and pair[1] < max(2, pair[0]):
+            if pair is None and name == "stage2_k2":
+                continue
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                    and all(isinstance(v, Integral) for v in pair)):
+                raise ValueError(f"{name} must be two integers LO,HI, got {pair!r}")
+            if pair[1] < max(2, pair[0]):
                 raise ValueError(f"{name}: HI must be >= max(2, LO), got {pair}")
+        for name in ("seed", "clusters"):
+            if not isinstance(value := getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.clusters < 2:
@@ -170,18 +179,15 @@ def run_pipeline(
     the result follows PAPER_KINDS order and sorted sample IDs.
 
     With ``true_labels``, the k2 sweep fuses and scores the stage-3
-    candidates one at a time, each dropped before the next; without them,
-    only the selected candidate is fused."""
+    candidates one at a time, each dropped before the next; its last row,
+    stage 3's, scores ``final_partition``.  Without them, only the selected
+    candidate is fused."""
     config = config or PipelineConfig()
     aligned, records = align_inputs(omics, records)
     if records is not None and not any(r.event for r in records):
         raise DegenerateInputError("no observed events in any group")
     order = aligned[0].sample_ids
     if true_labels is not None:
-        if true_labels.n != len(order):
-            raise AlignmentError(
-                f"true labels cover {true_labels.n} samples, matrices have {len(order)}"
-            )
         true_labels = Partition(align_by_id(order, omics[0].sample_ids, true_labels.labels,
                                             "true labels"), true_labels.k)
     _check_settings_fit(config, len(order))
@@ -218,12 +224,9 @@ def run_pipeline(
     final_partition = kmeans_pp(points, config.clusters, seed=config.seed)
 
     metrics_rows = None
-    final_ari = final_nmi = None
     if true_labels is not None:
         metrics_rows = sweep_k2_metrics(fusion.iter_candidates(), true_labels, config.clusters,
                                         config.cluster_on, seed=config.seed)
-        final_ari = ari(final_partition, true_labels)
-        final_nmi = nmi(final_partition, true_labels)
 
     partitions_by_k3 = {}
     survival_by_k3 = {}
@@ -244,6 +247,6 @@ def run_pipeline(
         partitions_by_k3=partitions_by_k3,
         survival_by_k3=survival_by_k3,
         metrics_rows=metrics_rows,
-        final_ari=final_ari,
-        final_nmi=final_nmi,
+        final_ari=None if metrics_rows is None else metrics_rows[-1].ari,
+        final_nmi=None if metrics_rows is None else metrics_rows[-1].nmi,
     )

@@ -110,6 +110,9 @@ def align_by_id(order: list[str], ids: list[str], values, what: str) -> list:
     """``values``, one per entry of ``ids``, reordered to ``order``; both ID
     lists must be unique, and ``ids`` must cover exactly the samples of
     ``order``."""
+    if len(values) != len(ids):
+        raise AlignmentError(f"{what}: expected one value per sample ID, got {len(values)} "
+                             f"for {len(ids)} IDs")
     if dup := duplicate_ids(ids):
         raise AlignmentError(f"{what}: duplicate sample IDs {dup}")
     if dup := duplicate_ids(order):

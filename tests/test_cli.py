@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, artifacts, exit codes, determinism."""
 
+import argparse
 import contextlib
 import dataclasses
 import filecmp
@@ -261,6 +262,43 @@ def test_pipeline_settings_are_declared_consistently():
     flags -= {"command", "config", *cli._PATH_KEYS}
     assert flags == fields == set(cli._KNOB_PARSERS)
     assert "transform" not in fields
+    # every SynthSpec field is a synth flag of that dest, n and k required,
+    # and the only other flag is --outdir
+    subcommands = _subcommands()
+    synth = [a for a in subcommands["synth"]._actions if a.dest != "help"]
+    assert {a.dest for a in synth} == {f.name for f in dataclasses.fields(SynthSpec)} | {"outdir"}
+    assert {a.dest for a in synth if a.required} == {"n", "k"}
+    # every subcommand declares --outdir once
+    for name, sub in subcommands.items():
+        assert sum("--outdir" in a.option_strings for a in sub._actions) == 1, name
+
+
+def _subcommands() -> dict:
+    (action,) = [a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_flags_keep_their_names_and_metavars():
+    usage = {name: sub.format_usage() for name, sub in _subcommands().items()}
+    for flag in ("--stage1-k2 LO,HI", "--stage2-k2 LO,HI", "--stage3-k2 LO,HI",
+                 "--cluster-on CLUSTER_ON", "--gene-expression GENE_EXPRESSION"):
+        assert flag in usage["pipeline"]
+    for flag in ("--n N", "--dims D1,D2,D3", "--noise-fraction NOISE_FRACTION",
+                 "--high-missing-rate HIGH_MISSING_RATE"):
+        assert flag in usage["synth"]
+    args = cli.build_parser().parse_args(["synth", "--n", "9", "--k", "2",
+                                          "--noise-fraction", "0.5"])
+    assert args.noise_features_fraction == 0.5
+
+
+def test_a_field_type_with_no_parser_fails_at_import():
+    code = ("from omicsfuse.synthgen import SynthSpec\n"
+            "SynthSpec.__annotations__['span'] = 'tuple[float, float]'\n"
+            "import omicsfuse.cli\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.rstrip().endswith("KeyError: tuple[float, float]")
 
 
 def test_unknown_config_key_fails_usage(tmp_path):

@@ -375,7 +375,7 @@ class TestThreeStage:
         inter = [a.copy() for _ in range(6)]
         res = three_stage_fuse(intra, inter, cluster_count=2)
 
-        assert res.eigenvector_count == 3
+        assert res.step3.c == 3
         np.testing.assert_allclose(res.stage1.state.alpha, np.full(3, 1 / 3), atol=1e-9)
         np.testing.assert_allclose(res.stage2.state.alpha, np.full(6, 1 / 6), atol=1e-9)
         # stage-3 scan is (2, 100) clamped to (2, n-2)
@@ -451,7 +451,7 @@ class TestThreeStage:
         re2 = rekernelized(res.stage2.state.s)
         assert [c.k2 for c in res.candidates] == list(range(2, 8))
         for cand in res.candidates:
-            cfg = FusionConfig(c=res.eigenvector_count, gamma=cand.gamma)
+            cfg = FusionConfig(c=res.step3.c, gamma=cand.gamma)
             alone = fuse_affinities([re1, re2], cfg)
             assert np.array_equal(cand.s, alone.s)
             assert np.array_equal(cand.state.objective_trace, alone.objective_trace)
@@ -484,7 +484,7 @@ class TestThreeStage:
         assert [c.k2 for c in cands] == list(range(2, 8))
         for cand in cands:
             gamma = max(gamma_from_neighbors(d3, cand.k2), fusion.GAMMA_FLOOR)
-            cfg = FusionConfig(c=res.eigenvector_count, gamma=gamma)
+            cfg = FusionConfig(c=res.step3.c, gamma=gamma)
             eager = fuse_affinities([re1, re2], cfg)
             assert cand.gamma == gamma
             assert np.array_equal(cand.s, eager.s)

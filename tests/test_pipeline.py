@@ -237,6 +237,13 @@ def test_true_labels_length_mismatch(dataset):
         run_pipeline(mats, recs, short, CONFIG)
 
 
+def test_align_by_id_needs_one_value_per_id():
+    for values in ([1, 2, 3], [1]):
+        with pytest.raises(AlignmentError, match=f"x: expected one value per sample ID, "
+                                                 f"got {len(values)} for 2 IDs"):
+            align_by_id(["a", "b"], ["a", "b"], values, "x")
+
+
 def test_runs_without_survival_or_labels(dataset):
     mats, _, _ = dataset
     res = run_pipeline(mats, config=CONFIG)
@@ -448,7 +455,7 @@ def test_spectral_clustering_input(dataset):
     assert res.final_ari == 1.0
     # the embedding is the bottom eigenvectors of I - sym(S_final), as a fresh solve gives them
     s_sym = 0.5 * (res.fusion.s_final + res.fusion.s_final.T)
-    _, f = sym_eig(np.eye(s_sym.shape[0]) - s_sym, res.fusion.eigenvector_count)
+    _, f = sym_eig(np.eye(s_sym.shape[0]) - s_sym, res.fusion.step3.c)
     again = kmeans_pp(f, cfg.clusters, seed=cfg.seed)
     assert np.array_equal(again.labels, res.final_partition.labels)
 
@@ -484,11 +491,20 @@ def test_config_validation():
         ({"stage1_k2": (2, 1)}, "stage1_k2"),
         ({"stage2_k2": (5, 4)}, "stage2_k2"),
         ({"stage3_k2": (50, 10)}, "stage3_k2"),
+        ({"clusters": 2.5}, "clusters must be an integer, got 2.5"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"stage3_k2": (2.5, 10.7)}, "stage3_k2 must be two integers"),
+        ({"stage3_k2": (2, 10, 99)}, "stage3_k2 must be two integers"),
+        ({"stage1_k2": 40}, "stage1_k2 must be two integers"),
+        ({"stage1_k2": (2,)}, "stage1_k2 must be two integers"),
+        ({"stage3_k2": None}, "stage3_k2 must be two integers"),
     ):
         with pytest.raises(ValueError, match=message):
             PipelineConfig(**bad)
     # the edges of each range are accepted
     PipelineConfig(seed=0, clusters=2, stage1_k2=(0, 2), stage2_k2=(7, 7), stage3_k2=(2, 2))
+    # lists as config.json echoes them, numpy integers, and stage 2's None
+    PipelineConfig(seed=np.int64(3), stage1_k2=[2, 9], stage2_k2=None, stage3_k2=[2, 5])
 
 
 def test_requires_three_matrices(dataset):
