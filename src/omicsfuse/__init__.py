@@ -1,5 +1,5 @@
 """Multi-omics integration: canonical-correlation affinities,
-entropy-weighted network fusion, clustering, and survival separation."""
+row-normalized network fusion, clustering, and survival separation."""
 
 from .affinity import affinity_from_distance, euclidean_distance_matrix, local_scales
 from .cca import all_directed_pair_distances, cca_fit

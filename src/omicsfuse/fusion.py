@@ -1,19 +1,25 @@
-"""Entropy-weighted fusion of affinity networks and the three-stage
-integration schedule.
+"""Fusion of row-normalized affinity networks at uniform view weights, and
+the three-stage integration schedule.
 
-One fusion step minimizes, by exact block-coordinate descent,
+One fusion step of L views minimizes, by exact block-coordinate descent,
 
-    - sum_l alpha_l <A_l, S> + 0.5 sum_l alpha_l ||A_l||_F^2
-    + beta ||S||_F^2 + lam * tr(F' (I - S) F) + gamma sum_l alpha_l log alpha_l
+    - (1/L) sum_l <A_l, S> + (0.5/L) sum_l ||A_l||_F^2
+    + beta ||S||_F^2 + lam * tr(F' (I - S) F)
 
-over row-stochastic S, orthonormal F (n x c), and simplex weights alpha,
-with beta = lam = gamma set by the neighborhood-gap statistic of the step's
-distance matrix.  Every block update is an exact minimizer, so the
-objective trace never increases.
+over row-stochastic S and orthonormal F (n x c), with beta = lam = gamma
+set by the neighborhood-gap statistic of the step's distance matrix.  Both
+block updates are exact minimizers, so the objective trace never increases.
 
 Each stage reads that statistic at the top of its clamped k2 range: the
 paper's rr scan over k2 never decreases on sorted rows, and where it ties,
 gamma is the same at the tied pick and at the top.
+
+Each view is fused as sym(D^-1 A), D its row sums (``row_normalize``, the
+normalization of Similarity Network Fusion, Wang et al., Nature Methods 11,
+2014), so the fusion reads neighborhoods and not scale: the pipeline
+normalizes the stage-1 and stage-2 views, ``three_stage_fuse`` its stage-3
+views.  The paper's entropic view weights are fixed at 1/L: on raw kernels
+they collapsed onto the weaker view, on normalized ones they stayed at 1/L.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -50,7 +57,7 @@ class FusionConfig:
 @dataclass
 class FusionState:
     """Result of one fusion step: fused row-stochastic network ``s``,
-    spectral factor ``f``, view weights ``alpha``, objective trace."""
+    spectral factor ``f``, uniform view weights ``alpha``, objective trace."""
 
     s: np.ndarray
     f: np.ndarray
@@ -171,24 +178,30 @@ def gamma_from_neighbors(d: np.ndarray, k2: int) -> float:
 # call BLAS.
 
 
-def _objective(ips, fro2, s, s_sym, f, ff, alpha, gamma):
-    """Objective from the step's products: ips[l] = <A_l, S>,
-    fro2[l] = ||A_l||_F^2, s_sym = sym(S), ff = F F'."""
-    fit = sum(a_l * ip for a_l, ip in zip(alpha, ips))
-    quad = 0.5 * float(np.sum(alpha * fro2))
+def row_normalize(a: np.ndarray) -> np.ndarray:
+    """sym(D^-1 A) in place, D the row sums of A; returns ``a``.  A kernel's
+    row sums are >= 1, since its diagonal is."""
+    a /= a.sum(axis=1, keepdims=True)
+    return backend.sym_into(a, a)
+
+
+def _objective(affs, quad, s, s_sym, f, ff, gamma):
+    """Objective from the step's products: quad = 0.5 mean_l ||A_l||_F^2,
+    s_sym = sym(S), ff = F F'."""
+    fit = sum(float(np.einsum("ij,ij->", a, s)) for a in affs) / len(affs)
     trace_term = float(np.einsum("ij,ij->", f, f) - np.einsum("ij,ij->", ff, s_sym))
-    ent = float(np.sum(np.where(alpha > 0.0, alpha * np.log(np.maximum(alpha, 1e-300)), 0.0)))
     ss = float(np.einsum("ij,ij->", s, s))
-    return -fit + quad + gamma * ss + gamma * trace_term + gamma * ent
+    return -fit + quad + gamma * ss + gamma * trace_term
 
 
-def _weighted_sum_into(w, scratch, alpha, affs):
-    """sum_l alpha_l A_l into ``w``, in list order; ``scratch`` holds each
-    product."""
-    np.multiply(affs[0], alpha[0], out=w)
-    for a_l, a in zip(alpha[1:], affs[1:]):
-        w += np.multiply(a, a_l, out=scratch)
-    return w
+def _mean_into(out, affs):
+    """The mean of the views into ``out``, added in list order as
+    np.mean(affs, axis=0) adds them, without stacking them."""
+    np.copyto(out, affs[0])
+    for a in affs[1:]:
+        out += a
+    out /= len(affs)
+    return out
 
 
 def _laplacian_into(out, s_sym):
@@ -203,19 +216,14 @@ def _laplacian_into(out, s_sym):
 
 def _uniform_start(affs: list[np.ndarray], c: int) -> tuple[np.ndarray, np.ndarray]:
     """Starting point of a fusion step, independent of gamma and k2: the
-    row-projected uniform-weight mean affinity S and the c bottom
-    eigenvectors F of I - sym(S)."""
-    alpha = np.full(len(affs), 1.0 / len(affs))
+    row-projected mean affinity S and the c bottom eigenvectors F of
+    I - sym(S)."""
     # S is made first, so the fusion reuses the buffers above it; tmp holds
-    # each weighted view, then the projection's cumulative sums
+    # the projection's cumulative sums
     s, buf, tmp = (np.empty_like(affs[0]) for _ in range(3))
-    s = backend.project_rows(_weighted_sum_into(buf, tmp, alpha, affs), tmp, s)
+    s = backend.project_rows(_mean_into(buf, affs), tmp, s)
     _, f = numkernel.sym_eig(_laplacian_into(buf, backend.sym_into(buf, s)), c)
     return s, f
-
-
-def _inner_products(affs, s):
-    return np.array([float(np.einsum("ij,ij->", a, s)) for a in affs])
 
 
 def fuse_affinities(
@@ -250,23 +258,19 @@ def fuse_affinities(
     if s.shape != (n, n) or f.shape != (n, config.c):
         raise ValueError(f"start must be an {n}x{n} network and an {n}x{config.c} factor")
 
-    L = len(affs)
     gamma = config.gamma  # the paper's beta = lam = gamma
-    fro2 = np.array([float(np.einsum("ij,ij->", a, a)) for a in affs])
-
-    alpha = np.full(L, 1.0 / L)
+    quad = 0.5 * sum(float(np.einsum("ij,ij->", a, a)) for a in affs) / len(affs)
     s_sym = backend.sym_into(np.empty((n, n)), s)
     ff = np.einsum("ik,jk->ij", f, f)
-    ips = _inner_products(affs, s)
 
-    trace = [_objective(ips, fro2, s, s_sym, f, ff, alpha, gamma)]
+    trace = [_objective(affs, quad, s, s_sym, f, ff, gamma)]
     converged = False
     buf = None
     for it in range(MAX_ITER):
         # S rows: argmin gamma||s||^2 - <w, s> over the simplex
         s = None  # a start built here goes before buf is made
         buf = np.multiply(ff, gamma, out=buf)
-        w = _weighted_sum_into(ff, s_sym, alpha, affs)  # into F F''s buffer, read above
+        w = _mean_into(ff, affs)  # into F F''s buffer, read above
         w += buf
         w /= 2.0 * gamma
         s = backend.project_rows(w, s_sym, out=buf)
@@ -276,11 +280,7 @@ def fuse_affinities(
         _, f = numkernel.sym_eig(_laplacian_into(w, s_sym), config.c)
         np.einsum("ik,jk->ij", f, f, out=ff)
 
-        # alpha: entropic closed form
-        ips = _inner_products(affs, s)
-        alpha = closed_form_alpha(0.5 * fro2 - ips, gamma)
-
-        obj = _objective(ips, fro2, s, s_sym, f, ff, alpha, gamma)
+        obj = _objective(affs, quad, s, s_sym, f, ff, gamma)
         if not np.isfinite(obj):
             raise NumericalFailure(f"fusion objective became non-finite at iteration {it + 1}")
         prev = trace[-1]
@@ -289,28 +289,14 @@ def fuse_affinities(
             converged = True
             break
 
-    return FusionState(
-        s=s, f=f, alpha=alpha, objective_trace=np.asarray(trace), converged=converged
-    )
-
-
-def closed_form_alpha(errs: np.ndarray, gamma: float) -> np.ndarray:
-    """Entropy-regularized weights: alpha_l proportional to exp(-err_l / gamma)."""
-    z = -np.asarray(errs, dtype=np.float64) / gamma
-    z -= z.max()
-    w = np.exp(z)
-    return w / w.sum()
+    return FusionState(s=s, f=f, alpha=np.full(len(affs), 1.0 / len(affs)),
+                       objective_trace=np.asarray(trace), converged=converged)
 
 
 def step_distance(affinities: list[np.ndarray]) -> np.ndarray:
     """Dissimilarity read by the gap scale and by re-kernelization: one minus
     the symmetrized mean affinity over its maximum, zero diagonal."""
-    # np.mean(affinities, axis=0) adds the views in list order; so does
-    # this, without stacking them
-    total = np.array(affinities[0], dtype=np.float64)
-    for a in affinities[1:]:
-        total += a
-    total /= len(affinities)
+    total = _mean_into(np.empty(np.shape(affinities[0])), affinities)
     d = backend.sym_into(np.empty_like(total), total)
     m = d.max()
     if m <= 0.0:
@@ -335,7 +321,9 @@ def resolve_schedule(n: int, cluster_count: int, stage1_k2_range: tuple[int, int
         stage2_k2_range = (2, n + 2)
     clamped = []
     for stage, (lo, hi) in enumerate((stage1_k2_range, stage2_k2_range, stage3_k2_range), 1):
-        clamped.append((max(2, int(lo)), min(int(hi), n - 2)))
+        if not (isinstance(lo, Integral) and isinstance(hi, Integral)):
+            raise ValueError(f"stage{stage}_k2 must be two integers LO,HI, got {(lo, hi)!r}")
+        clamped.append((max(2, lo), min(hi, n - 2)))
         if clamped[-1][0] > clamped[-1][1]:
             raise ValueError(f"stage{stage}_k2: k2 range [{lo}, {hi}] is empty for n={n}")
     return (c, clamped[0][1], clamped[1][1], *clamped[2])
@@ -368,10 +356,11 @@ def three_stage_fuse(
     stage3_k2_range: tuple[int, int] = (2, 100),
 ) -> ThreeStageResult:
     """Fuse the three within-dataset networks, the six cross-dataset
-    networks, and then their re-kernelized outputs.  Each stage fuses at the
-    top of its clamped k2 range; stage 3 fuses only that candidate here, and
-    the result's ``iter_candidates`` fuses the rest of ``stage3_k2_range``,
-    one at a time, as they are reached."""
+    networks, both as given, and then their re-kernelized outputs, each
+    row-normalized in place.  Each stage fuses at the top of its clamped k2
+    range; stage 3 fuses only that candidate here, and the result's
+    ``iter_candidates`` fuses the rest of ``stage3_k2_range``, one at a
+    time, as they are reached."""
     if len(intra) != 3:
         raise ValueError(f"expected 3 intra-dataset affinities, got {len(intra)}")
     if len(inter) != 6:
@@ -386,7 +375,7 @@ def three_stage_fuse(
               for affs, k2, stage in ((intra, k2_1, "stage 1 (intra)"),
                                       (inter, k2_2, "stage 2 (inter)"))]
     # cannot fail: a fused S is finite with simplex rows, and the k2 clamps need n >= 4
-    rekernelized = [affinity_from_distance(step_distance([st.s])) for st in stages]
+    rekernelized = [row_normalize(affinity_from_distance(step_distance([st.s]))) for st in stages]
     step3 = _fusion_step(rekernelized, c, "stage 3 candidate", hi)
     return ThreeStageResult(
         stage1=stages[0], stage2=stages[1], stage3=_raise_failure(step3.fuse(hi)),

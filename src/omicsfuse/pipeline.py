@@ -22,7 +22,7 @@ from .cca import all_directed_pair_distances
 from .clustering import (
     CLUSTER_INPUTS, Partition, SweepRow, clustered_rows, kmeans_pp, sweep_k2_metrics)
 from .errors import DegenerateInputError
-from .fusion import ThreeStageResult, resolve_schedule, three_stage_fuse
+from .fusion import ThreeStageResult, resolve_schedule, row_normalize, three_stage_fuse
 from .preprocess import (
     PAPER_KINDS,
     OmicsMatrix,
@@ -199,20 +199,21 @@ def run_pipeline(
         processed.append(sel)
         reports.append(rep)
 
+    # the fusion reads row-normalized views: each new kernel is normalized in place
     intra = {}
     for m in processed:
-        intra[m.kind] = affinity_from_distance(euclidean_distance_matrix(m.values))
+        intra[m.kind] = row_normalize(affinity_from_distance(euclidean_distance_matrix(m.values)))
 
     inter = {}
     pairs = all_directed_pair_distances(processed)
     while pairs:  # each distance is dropped once kernelized
         label, d = pairs.pop(0)
-        inter[label] = affinity_from_distance(d)
+        inter[label] = row_normalize(affinity_from_distance(d))
         del d
 
     fusion = three_stage_fuse(
         list(intra.values()),
-        # each network twice: the tracer's FUSION_STAGE_BY_VIEWS keys stage 2 on 6 (ROADMAP dir. 4)
+        # each network twice: the tracer's FUSION_STAGE_BY_VIEWS keys stage 2 on 6 (ROADMAP dir. 3)
         [a for a in inter.values() for _ in range(2)],
         cluster_count=config.clusters,
         stage1_k2_range=config.stage1_k2,

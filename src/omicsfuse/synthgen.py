@@ -9,6 +9,7 @@ All randomness flows from one PCG64 generator seeded by SynthSpec.seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -36,6 +37,10 @@ class SynthSpec:
     high_missing_rate: float = 0.4
 
     def __post_init__(self):
+        for name in ("n", "k", "seed", "dims"):
+            value = getattr(self, name)
+            if not all(isinstance(v, Integral) for v in (value if name == "dims" else [value])):
+                raise ValueError(f"{name} must be integer, got {value!r}")
         if self.k < 1 or self.n < self.k:
             raise ValueError(f"need n >= k >= 1, got n={self.n}, k={self.k}")
         if len(self.dims) != 3 or any(d < 1 for d in self.dims):

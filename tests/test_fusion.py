@@ -24,7 +24,6 @@ from omicsfuse.clustering import Partition, ari, kmeans_pp
 from omicsfuse.errors import NumericalFailure
 from omicsfuse.fusion import (
     FusionConfig,
-    closed_form_alpha,
     eigenvector_count,
     fuse_affinities,
     gamma_from_neighbors,
@@ -38,8 +37,14 @@ from oracles import rr_scan_reference
 
 
 def rekernelized(s, k1=None):
-    # how stage 3 turns a fused network back into an affinity
+    # how stage 3 turns a fused network back into an affinity, before it
+    # normalizes it
     return affinity_from_distance(step_distance([s]), k1)
+
+
+def stage3_view(s):
+    # the row-normalized view stage 3 fuses
+    return fusion.row_normalize(rekernelized(s))
 
 
 def profile_12_matrix():
@@ -246,15 +251,6 @@ class TestFuseAffinities:
             st = fuse_affinities(affs, FusionConfig(c=3, gamma=0.8))
             assert np.all(np.diff(st.objective_trace) <= 1e-9)
 
-    def test_alpha_matches_closed_form_at_exit(self):
-        affs = random_affinities(14, 3, 7)
-        cfg = FusionConfig(c=3, gamma=0.6)
-        st = fuse_affinities(affs, cfg)
-        errs = np.array(
-            [-float(np.vdot(a, st.s)) + 0.5 * float(np.vdot(a, a)) for a in affs]
-        )
-        np.testing.assert_allclose(st.alpha, closed_form_alpha(errs, cfg.gamma), atol=1e-10)
-
     def test_alpha_on_simplex(self):
         affs = random_affinities(14, 5, 11)
         st = fuse_affinities(affs, FusionConfig(c=2, gamma=0.4))
@@ -443,12 +439,12 @@ class TestThreeStage:
 
     def test_stage3_candidates_match_standalone_fusion(self):
         # the shared uniform-weight start gives each candidate exactly what
-        # a standalone fusion of the re-kernelized stage outputs gives
+        # a standalone fusion of the normalized, re-kernelized stage outputs gives
         n = 16
         res = three_stage_fuse(random_affinities(n, 3, 51), random_affinities(n, 6, 52),
                                cluster_count=3, stage3_k2_range=(2, 7))
-        re1 = rekernelized(res.stage1.state.s)
-        re2 = rekernelized(res.stage2.state.s)
+        re1 = stage3_view(res.stage1.state.s)
+        re2 = stage3_view(res.stage2.state.s)
         assert [c.k2 for c in res.candidates] == list(range(2, 8))
         for cand in res.candidates:
             cfg = FusionConfig(c=res.step3.c, gamma=cand.gamma)
@@ -478,8 +474,8 @@ class TestThreeStage:
         assert res.candidates is cands
         assert len(calls) == 6
 
-        re1 = rekernelized(res.stage1.state.s)
-        re2 = rekernelized(res.stage2.state.s)
+        re1 = stage3_view(res.stage1.state.s)
+        re2 = stage3_view(res.stage2.state.s)
         d3 = step_distance([re1, re2])
         assert [c.k2 for c in cands] == list(range(2, 8))
         for cand in cands:
@@ -602,10 +598,9 @@ def test_inputs_are_left_alone():
 
 
 def test_twin_views_fuse_as_three_networks():
-    """Stage 2's six views are three networks, each given twice.  Fusing
-    the six gives the gamma, sweeps, S and pair-summed alpha of fusing the
-    three, and each twin's entropy term counts alpha / 2, so the objective
-    is lower by gamma log 2 at every sweep."""
+    """Stage 2's six views are three networks, each given twice.  At
+    uniform weights, fusing the six gives the gamma, sweeps, S, pair-summed
+    alpha and objective of fusing the three."""
     n = 40
     three = planted_affinities(n, 3, 2)
     six = [a for a in three for _ in range(2)]  # each reverse view is the forward array
@@ -617,8 +612,7 @@ def test_twin_views_fuse_as_three_networks():
     np.testing.assert_allclose(got.s, ref.s, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(got.state.alpha.reshape(3, 2).sum(axis=1), ref.state.alpha,
                                rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(ref.state.objective_trace,
-                               got.state.objective_trace + ref.gamma * np.log(2.0), rtol=1e-12)
+    np.testing.assert_allclose(got.state.objective_trace, ref.state.objective_trace, rtol=1e-12)
 
 
 def test_no_network_aliases_a_reused_buffer(monkeypatch):
@@ -688,8 +682,7 @@ def test_each_start_lives_only_while_it_is_used(monkeypatch):
 # functions the stage-3 candidate loop runs: the fusion, its simplex
 # projection and eigensolve, and the k2 sweep's k-means
 SINGLE_POOL_FUNCTIONS = {
-    fusion: ("fuse_affinities", "_objective", "_inner_products", "_weighted_sum_into",
-             "_laplacian_into"),
+    fusion: ("fuse_affinities", "_objective", "_mean_into", "_laplacian_into"),
     numkernel: ("sym_eig",),
     backend: ("project_rows", "sym_into", "lloyd", "_assign", "_sq_dists_to"),
     clustering: ("_dsq_seed",),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,12 @@ class TestSpecValidation:
             SynthSpec(n=10, k=2, missing_rate=1.5)
         with pytest.raises(ValueError):
             SynthSpec(n=10, k=2, hazard_ratio=0.5)
+
+    @pytest.mark.parametrize("field, value", [("seed", 1.5), ("n", 40.0), ("dims", (5.5, 4, 4))])
+    def test_non_integer_field_is_named(self, field, value):
+        # left to generate, each fails inside numpy, naming no field
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be integer, got {value!r}")):
+            SynthSpec(**{"n": 40, "k": 3, field: value})
 
 
 class TestGenerate:
