@@ -21,6 +21,9 @@ not numpy's: two OpenBLAS thread pools taking turns on the same cores
 made the interleaved loop about twice as slow.  The BLAS routines get
 transposed views of C-contiguous arrays, which are F-contiguous, so the
 wrappers copy nothing.
+
+``project_rows`` and the in-place ``sym_into`` take ROW_BLOCK rows at a
+time, so neither needs n x n scratch.
 """
 
 from __future__ import annotations
@@ -31,45 +34,70 @@ import numpy as np
 ROW_BLOCK = 64  # rows per block where a kernel needs a row-wise temporary
 
 
-def project_rows(v: np.ndarray, css: np.ndarray | None = None,
-                 out: np.ndarray | None = None) -> np.ndarray:
+def project_rows(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise Euclidean projection onto the probability simplex.
 
-    Sort-based closed form: with u the row sorted descending and css its
-    cumulative sum, the threshold is tau = (css[rho] - 1) / (rho + 1) for
-    the largest rho with u[rho] + (1 - css[rho]) / (rho + 1) > 0.
+    Sort-based closed form (Duchi et al., ICML 2008): with u the row sorted
+    descending and css its cumulative sum, tau = (css[rho] - 1) / (rho + 1)
+    for the largest rho with u[rho] + (1 - css[rho]) / (rho + 1) > 0, and
+    the row projects to max(v - tau, 0).
 
-    u is sorted in a negated copy of v in ``out``, which then receives the
-    result, and the cumulative sums go into ``css``: float64 n x m C-ordered
-    buffers, allocated when omitted, and ``out`` must not share memory with
-    v.  The condition is taken ROW_BLOCK rows at a time: no n x m scratch.
+    A wholly supported row has rho = m - 1, so tau = (sum(v) - 1) / m and
+    min(v) > tau.  ROW_BLOCK rows at a time, a block whose rows all pass
+    that test keeps this tau with no sort; any other block sorts a negated
+    copy of its rows in ``out``, with block-sized scratch, for the bits of
+    the whole-matrix sort.  ``out`` is a float64 n x m buffer, allocated
+    when omitted, that must not share memory with v.
     """
     v = np.asarray(v, dtype=np.float64)
     if out is not None and np.shares_memory(out, v):
         raise ValueError("project_rows: out must not share memory with v")
     n, m = v.shape
-    u = np.negative(v, out=out)
-    u.sort(axis=1)
-    np.negative(u, out=u)
-    css = np.cumsum(u, axis=1, out=np.empty_like(u) if css is None else css)
+    if n and not m:
+        raise ValueError(f"project_rows: rows need at least one entry, got shape {v.shape}")
+    out = np.empty_like(v) if out is None else out
     j = np.arange(1, m + 1, dtype=np.float64)
-    rho = np.empty(n, dtype=np.intp)
     for lo in range(0, n, ROW_BLOCK):
-        rows = slice(lo, lo + ROW_BLOCK)
-        cond = np.subtract(1.0, css[rows])
+        vb, ob = v[lo:lo + ROW_BLOCK], out[lo:lo + ROW_BLOCK]
+        tau = (vb.sum(axis=1) - 1.0) / m
+        if (vb.min(axis=1) > tau).all():
+            np.subtract(vb, tau[:, None], out=ob)  # positive, as min(v) > tau
+            continue
+        u = np.negative(vb, out=ob)
+        u.sort(axis=1)
+        np.negative(u, out=u)
+        css = np.cumsum(u, axis=1)
+        cond = np.subtract(1.0, css)
         np.divide(cond, j, out=cond)
-        np.add(u[rows], cond, out=cond)
+        np.add(u, cond, out=cond)
         # cond[:, 0] is always True; find the last True per row
-        rho[rows] = m - 1 - np.argmax(cond[:, ::-1] > 0.0, axis=1)
-    tau = (css[np.arange(n), rho] - 1.0) / (rho + 1.0)
-    np.subtract(v, tau[:, None], out=u)
-    return np.maximum(u, 0.0, out=u)
+        rho = m - 1 - np.argmax(cond[:, ::-1] > 0.0, axis=1)
+        tau = (css[np.arange(len(u)), rho] - 1.0) / (rho + 1.0)
+        np.subtract(vb, tau[:, None], out=ob)
+        np.maximum(ob, 0.0, out=ob)
+    return out
 
 
 def sym_into(out: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """sym(S) = (S + S') / 2 into ``out``."""
-    np.add(s, s.T, out=out)
-    out *= 0.5
+    """sym(S) = (S + S') / 2 into ``out``, which may be ``s``.  numpy
+    resolves the overlap of ``np.add(s, s.T, out=s)`` with a hidden n x n
+    copy, so in place each pair of mirrored ROW_BLOCK tiles is summed into
+    one tile of scratch and written to both, with the same bits."""
+    if out is not s:
+        np.add(s, s.T, out=out)
+        out *= 0.5
+        return out
+    n = s.shape[0]
+    tile = np.empty((min(n, ROW_BLOCK),) * 2)
+    for lo in range(0, n, ROW_BLOCK):
+        rows = slice(lo, lo + ROW_BLOCK)
+        for co in range(lo, n, ROW_BLOCK):
+            cols = slice(co, co + ROW_BLOCK)
+            t = s[rows, cols]
+            t = np.add(t, s[cols, rows].T, out=tile[:t.shape[0], :t.shape[1]])
+            t *= 0.5
+            out[rows, cols] = t
+            out[cols, rows] = t.T
     return out
 
 

@@ -20,6 +20,8 @@ normalization of Similarity Network Fusion, Wang et al., Nature Methods 11,
 normalizes the stage-1 and stage-2 views, ``three_stage_fuse`` its stage-3
 views.  The paper's entropic view weights are fixed at 1/L: on raw kernels
 they collapsed onto the weaker view, on normalized ones they stayed at 1/L.
+At those weights the S-step and the objective read the views only through
+their mean, which each fusion forms once.
 """
 
 from __future__ import annotations
@@ -137,7 +139,7 @@ class ThreeStageResult:
             yield from self.candidates
             return
         if self.stage3_lo < self.stage3.k2:
-            start = _uniform_start(self.step3.affinities, self.step3.c)
+            start = _uniform_start(_mean_view(self.step3.affinities), self.step3.c)
             for k2 in range(self.stage3_lo, self.stage3.k2):
                 yield self.step3.fuse(k2, start)
             del start
@@ -185,11 +187,12 @@ def row_normalize(a: np.ndarray) -> np.ndarray:
     return backend.sym_into(a, a)
 
 
-def _objective(affs, quad, s, s_sym, f, ff, gamma):
-    """Objective from the step's products: quad = 0.5 mean_l ||A_l||_F^2,
-    s_sym = sym(S), ff = F F'."""
-    fit = sum(float(np.einsum("ij,ij->", a, s)) for a in affs) / len(affs)
-    trace_term = float(np.einsum("ij,ij->", f, f) - np.einsum("ij,ij->", ff, s_sym))
+def _objective(mean, quad, s, f, ff, gamma):
+    """Objective from the step's products: mean = mean_l A_l,
+    quad = 0.5 mean_l ||A_l||_F^2, ff = F F'.  F F' is exactly symmetric,
+    so <F F', S> = <F F', sym(S)>."""
+    fit = float(np.einsum("ij,ij->", mean, s))
+    trace_term = float(np.einsum("ij,ij->", f, f) - np.einsum("ij,ij->", ff, s))
     ss = float(np.einsum("ij,ij->", s, s))
     return -fit + quad + gamma * ss + gamma * trace_term
 
@@ -204,25 +207,28 @@ def _mean_into(out, affs):
     return out
 
 
+def _mean_view(affs):
+    """The mean of the views: the view itself when there is one."""
+    return affs[0] if len(affs) == 1 else _mean_into(np.empty_like(affs[0]), affs)
+
+
 def _laplacian_into(out, s_sym):
-    """I - sym(S) into ``out``, with no identity matrix.  Off the diagonal
-    it is 0.0 - x, not -x: the two differ in the sign of a zero, and
-    LAPACK's Householder step reads it."""
+    """I - sym(S) into ``out``, which may be ``s_sym``, with no identity
+    matrix.  Off the diagonal it is 0.0 - x, not -x: the two differ in the
+    sign of a zero, and LAPACK's Householder step reads it."""
     diag = 1.0 - np.diagonal(s_sym)
     np.subtract(0.0, s_sym, out=out)
     np.fill_diagonal(out, diag)
     return out
 
 
-def _uniform_start(affs: list[np.ndarray], c: int) -> tuple[np.ndarray, np.ndarray]:
-    """Starting point of a fusion step, independent of gamma and k2: the
-    row-projected mean affinity S and the c bottom eigenvectors F of
-    I - sym(S)."""
-    # S is made first, so the fusion reuses the buffers above it; tmp holds
-    # the projection's cumulative sums
-    s, buf, tmp = (np.empty_like(affs[0]) for _ in range(3))
-    s = backend.project_rows(_mean_into(buf, affs), tmp, s)
-    _, f = numkernel.sym_eig(_laplacian_into(buf, backend.sym_into(buf, s)), c)
+def _uniform_start(mean: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Starting point of a fusion step, independent of gamma and k2: from
+    the mean view, the row-projected S and the c bottom eigenvectors F of
+    I - sym(S).  S is made first, so the fusion reuses the buffer above it."""
+    s = backend.project_rows(mean)
+    buf = backend.sym_into(np.empty_like(s), s)
+    _, f = numkernel.sym_eig(_laplacian_into(buf, buf), c)
     return s, f
 
 
@@ -234,17 +240,20 @@ def fuse_affinities(
     """Fuse affinity networks into one row-stochastic matrix by exact
     alternating minimization.
 
-    ``start`` is the (S, F) pair ``_uniform_start`` returns for the same
-    affinities and ``config.c``.  It is never written, so callers fusing the
-    same affinities under several configs can share it; when omitted it is
-    built here and let go at the first S-step.
+    ``start`` is the (S, F) pair ``_uniform_start`` returns for the mean of
+    the same affinities and ``config.c``.  It is never written, so callers
+    fusing the same affinities under several configs can share it; when
+    omitted it is built here and let go at the first S-step.
 
-    The loop runs in three n x n buffers with fixed roles.  ``s_sym`` holds
-    sym(S), the S-step sum's scratch and the projection's cumulative sums;
-    ``ff`` holds F F', then the S-step target, then I - sym(S) for the
-    eigensolve to overwrite; ``buf``, made at the first S-step, holds gamma
-    F F', then S.  Fixed roles keep the returned S at one place in the heap:
-    with two buffers taking turns, a run's peak RSS followed the sweep counts.
+    At uniform weights the S-step and the objective's fit term read the
+    views only through their mean, so the loop runs in three n x n buffers
+    with fixed roles: the mean view, formed once per call (the view itself
+    when there is one); ``w``, which holds F F', then the S-step target
+    mean + gamma F F', then I - sym(S) for the eigensolve to overwrite,
+    then F F' again; and S's buffer, made at the first S-step, which takes
+    each new S the simplex projection writes.  Fixed roles keep the
+    returned S at one place in the heap: with two buffers taking turns, a
+    run's peak RSS followed the sweep counts.
     """
     if len(affinities) < 1:
         raise ValueError("need at least one affinity matrix")
@@ -254,33 +263,33 @@ def fuse_affinities(
         raise ValueError("affinity matrices must share one square shape")
     if config.c > n:
         raise ValueError(f"c={config.c} exceeds sample count {n}")
-    s, f = _uniform_start(affs, config.c) if start is None else start
+    mean = _mean_view(affs)
+    s, f = _uniform_start(mean, config.c) if start is None else start
     if s.shape != (n, n) or f.shape != (n, config.c):
         raise ValueError(f"start must be an {n}x{n} network and an {n}x{config.c} factor")
 
     gamma = config.gamma  # the paper's beta = lam = gamma
+    # quad stays the mean of the views' own norms: the stopping test is
+    # relative, so it reads this constant
     quad = 0.5 * sum(float(np.einsum("ij,ij->", a, a)) for a in affs) / len(affs)
-    s_sym = backend.sym_into(np.empty((n, n)), s)
-    ff = np.einsum("ik,jk->ij", f, f)
+    w = np.einsum("ik,jk->ij", f, f)
 
-    trace = [_objective(affs, quad, s, s_sym, f, ff, gamma)]
+    trace = [_objective(mean, quad, s, f, w, gamma)]
     converged = False
-    buf = None
     for it in range(MAX_ITER):
         # S rows: argmin gamma||s||^2 - <w, s> over the simplex
-        s = None  # a start built here goes before buf is made
-        buf = np.multiply(ff, gamma, out=buf)
-        w = _mean_into(ff, affs)  # into F F''s buffer, read above
-        w += buf
+        np.multiply(w, gamma, out=w)
+        np.add(mean, w, out=w)
         w /= 2.0 * gamma
-        s = backend.project_rows(w, s_sym, out=buf)
-        backend.sym_into(s_sym, s)
+        if it == 0:
+            s = None  # never write the start; let one built here go first
+        s = backend.project_rows(w, out=s)
 
         # F: c bottom eigenvectors of I - sym(S), exactly symmetric already
-        _, f = numkernel.sym_eig(_laplacian_into(w, s_sym), config.c)
-        np.einsum("ik,jk->ij", f, f, out=ff)
+        _, f = numkernel.sym_eig(_laplacian_into(w, backend.sym_into(w, s)), config.c)
+        np.einsum("ik,jk->ij", f, f, out=w)
 
-        obj = _objective(affs, quad, s, s_sym, f, ff, gamma)
+        obj = _objective(mean, quad, s, f, w, gamma)
         if not np.isfinite(obj):
             raise NumericalFailure(f"fusion objective became non-finite at iteration {it + 1}")
         prev = trace[-1]

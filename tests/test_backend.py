@@ -33,11 +33,38 @@ def test_project_rows_parity():
 @given(arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 12)),
               elements=st.floats(-50.0, 50.0)))
 def test_project_rows_lands_on_the_simplex_and_stays(v):
+    _assert_projects_onto_the_simplex_and_stays(v)
+
+
+def _assert_projects_onto_the_simplex_and_stays(v):
     once = backend.project_rows(v)
     assert (once >= 0.0).all()
     np.testing.assert_allclose(once.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(once, project_rows_loops(v), rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(backend.project_rows(once), once, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_project_rows_closed_form_blocks_land_on_the_simplex_and_stay(n):
+    """Wholly supported rows (min(v) > tau) in the even 64-row blocks,
+    which skip the sort, and random rows in the odd ones, which sort."""
+    m = 30
+    rng = np.random.default_rng(n)
+    v = 3.0 + rng.uniform(0.0, 0.5 / m, size=(n, m))
+    odd = np.arange(n) // 64 % 2 == 1
+    v[odd] = rng.normal(scale=2.0, size=(odd.sum(), m))
+    _assert_projects_onto_the_simplex_and_stays(v)
+
+
+def test_project_rows_needs_an_entry_per_row():
+    """A row with no entry has no point on the simplex: refused by name
+    before any arithmetic.  No rows at all project to no rows."""
+    for shape in ((3, 0), (1, 0)):
+        with pytest.raises(ValueError, match="project_rows"):
+            backend.project_rows(np.empty(shape))
+    for shape in ((0, 5), (0, 0)):
+        out = backend.project_rows(np.empty(shape))
+        assert out.shape == shape and out.dtype == np.float64
 
 
 def test_pairwise_sq_dists_parity():

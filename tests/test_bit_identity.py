@@ -23,7 +23,12 @@ from omicsfuse.affinity import (
     nearest_distances,
     off_diagonal,
 )
-from omicsfuse.backend import masked_pairwise_dists, pairwise_sq_dists, project_rows, sym_into
+from omicsfuse.backend import (
+    masked_pairwise_dists,
+    pairwise_sq_dists,
+    project_rows,
+    sym_into,
+)
 from omicsfuse.errors import NumericalFailure
 from omicsfuse.fusion import _fusion_step, _gap_scale, _laplacian_into, step_distance
 from omicsfuse.numkernel import sym_eig
@@ -106,42 +111,89 @@ class TestProjectRows:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_caller_buffers_give_the_allocating_bits(self, seed):
-        """Cumulative sums and result in buffers the caller passes, holding
-        garbage and reused across calls, give the bits of the projection
-        with arrays of its own."""
+        """A result buffer the caller passes, holding garbage and reused
+        across calls, gives the bits of the projection with arrays of its
+        own."""
         rng = np.random.default_rng(20 + seed)
         m = int(rng.integers(1, 50))
-        css, buf = np.full((m, m), np.nan), np.full((m, m), -np.inf)
+        buf = np.full((m, m), -np.inf)
         for _ in range(2):
             v = rng.normal(scale=2.0, size=(m, m))
-            out = project_rows(v, css, buf)
+            out = project_rows(v, out=buf)
             assert out is buf
             assert_same_bits(out, project_rows_allocating(v))
             assert_same_bits(out, project_rows_sorted(v))
-            assert not np.shares_memory(out, css)
         v = _signed_zero_rows()
-        assert_same_bits(project_rows(v, np.empty_like(v), np.empty_like(v)),
-                         project_rows_allocating(v))
+        assert_same_bits(project_rows(v, out=np.empty_like(v)), project_rows_allocating(v))
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
     def test_row_blocks_give_the_allocating_bits(self, n):
-        """The condition, taken 64 rows at a time, picks the threshold of the
-        whole-matrix condition on every row: random rows, rounded rows full
-        of ties, and rows of signed zeros, with the result in ``out``."""
+        """The sorting blocks, taken 64 rows at a time, pick the threshold of
+        the whole-matrix condition on every row: random rows, rounded rows
+        full of ties, and rows of signed zeros, with the result in ``out``."""
         rng = np.random.default_rng(n)
         zeros = np.resize(_signed_zero_rows(), (n, 4))
         for v in (rng.normal(scale=2.0, size=(n, 70)),
                   np.round(rng.normal(size=(n, 40))), zeros):
             out = np.full_like(v, np.nan)
-            assert project_rows(v, np.full_like(v, -np.inf), out=out) is out
+            assert project_rows(v, out=out) is out
             assert_same_bits(out, project_rows_allocating(v))
-            assert_same_bits(project_rows(v, out=np.empty_like(v)), project_rows_allocating(v))
+            assert_same_bits(project_rows(v), project_rows_allocating(v))
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_closed_form_blocks_and_sorted_blocks(self, n):
+        """Blocks whose rows are all wholly supported take the closed form
+        tau = (sum - 1) / m, which adds the row in another order than the
+        sorted cumulative sum: they match the sort within 2 m eps max|v|.
+        A block with one partly supported row sorts, so all of its rows,
+        the wholly supported ones too, match the sort bit for bit."""
+        m = 50
+        rng = np.random.default_rng(40 + n)
+        v = 3.0 + rng.uniform(0.0, 0.5 / m, size=(n, m))  # min(v) > tau on every row
+        sorted_blocks = np.arange(n) // 64 % 2 == 1
+        partial = sorted_blocks & (np.arange(n) % 64 == 0)
+        v[partial] = rng.normal(scale=2.0, size=(partial.sum(), m))
+        got, ref = project_rows(v), project_rows_sorted(v)
+        assert_same_bits(got[sorted_blocks], ref[sorted_blocks])
+        tol = 2 * m * np.finfo(np.float64).eps * np.abs(v).max()
+        np.testing.assert_allclose(got[~sorted_blocks], ref[~sorted_blocks], rtol=0.0, atol=tol)
+        assert (got[~sorted_blocks] > 0.0).all()
 
     def test_out_aliasing_the_input_is_refused(self):
         v = np.random.default_rng(5).normal(size=(6, 6))
         for alias in (v, v[:], v.T, v.reshape(-1).reshape(6, 6)):
             with pytest.raises(ValueError, match="out must not share memory"):
                 project_rows(v, out=alias)
+
+
+class TestSymInto:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_matches_the_allocating_sum(self, n):
+        """Mirrored 64 x 64 tiles, the diagonal ones and the ragged edge
+        included, give the bits of (A + A') / 2, signed zeros too, into a
+        buffer of their own and over A."""
+        rng = np.random.default_rng(n)
+        zeros = rng.choice([0.0, -0.0, 1.5, -1.5], size=(n, n))  # -0 + -0, 0 + -0, 1.5 - 1.5
+        for a in (rng.normal(size=(n, n)), zeros):
+            ref = (a + a.T) * 0.5
+            assert_same_bits(sym_into(np.full_like(a, np.nan), a), ref)
+            b = a.copy()
+            assert sym_into(b, b) is b
+            assert_same_bits(b, ref)
+
+    def test_in_place_needs_no_copy_of_the_matrix(self):
+        """One tile of scratch: numpy's np.add(a, a.T, out=a) resolves the
+        overlap through a whole n x n copy."""
+        n = 600
+        a = np.random.default_rng(9).normal(size=(n, n))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sym_into(a, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / (n * n * 8) < 0.05
 
 
 class TestOffDiagonal:

@@ -562,14 +562,16 @@ def planted_affinities(n, count, seed):
 
 def test_working_set_is_bounded():
     """Beyond its nine inputs, a three-stage fusion holds at most 9.0 n x n
-    float64 matrices at once (8.3 at n = 200).  It keeps 6 when it returns:
+    float64 matrices at once (7.85 at n = 200).  It keeps 6 when it returns:
     S of each stage, the two re-kernelized affinities, and stage 3's sorted
     distances (k2 + 1 columns, half a matrix here).  Each fusion runs in
-    three buffers, which also hold the simplex projection's cumulative sums
-    and the new S it writes, and holds its own start S until its first
-    S-step.  With a fourth buffer for the new S and stage 3's start kept by
-    its step it took 10.0, with the projection's two arrays of its own 12.0,
-    and with a new array for every temporary 16.4."""
+    three buffers (the mean view, S, and one that holds F F', the S-step
+    target and I - sym(S) in turn) and holds its own start S until its
+    first S-step; the simplex projection's scratch is one block of 64
+    rows.  With an n x n buffer for the projection's cumulative sums it
+    took 8.3, with a fourth buffer for the new S and stage 3's start kept
+    by its step 10.0, with the projection's two arrays of its own 12.0, and
+    with a new array for every temporary 16.4."""
     n = 200
     intra, inter = planted_affinities(n, 3, 1), planted_affinities(n, 6, 2)
     sym_eig(np.eye(3), 1)  # imports scipy.linalg before tracing starts
@@ -682,7 +684,7 @@ def test_each_start_lives_only_while_it_is_used(monkeypatch):
 # functions the stage-3 candidate loop runs: the fusion, its simplex
 # projection and eigensolve, and the k2 sweep's k-means
 SINGLE_POOL_FUNCTIONS = {
-    fusion: ("fuse_affinities", "_objective", "_mean_into", "_laplacian_into"),
+    fusion: ("fuse_affinities", "_objective", "_mean_into", "_mean_view", "_laplacian_into"),
     numkernel: ("sym_eig",),
     backend: ("project_rows", "sym_into", "lloyd", "_assign", "_sq_dists_to"),
     clustering: ("_dsq_seed",),
