@@ -21,7 +21,7 @@ normalizes the stage-1 and stage-2 views, ``three_stage_fuse`` its stage-3
 views.  The paper's entropic view weights are fixed at 1/L: on raw kernels
 they collapsed onto the weaker view, on normalized ones they stayed at 1/L.
 At those weights the S-step and the objective read the views only through
-their mean, which each fusion forms once.
+their mean, which each fusion's gamma-independent start forms once.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class FusionStep:
     sorted_distances: np.ndarray
     c: int
 
-    def fuse(self, k2: int, start: tuple[np.ndarray, np.ndarray] | None = None) -> StageRecord:
+    def fuse(self, k2: int, start: tuple | None = None) -> StageRecord:
         """Fuse at k2 from ``start``, the fusion's own start when omitted; a
         numerical failure is recorded, not raised."""
         gamma = max(_gap_scale(self.sorted_distances, k2), GAMMA_FLOOR)
@@ -139,7 +139,7 @@ class ThreeStageResult:
             yield from self.candidates
             return
         if self.stage3_lo < self.stage3.k2:
-            start = _uniform_start(_mean_view(self.step3.affinities), self.step3.c)
+            start = _uniform_start(self.step3.affinities, self.step3.c)
             for k2 in range(self.stage3_lo, self.stage3.k2):
                 yield self.step3.fuse(k2, start)
             del start
@@ -187,29 +187,24 @@ def row_normalize(a: np.ndarray) -> np.ndarray:
     return backend.sym_into(a, a)
 
 
-def _objective(mean, quad, s, f, ff, gamma):
-    """Objective from the step's products: mean = mean_l A_l,
-    quad = 0.5 mean_l ||A_l||_F^2, ff = F F'.  F F' is exactly symmetric,
-    so <F F', S> = <F F', sym(S)>."""
+def _objective(mean, quad, s, trace_term, gamma):
+    """Objective from the step's constants and products: mean = mean_l A_l,
+    quad = 0.5 mean_l ||A_l||_F^2, and trace_term = tr(F' (I - S) F), the
+    sum of the eigenvalues the F-step returns."""
     fit = float(np.einsum("ij,ij->", mean, s))
-    trace_term = float(np.einsum("ij,ij->", f, f) - np.einsum("ij,ij->", ff, s))
     ss = float(np.einsum("ij,ij->", s, s))
     return -fit + quad + gamma * ss + gamma * trace_term
 
 
-def _mean_into(out, affs):
-    """The mean of the views into ``out``, added in list order as
-    np.mean(affs, axis=0) adds them, without stacking them."""
-    np.copyto(out, affs[0])
-    for a in affs[1:]:
-        out += a
-    out /= len(affs)
-    return out
-
-
 def _mean_view(affs):
-    """The mean of the views: the view itself when there is one."""
-    return affs[0] if len(affs) == 1 else _mean_into(np.empty_like(affs[0]), affs)
+    """The mean of the views, added in list order as np.mean(affs, axis=0)
+    adds them, without stacking them; the view itself when there is one."""
+    if len(affs) == 1:
+        return affs[0]
+    mean = np.array(affs[0], dtype=np.float64)
+    for a in affs[1:]:
+        mean += a
+    return np.divide(mean, len(affs), out=mean)
 
 
 def _laplacian_into(out, s_sym):
@@ -222,38 +217,49 @@ def _laplacian_into(out, s_sym):
     return out
 
 
-def _uniform_start(mean: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
-    """Starting point of a fusion step, independent of gamma and k2: from
-    the mean view, the row-projected S and the c bottom eigenvectors F of
-    I - sym(S).  S is made first, so the fusion reuses the buffer above it."""
+def _f_step(buf, s, c):
+    """F-step: the c bottom eigenvectors F of I - sym(S), formed in ``buf``
+    for the eigensolve to overwrite, and the sum of their eigenvalues, which
+    is tr(F' (I - S) F): the antisymmetric part of S adds nothing to it."""
+    lam, f = numkernel.sym_eig(_laplacian_into(buf, backend.sym_into(buf, s)), c)
+    return f, float(lam.sum())
+
+
+def _uniform_start(affs: list[np.ndarray], c: int) -> tuple:
+    """The part of a fusion of ``affs`` that no gamma or k2 changes:
+    (mean view, quad, S, F, tr), S the row-projected mean and (F, tr) its
+    F-step.  S is made first, so the fusion reuses the buffer above it."""
+    mean = _mean_view(affs)
+    # quad stays the mean of the views' own norms: the stopping test is
+    # relative, so it reads this constant
+    quad = 0.5 * sum(float(np.einsum("ij,ij->", a, a)) for a in affs) / len(affs)
     s = backend.project_rows(mean)
-    buf = backend.sym_into(np.empty_like(s), s)
-    _, f = numkernel.sym_eig(_laplacian_into(buf, buf), c)
-    return s, f
+    f, tr = _f_step(np.empty_like(s), s, c)
+    return mean, quad, s, f, tr
 
 
 def fuse_affinities(
     affinities: list[np.ndarray],
     config: FusionConfig,
-    start: tuple[np.ndarray, np.ndarray] | None = None,
+    start: tuple | None = None,
 ) -> FusionState:
     """Fuse affinity networks into one row-stochastic matrix by exact
     alternating minimization.
 
-    ``start`` is the (S, F) pair ``_uniform_start`` returns for the mean of
-    the same affinities and ``config.c``.  It is never written, so callers
-    fusing the same affinities under several configs can share it; when
-    omitted it is built here and let go at the first S-step.
+    ``start`` is the (mean, quad, S, F, tr) tuple ``_uniform_start``
+    returns for the same affinities and ``config.c``.  It is never written,
+    so callers fusing the same affinities under several configs can share
+    it; when omitted it is built here, and its S let go at the first S-step.
 
-    At uniform weights the S-step and the objective's fit term read the
-    views only through their mean, so the loop runs in three n x n buffers
-    with fixed roles: the mean view, formed once per call (the view itself
-    when there is one); ``w``, which holds F F', then the S-step target
-    mean + gamma F F', then I - sym(S) for the eigensolve to overwrite,
-    then F F' again; and S's buffer, made at the first S-step, which takes
-    each new S the simplex projection writes.  Fixed roles keep the
-    returned S at one place in the heap: with two buffers taking turns, a
-    run's peak RSS followed the sweep counts.
+    At uniform weights the S-step and the objective read the views only
+    through their mean, and the F-step's eigenvalues give the trace term,
+    so the loop runs in three n x n buffers with fixed roles: the mean
+    view; ``w``, which holds the S-step target mean + gamma F F', formed
+    at the top of each sweep, then I - sym(S) for the eigensolve to
+    overwrite; and S's buffer, made at the first S-step, which takes each
+    new S the simplex projection writes.  Fixed roles keep the returned S
+    at one place in the heap: with two buffers taking turns, a run's peak
+    RSS followed the sweep counts.
     """
     if len(affinities) < 1:
         raise ValueError("need at least one affinity matrix")
@@ -263,21 +269,17 @@ def fuse_affinities(
         raise ValueError("affinity matrices must share one square shape")
     if config.c > n:
         raise ValueError(f"c={config.c} exceeds sample count {n}")
-    mean = _mean_view(affs)
-    s, f = _uniform_start(mean, config.c) if start is None else start
+    mean, quad, s, f, tr = _uniform_start(affs, config.c) if start is None else start
     if s.shape != (n, n) or f.shape != (n, config.c):
         raise ValueError(f"start must be an {n}x{n} network and an {n}x{config.c} factor")
 
     gamma = config.gamma  # the paper's beta = lam = gamma
-    # quad stays the mean of the views' own norms: the stopping test is
-    # relative, so it reads this constant
-    quad = 0.5 * sum(float(np.einsum("ij,ij->", a, a)) for a in affs) / len(affs)
-    w = np.einsum("ik,jk->ij", f, f)
-
-    trace = [_objective(mean, quad, s, f, w, gamma)]
+    w = np.empty_like(s)
+    trace = [_objective(mean, quad, s, tr, gamma)]
     converged = False
     for it in range(MAX_ITER):
         # S rows: argmin gamma||s||^2 - <w, s> over the simplex
+        np.einsum("ik,jk->ij", f, f, out=w)
         np.multiply(w, gamma, out=w)
         np.add(mean, w, out=w)
         w /= 2.0 * gamma
@@ -285,11 +287,8 @@ def fuse_affinities(
             s = None  # never write the start; let one built here go first
         s = backend.project_rows(w, out=s)
 
-        # F: c bottom eigenvectors of I - sym(S), exactly symmetric already
-        _, f = numkernel.sym_eig(_laplacian_into(w, backend.sym_into(w, s)), config.c)
-        np.einsum("ik,jk->ij", f, f, out=w)
-
-        obj = _objective(mean, quad, s, f, w, gamma)
+        f, tr = _f_step(w, s, config.c)
+        obj = _objective(mean, quad, s, tr, gamma)
         if not np.isfinite(obj):
             raise NumericalFailure(f"fusion objective became non-finite at iteration {it + 1}")
         prev = trace[-1]
@@ -305,8 +304,8 @@ def fuse_affinities(
 def step_distance(affinities: list[np.ndarray]) -> np.ndarray:
     """Dissimilarity read by the gap scale and by re-kernelization: one minus
     the symmetrized mean affinity over its maximum, zero diagonal."""
-    total = _mean_into(np.empty(np.shape(affinities[0])), affinities)
-    d = backend.sym_into(np.empty_like(total), total)
+    total = _mean_view(affinities)
+    d = backend.sym_into(np.empty(total.shape), total)
     m = d.max()
     if m <= 0.0:
         raise NumericalFailure("mean affinity has no positive entries")

@@ -562,13 +562,13 @@ def planted_affinities(n, count, seed):
 
 def test_working_set_is_bounded():
     """Beyond its nine inputs, a three-stage fusion holds at most 9.0 n x n
-    float64 matrices at once (7.85 at n = 200).  It keeps 6 when it returns:
+    float64 matrices at once (7.84 at n = 200).  It keeps 6 when it returns:
     S of each stage, the two re-kernelized affinities, and stage 3's sorted
     distances (k2 + 1 columns, half a matrix here).  Each fusion runs in
-    three buffers (the mean view, S, and one that holds F F', the S-step
-    target and I - sym(S) in turn) and holds its own start S until its
-    first S-step; the simplex projection's scratch is one block of 64
-    rows.  With an n x n buffer for the projection's cumulative sums it
+    three buffers (the mean view, S, and one that holds the S-step target,
+    with F F' formed into it, and then I - sym(S)) and holds its own start
+    S until its first S-step; the simplex projection's scratch is one block
+    of 64 rows.  With an n x n buffer for the projection's cumulative sums it
     took 8.3, with a fourth buffer for the new S and stage 3's start kept
     by its step 10.0, with the projection's two arrays of its own 12.0, and
     with a new array for every temporary 16.4."""
@@ -634,16 +634,16 @@ def test_no_network_aliases_a_reused_buffer(monkeypatch):
     kept = []
     for cand in res.iter_candidates():
         if not kept:
-            start = starts[0][0]
-            start_before = start.copy()
-            networks = [res.stage1.s, res.stage2.s, start]
+            mean, start = starts[0][0], starts[0][2]
+            mean_before, start_before = mean.copy(), start.copy()
+            networks = [res.stage1.s, res.stage2.s, mean, start]
         networks.append(cand.s)
         kept.append((cand.s, cand.s.copy()))
     assert len(starts) == 1
     for i, a in enumerate(networks):
         for b in networks[i + 1:]:
             assert not np.shares_memory(a, b)
-    assert np.array_equal(start, start_before)
+    assert np.array_equal(mean, mean_before) and np.array_equal(start, start_before)
     for s, copy in kept:
         assert np.array_equal(s, copy)
 
@@ -656,12 +656,12 @@ def test_each_start_lives_only_while_it_is_used(monkeypatch):
     starts, uniform_start = [], fusion._uniform_start
 
     def watched(*args):
-        s, f = uniform_start(*args)
-        starts.append((weakref.ref(s), weakref.ref(f)))
-        return s, f
+        start = uniform_start(*args)  # (mean, quad, S, F, tr)
+        starts.append([weakref.ref(start[i]) for i in (0, 2, 3)])
+        return start
 
     def alive():
-        return [ref() is not None for pair in starts for ref in pair]
+        return [ref() is not None for arrays in starts for ref in arrays]
 
     monkeypatch.setattr(fusion, "_uniform_start", watched)
     n = 24
@@ -670,7 +670,7 @@ def test_each_start_lives_only_while_it_is_used(monkeypatch):
     assert len(starts) == 3 and not any(alive())
     stream = res.iter_candidates()
     records = [next(stream), next(stream)]
-    assert len(starts) == 4 and alive() == [False] * 6 + [True] * 2
+    assert len(starts) == 4 and alive() == [False] * 9 + [True] * 3
     records += list(stream)
     assert len(starts) == 4 and not any(alive())
     assert [r.k2 for r in records] == list(range(2, 9)) and records[-1] is res.stage3
@@ -681,10 +681,44 @@ def test_each_start_lives_only_while_it_is_used(monkeypatch):
     assert len(starts) == 3 and not any(alive())
 
 
+def test_the_candidates_share_one_mean_view(monkeypatch):
+    """The candidates below the selected k2 share one start, so the
+    stage-3 mean view is formed once for all of them."""
+    n = 24
+    res = three_stage_fuse(planted_affinities(n, 3, 3), planted_affinities(n, 6, 4),
+                           cluster_count=3, stage3_k2_range=(2, 8))
+    calls, mean_view = [], fusion._mean_view
+
+    def counted(affs):
+        calls.append(len(affs))
+        return mean_view(affs)
+
+    monkeypatch.setattr(fusion, "_mean_view", counted)
+    assert len(list(res.iter_candidates())) == 7
+    assert calls == [2]
+
+
+@pytest.mark.parametrize("n", [24, 150])
+@pytest.mark.parametrize("c", [3, 5])
+def test_the_f_step_eigenvalues_give_the_trace_term(n, c):
+    """The F-step's eigenvalue sum is tr(F' (I - S) F) = <F, F> - <F F', S>
+    for a row-stochastic S that is not symmetric, within 64 c eps (the gap
+    measured up to n = 600 is below 4e-15), and S is left alone."""
+    rng = np.random.default_rng(n + c)
+    s = rng.uniform(size=(n, n))
+    s /= s.sum(axis=1, keepdims=True)
+    before = s.copy()
+    f, trace_term = fusion._f_step(np.empty_like(s), s, c)
+    direct = np.einsum("ij,ij->", f, f) - np.einsum("ij,ij->", f @ f.T, s)
+    assert abs(trace_term - direct) <= 64 * c * np.finfo(float).eps
+    assert np.array_equal(s, before)
+
+
 # functions the stage-3 candidate loop runs: the fusion, its simplex
 # projection and eigensolve, and the k2 sweep's k-means
 SINGLE_POOL_FUNCTIONS = {
-    fusion: ("fuse_affinities", "_objective", "_mean_into", "_mean_view", "_laplacian_into"),
+    fusion: ("fuse_affinities", "_objective", "_mean_view", "_laplacian_into", "_f_step",
+             "_uniform_start"),
     numkernel: ("sym_eig",),
     backend: ("project_rows", "sym_into", "lloyd", "_assign", "_sq_dists_to"),
     clustering: ("_dsq_seed",),
