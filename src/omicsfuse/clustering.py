@@ -172,7 +172,7 @@ class SweepRow:
 
 def clustered_rows(record, cluster_on: str) -> np.ndarray:
     """The rows a fusion record is clustered by: its network S ("network"),
-    or the F its last F-step solved from I - sym(S) ("spectral")."""
+    or the F its last F-step solved from -sym(S) ("spectral")."""
     if cluster_on not in CLUSTER_INPUTS:
         raise ValueError(f"cluster_on must be one of {CLUSTER_INPUTS}, got {cluster_on!r}")
     return record.s if cluster_on == "network" else record.state.f

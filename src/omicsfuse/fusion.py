@@ -189,8 +189,8 @@ def row_normalize(a: np.ndarray) -> np.ndarray:
 
 def _objective(mean, quad, s, trace_term, gamma):
     """Objective from the step's constants and products: mean = mean_l A_l,
-    quad = 0.5 mean_l ||A_l||_F^2, and trace_term = tr(F' (I - S) F), the
-    sum of the eigenvalues the F-step returns."""
+    quad = 0.5 mean_l ||A_l||_F^2, and trace_term = tr(F' (I - S) F), which
+    the F-step returns."""
     fit = float(np.einsum("ij,ij->", mean, s))
     ss = float(np.einsum("ij,ij->", s, s))
     return -fit + quad + gamma * ss + gamma * trace_term
@@ -207,22 +207,13 @@ def _mean_view(affs):
     return np.divide(mean, len(affs), out=mean)
 
 
-def _laplacian_into(out, s_sym):
-    """I - sym(S) into ``out``, which may be ``s_sym``, with no identity
-    matrix.  Off the diagonal it is 0.0 - x, not -x: the two differ in the
-    sign of a zero, and LAPACK's Householder step reads it."""
-    diag = 1.0 - np.diagonal(s_sym)
-    np.subtract(0.0, s_sym, out=out)
-    np.fill_diagonal(out, diag)
-    return out
-
-
 def _f_step(buf, s, c):
-    """F-step: the c bottom eigenvectors F of I - sym(S), formed in ``buf``
-    for the eigensolve to overwrite, and the sum of their eigenvalues, which
-    is tr(F' (I - S) F): the antisymmetric part of S adds nothing to it."""
-    lam, f = numkernel.sym_eig(_laplacian_into(buf, backend.sym_into(buf, s)), c)
-    return f, float(lam.sum())
+    """F-step: the c leading eigenvectors F of sym(S), solved as the bottom
+    ones of -sym(S), formed in ``buf`` for the eigensolve to overwrite, and
+    c plus the sum of their eigenvalues, which is tr(F' (I - S) F): a shift
+    by I moves no eigenvector, and the antisymmetric part of S adds nothing."""
+    lam, f = numkernel.sym_eig(np.negative(backend.sym_into(buf, s), out=buf), c)
+    return f, c + float(lam.sum())
 
 
 def _uniform_start(affs: list[np.ndarray], c: int) -> tuple:
@@ -255,7 +246,7 @@ def fuse_affinities(
     through their mean, and the F-step's eigenvalues give the trace term,
     so the loop runs in three n x n buffers with fixed roles: the mean
     view; ``w``, which holds the S-step target mean + gamma F F', formed
-    at the top of each sweep, then I - sym(S) for the eigensolve to
+    at the top of each sweep, then -sym(S) for the eigensolve to
     overwrite; and S's buffer, made at the first S-step, which takes each
     new S the simplex projection writes.  Fixed roles keep the returned S
     at one place in the heap: with two buffers taking turns, a run's peak
@@ -310,8 +301,7 @@ def step_distance(affinities: list[np.ndarray]) -> np.ndarray:
     if m <= 0.0:
         raise NumericalFailure("mean affinity has no positive entries")
     d /= m
-    np.subtract(1.0, d, out=d)
-    np.maximum(d, 0.0, out=d)
+    np.subtract(1.0, d, out=d)  # d <= 1 now, so no entry is below +0.0
     np.fill_diagonal(d, 0.0)
     return d
 

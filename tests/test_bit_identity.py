@@ -11,8 +11,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from omicsfuse import preprocess
 from omicsfuse.affinity import (
@@ -30,7 +31,7 @@ from omicsfuse.backend import (
     sym_into,
 )
 from omicsfuse.errors import NumericalFailure
-from omicsfuse.fusion import _fusion_step, _gap_scale, _laplacian_into, step_distance
+from omicsfuse.fusion import _fusion_step, _gap_scale, step_distance
 from omicsfuse.numkernel import sym_eig
 from omicsfuse.preprocess import OmicsMatrix, knn_impute
 from omicsfuse.survival import SurvivalRecord, logrank_test
@@ -350,6 +351,18 @@ class TestStepDistance:
         for a, b in zip(affs, before):
             assert_same_bits(a, b)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 12).flatmap(lambda n: st.lists(
+        arrays(np.float64, (n, n), elements=st.floats(-1e6, 1e6)), min_size=1, max_size=6)))
+    @example([np.full((3, 3), 2.0), np.full((3, 3), -0.0)])  # every entry at the maximum
+    def test_no_entry_is_below_plus_zero(self, views):
+        """Over its maximum the symmetrized mean is at most 1, so one minus
+        it is +0.0 or more with no clamp, whatever the signs of the views."""
+        mean = np.mean(views, axis=0)
+        assume((0.5 * (mean + mean.T)).max() > 0.0)
+        d = step_distance(views)
+        assert (d >= 0.0).all() and not np.signbit(d).any()
+
 
 class TestEuclideanDistances:
     @pytest.mark.parametrize("shape", [(600, 60), (150, 2000), (600, 1), (150, 50), (7, 3)])
@@ -362,15 +375,6 @@ class TestEuclideanDistances:
             d = euclidean_distance_matrix(layout)
             assert np.array_equal(d, d.T)
             assert_same_bits(d, distances_symmetrized(pairwise_sq_dists(layout)))
-
-
-def test_laplacian_keeps_the_signs_of_eye_minus_s():
-    """I - sym(S) written without an identity matrix has the bits of
-    np.eye(n) - s_sym, zeros off the diagonal included."""
-    s_sym = np.array([[0.5, 0.0, -0.0], [0.0, 1.0, 0.25], [-0.0, 0.25, 0.0]])
-    out = np.empty_like(s_sym)
-    assert_same_bits(_laplacian_into(out, s_sym), np.eye(3) - s_sym)
-    assert_same_bits(_laplacian_into(s_sym.copy(), s_sym.copy()), np.eye(3) - s_sym)
 
 
 class TestAffinityKernel:
@@ -430,13 +434,13 @@ class TestSymEig:
         assert not np.array_equal(upper, np.triu(a))
 
     def test_the_loop_eigensolve_skips_no_bit(self):
-        """The F-step hands I - sym(S) to LAPACK as it is: the pairs have
-        the bits of symmetrizing it again first."""
+        """The F-step hands -sym(S) to LAPACK as it is: the pairs have the
+        bits of symmetrizing it again first."""
         for seed in range(3):
             s = project_rows(np.random.default_rng(30 + seed).normal(size=(40, 40)))
-            lap = _laplacian_into(np.empty_like(s), sym_into(np.empty_like(s), s))
-            ref = sym_eig_symmetrizing(lap, 3)
-            for got, want in zip(sym_eig(lap.copy(), 3), ref):
+            neg = np.negative(sym_into(np.empty_like(s), s))
+            ref = sym_eig_symmetrizing(neg, 3)
+            for got, want in zip(sym_eig(neg.copy(), 3), ref):
                 assert_same_bits(got, want)
 
     def test_non_finite_input_fails_in_the_helper(self):

@@ -566,7 +566,7 @@ def test_working_set_is_bounded():
     S of each stage, the two re-kernelized affinities, and stage 3's sorted
     distances (k2 + 1 columns, half a matrix here).  Each fusion runs in
     three buffers (the mean view, S, and one that holds the S-step target,
-    with F F' formed into it, and then I - sym(S)) and holds its own start
+    with F F' formed into it, and then -sym(S)) and holds its own start
     S until its first S-step; the simplex projection's scratch is one block
     of 64 rows.  With an n x n buffer for the projection's cumulative sums it
     took 8.3, with a fourth buffer for the new S and stage 3's start kept
@@ -701,9 +701,10 @@ def test_the_candidates_share_one_mean_view(monkeypatch):
 @pytest.mark.parametrize("n", [24, 150])
 @pytest.mark.parametrize("c", [3, 5])
 def test_the_f_step_eigenvalues_give_the_trace_term(n, c):
-    """The F-step's eigenvalue sum is tr(F' (I - S) F) = <F, F> - <F F', S>
-    for a row-stochastic S that is not symmetric, within 64 c eps (the gap
-    measured up to n = 600 is below 4e-15), and S is left alone."""
+    """c plus the F-step's eigenvalue sum is tr(F' (I - S) F) =
+    <F, F> - <F F', S> for a row-stochastic S that is not symmetric, within
+    64 c eps (the gap measured up to n = 600 is below 4e-15), and S is left
+    alone."""
     rng = np.random.default_rng(n + c)
     s = rng.uniform(size=(n, n))
     s /= s.sum(axis=1, keepdims=True)
@@ -717,8 +718,7 @@ def test_the_f_step_eigenvalues_give_the_trace_term(n, c):
 # functions the stage-3 candidate loop runs: the fusion, its simplex
 # projection and eigensolve, and the k2 sweep's k-means
 SINGLE_POOL_FUNCTIONS = {
-    fusion: ("fuse_affinities", "_objective", "_mean_view", "_laplacian_into", "_f_step",
-             "_uniform_start"),
+    fusion: ("fuse_affinities", "_objective", "_mean_view", "_f_step", "_uniform_start"),
     numkernel: ("sym_eig",),
     backend: ("project_rows", "sym_into", "lloyd", "_assign", "_sq_dists_to"),
     clustering: ("_dsq_seed",),

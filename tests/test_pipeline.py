@@ -527,9 +527,10 @@ def test_spectral_clustering_input(dataset):
     cfg = PipelineConfig(clusters=3, stage3_k2=(2, 10), cluster_on="spectral", seed=0)
     res = run_pipeline(mats, recs, labels, cfg)
     assert res.final_ari == 1.0
-    # the embedding is the bottom eigenvectors of I - sym(S_final), as a fresh solve gives them
+    # the embedding is the leading eigenvectors of sym(S_final), as a fresh solve gives them
     s_sym = 0.5 * (res.fusion.s_final + res.fusion.s_final.T)
-    _, f = sym_eig(np.eye(s_sym.shape[0]) - s_sym, res.fusion.step3.c)
+    _, f = sym_eig(np.negative(s_sym), res.fusion.step3.c)
+    assert f.tobytes() == res.fusion.stage3.state.f.tobytes()
     again = kmeans_pp(f, cfg.clusters, seed=cfg.seed)
     assert np.array_equal(again.labels, res.final_partition.labels)
 
