@@ -300,7 +300,11 @@ def step_distance(affinities: list[np.ndarray]) -> np.ndarray:
     m = d.max()
     if m <= 0.0:
         raise NumericalFailure("mean affinity has no positive entries")
-    d /= m
+    try:
+        with np.errstate(over="raise"):  # only a negative entry can leave the range
+            d /= m
+    except FloatingPointError:
+        raise NumericalFailure("mean affinity over its maximum overflows") from None
     np.subtract(1.0, d, out=d)  # d <= 1 now, so no entry is below +0.0
     np.fill_diagonal(d, 0.0)
     return d

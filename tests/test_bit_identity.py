@@ -355,12 +355,20 @@ class TestStepDistance:
     @given(st.integers(2, 12).flatmap(lambda n: st.lists(
         arrays(np.float64, (n, n), elements=st.floats(-1e6, 1e6)), min_size=1, max_size=6)))
     @example([np.full((3, 3), 2.0), np.full((3, 3), -0.0)])  # every entry at the maximum
+    @example([np.array([[-1.0, 2.225e-309], [2.225e-309, 2.225e-309]])])  # -1 / 2.2e-309
     def test_no_entry_is_below_plus_zero(self, views):
         """Over its maximum the symmetrized mean is at most 1, so one minus
-        it is +0.0 or more with no clamp, whatever the signs of the views."""
+        it is +0.0 or more with no clamp, whatever the signs of the views.
+        A negative entry that over a subnormal maximum leaves the float range
+        is a NumericalFailure, not an infinite distance."""
         mean = np.mean(views, axis=0)
-        assume((0.5 * (mean + mean.T)).max() > 0.0)
-        d = step_distance(views)
+        sym = 0.5 * (mean + mean.T)
+        assume(sym.max() > 0.0)
+        try:
+            d = step_distance(views)
+        except NumericalFailure:
+            assert sym.min() / 1e308 < -sym.max()
+            return
         assert (d >= 0.0).all() and not np.signbit(d).any()
 
 
