@@ -24,9 +24,16 @@ wrappers copy nothing.
 
 ``project_rows`` and the in-place ``sym_into`` take ROW_BLOCK rows at a
 time, so neither needs n x n scratch.
+
+``one_blas_thread`` holds both OpenBLAS pools, numpy's and scipy's, to one
+thread each: a labeled run spreads its k2 sweep over one process per core
+instead (``pipeline``).
 """
 
 from __future__ import annotations
+
+import ctypes
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -206,3 +213,37 @@ def lloyd(x, centroids, max_iter, tol):
     d2, labels, _ = _assign(x, xsq, cent)
     wcss = np.array([d2[rows, a, lab].sum() for a, lab in enumerate(labels)])
     return labels, cent, wcss
+
+
+@contextmanager
+def one_blas_thread():
+    """Set each bundled OpenBLAS the process has loaded, numpy's
+    (``scipy_openblas_*64_``) and scipy's (``scipy_openblas_*``), to one
+    thread, and restore its count on leaving, by return or raise.  The
+    libraries are found in ``/proc/self/maps`` and reached by ctypes, so
+    none is loaded here; where no such symbol is found, nothing changes."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split(None, 5)[-1].strip() for line in fh if "openblas" in line})
+    except OSError:
+        libs = []
+    pools = []  # (set_num_threads, count before)
+    for lib in libs:
+        try:
+            dll = ctypes.CDLL(lib)
+        except OSError:  # say, a library replaced on disk since it was loaded
+            continue
+        for suffix in ("64_", ""):
+            get = getattr(dll, f"scipy_openblas_get_num_threads{suffix}", None)
+            put = getattr(dll, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                pools.append((put, get()))
+    for put, _ in pools:
+        put(1)
+    try:
+        yield
+    finally:
+        for put, count in pools:
+            put(count)

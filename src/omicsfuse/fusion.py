@@ -95,6 +95,10 @@ class FusionStep:
     sorted_distances: np.ndarray
     c: int
 
+    def start(self) -> tuple:
+        """The gamma-independent start that fusions of this step may share."""
+        return _uniform_start(self.affinities, self.c)
+
     def fuse(self, k2: int, start: tuple | None = None) -> StageRecord:
         """Fuse at k2 from ``start``, the fusion's own start when omitted; a
         numerical failure is recorded, not raised."""
@@ -113,7 +117,8 @@ class ThreeStageResult:
 
     The stage-3 candidates, one record per k2 of the stage-3 grid from
     ``stage3_lo`` up, come from ``iter_candidates``, which fuses each when
-    it is reached and keeps none.  ``candidates`` is the compatibility
+    it is reached and keeps none; a labeled run's sweep deals them over one
+    process per core.  ``candidates`` is the compatibility
     path: the same records as a list, fused on first read and then cached,
     which holds one n x n network per candidate."""
 
@@ -131,19 +136,25 @@ class ThreeStageResult:
     def s_final(self) -> np.ndarray:
         return self.stage3.s
 
-    def iter_candidates(self) -> Iterator[StageRecord]:
+    def iter_candidates(self, share: slice = slice(None),
+                        start: tuple | None = None) -> Iterator[StageRecord]:
         """The stage-3 candidates in k2 order, each fused when reached; the
-        last is ``stage3``, and the others share one start, let go after
-        them.  Reads the cached list instead once ``candidates`` built it."""
+        last is ``stage3``.  Only the ``share`` slice of them is yielded,
+        so the slices ``[i::p]``, i < p, deal them to p processes.  The
+        fused ones share ``start``, or one built here and let go after them.
+        Reads the cached list instead once ``candidates`` built it."""
         if "candidates" in vars(self):
-            yield from self.candidates
+            yield from self.candidates[share]
             return
-        if self.stage3_lo < self.stage3.k2:
-            start = _uniform_start(self.step3.affinities, self.step3.c)
-            for k2 in range(self.stage3_lo, self.stage3.k2):
+        k2s = range(self.stage3_lo, self.stage3.k2 + 1)[share]
+        grid = [k2 for k2 in k2s if k2 != self.stage3.k2]
+        if grid:
+            start = self.step3.start() if start is None else start
+            for k2 in grid:
                 yield self.step3.fuse(k2, start)
             del start
-        yield self.stage3
+        if self.stage3.k2 in k2s:
+            yield self.stage3
 
     @cached_property
     def candidates(self) -> list[StageRecord]:
@@ -361,8 +372,8 @@ def three_stage_fuse(
     networks, both as given, and then their re-kernelized outputs, each
     row-normalized in place.  Each stage fuses at the top of its clamped k2
     range; stage 3 fuses only that candidate here, and the result's
-    ``iter_candidates`` fuses the rest of ``stage3_k2_range``, one at a
-    time, as they are reached."""
+    ``iter_candidates`` fuses the rest of ``stage3_k2_range`` as they are
+    reached."""
     if len(intra) != 3:
         raise ValueError(f"expected 3 intra-dataset affinities, got {len(intra)}")
     if len(inter) != 6:

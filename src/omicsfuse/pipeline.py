@@ -11,11 +11,19 @@ of the row or matrix order; its results follow paper-kind and ID order.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import threading
+import traceback
+import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
 
+from . import backend
 from .affinity import affinity_from_distance, euclidean_distance_matrix
 from .bgmm import MAX_COMPONENTS, fit_bayesian_gmm, select_features_bgmm
 from .cca import all_directed_pair_distances
@@ -168,6 +176,88 @@ def preprocess_matrix(m: OmicsMatrix, seed: int) -> tuple[OmicsMatrix, Preproces
     return selected, report
 
 
+def _fork_share(job) -> tuple[int, object]:
+    """Fork a worker that runs ``job`` and pickles ``(True, result)``, or
+    ``(False, traceback text)`` if it raised, into a pipe.  Returns the
+    worker's pid and the pipe's read end as a binary file."""
+    read, write = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns on fork() in a process with more than one
+            # thread.  No other Python thread runs here (the caller checks);
+            # the others are OpenBLAS pool threads, and OpenBLAS registers a
+            # pthread_atfork handler that stops its pool before a fork.
+            warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    # the worker never returns into its caller's stack: whatever it raises is
+    # sent to the parent, and os._exit flushes no buffer it inherited
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            try:
+                outcome = (True, job())
+            except BaseException:
+                outcome = (False, traceback.format_exc())
+            with os.fdopen(write, "wb") as fh:
+                pickle.dump(outcome, fh)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, os.fdopen(read, "rb")
+
+
+def _sweep_k2(fusion: ThreeStageResult, true_labels: Partition,
+              config: PipelineConfig) -> list[SweepRow]:
+    """The k2 sweep's rows, one per stage-3 candidate in k2 order.
+
+    The candidates are dealt round-robin over one process per core, but no
+    more processes than candidates below the selected k2, the parent
+    included: forked workers inherit the shared start of the candidates'
+    fusions and send their rows back through a pipe.  The parent sweeps
+    alone on one core, without ``os.fork`` or ``os.sched_getaffinity`` (so
+    on macOS, whose system libraries make a fork unsafe, as Python's
+    ``multiprocessing`` documents), beside another Python thread (a fork
+    copies only the calling one), and once the candidates are cached, as a
+    traced run caches them: nothing is then left to fuse."""
+    def sweep(share: slice, start=None) -> list[SweepRow]:
+        return sweep_k2_metrics(fusion.iter_candidates(share, start), true_labels,
+                                config.clusters, config.cluster_on, seed=config.seed)
+
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    procs = min(cores, fusion.selected_k2 - fusion.stage3_lo)
+    if (procs < 2 or not hasattr(os, "fork") or threading.active_count() > 1
+            or "candidates" in vars(fusion)):
+        return sweep(slice(None))
+    start = fusion.step3.start()
+    workers = []
+    try:
+        for i in range(1, procs):
+            workers.append(_fork_share(lambda i=i: sweep(slice(i, None, procs), start)))
+        rows = sweep(slice(0, None, procs), start)
+        del start
+        for pid, fh in workers:
+            try:
+                ok, payload = pickle.load(fh)
+            except (EOFError, pickle.UnpicklingError):
+                ok, payload = False, "the worker ended without sending its rows"
+            if not ok:
+                raise RuntimeError(f"k2 sweep worker {pid} failed:\n{payload}")
+            rows += payload
+    finally:
+        for pid, fh in workers:  # a worker that sent its rows is exiting
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return sorted(rows, key=lambda row: row.k2)
+
+
 def run_pipeline(
     omics: list[OmicsMatrix],
     records: list[SurvivalRecord] | None = None,
@@ -179,10 +269,17 @@ def run_pipeline(
     the result follows PAPER_KINDS order and sorted sample IDs.
 
     With ``true_labels``, the k2 sweep fuses and scores the stage-3
-    candidates one at a time, each dropped before the next; its last row,
-    stage 3's, scores ``final_partition``.  Without them, only the selected
-    candidate is fused."""
-    config = config or PipelineConfig()
+    candidates, split over one process per core (``_sweep_k2``); each
+    process keeps one candidate at a time.  Its last row,
+    stage 3's, scores ``final_partition``.  The run holds each OpenBLAS to
+    one thread, so processes, not BLAS threads, share the cores.  Without
+    labels, only the selected candidate is fused, and the BLAS thread counts
+    are left alone."""
+    with backend.one_blas_thread() if true_labels is not None else nullcontext():
+        return _run_pipeline(omics, records, true_labels, config or PipelineConfig())
+
+
+def _run_pipeline(omics, records, true_labels, config) -> PipelineResult:
     aligned, records = align_inputs(omics, records)
     if records is not None and not any(r.event for r in records):
         raise DegenerateInputError("no observed events in any group")
@@ -213,7 +310,7 @@ def run_pipeline(
 
     fusion = three_stage_fuse(
         list(intra.values()),
-        # each network twice: the tracer's FUSION_STAGE_BY_VIEWS keys stage 2 on 6 (ROADMAP dir. 3)
+        # each network twice: the tracer's FUSION_STAGE_BY_VIEWS keys stage 2 on 6 (ROADMAP dir. 4)
         [a for a in inter.values() for _ in range(2)],
         cluster_count=config.clusters,
         stage1_k2_range=config.stage1_k2,
@@ -226,8 +323,7 @@ def run_pipeline(
 
     metrics_rows = None
     if true_labels is not None:
-        metrics_rows = sweep_k2_metrics(fusion.iter_candidates(), true_labels, config.clusters,
-                                        config.cluster_on, seed=config.seed)
+        metrics_rows = _sweep_k2(fusion, true_labels, config)
 
     partitions_by_k3 = {}
     survival_by_k3 = {}

@@ -5,11 +5,11 @@ import contextlib
 import dataclasses
 import filecmp
 import io
+import os
 import re
 import subprocess
 import sys
 import tempfile
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,8 @@ from omicsfuse.io import (
 from omicsfuse.pipeline import PipelineConfig
 from omicsfuse.preprocess import PAPER_KINDS
 from omicsfuse.synthgen import SynthSpec, generate
-from test_pipeline import _watch_candidates
+from test_pipeline import (
+    _cache_candidates, _expected_shares, _fusions_by_process, _watch_candidates)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -497,17 +498,8 @@ def test_bad_loop_setting_exits_one_before_reading_inputs(
 
 
 def test_pipeline_streams_the_candidates(tmp_path, data_dir, pipeline_out, monkeypatch):
-    refs, peak = [], [0]
-    fuse = fusion.FusionStep.fuse
-
-    def watching_fuse(step, k2, start=None):
-        if len(step.affinities) == 2:
-            peak[0] = max(peak[0], sum(ref() is not None for ref in refs))
-        record = fuse(step, k2, start)
-        if len(step.affinities) == 2 and k2 != 10:  # 10: the selected candidate
-            refs.append(weakref.ref(record.state))
-        return record
-
+    log = tmp_path / "fusions.log"
+    _watch_candidates(monkeypatch, selected_k2=10, log=log)
     results = []
     run = cli.run_pipeline
 
@@ -515,13 +507,22 @@ def test_pipeline_streams_the_candidates(tmp_path, data_dir, pipeline_out, monke
         results.append(run(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(fusion.FusionStep, "fuse", watching_fuse)
     monkeypatch.setattr(cli, "run_pipeline", recording_run)
     out = tmp_path / "out"
     assert run_pipeline_cli(data_dir, out) == 0
-    assert len(refs) == 8 and peak[0] <= 1
+    # each process fuses its share in order, with at most one candidate alive
+    shares, peak = _fusions_by_process(log)
+    parent, workers = _expected_shares(selected_k2=10)
+    assert shares.pop(os.getpid()) == parent and sorted(shares.values()) == workers
+    assert peak <= 1
     assert "candidates" not in vars(results[0].fusion)
     assert _tree_bytes(out) == _tree_bytes(pipeline_out)
+    # the sweep over the cached list, in one process, writes the same bytes
+    monkeypatch.undo()
+    _cache_candidates(monkeypatch)
+    cached = tmp_path / "cached"
+    assert run_pipeline_cli(data_dir, cached) == 0
+    assert _tree_bytes(cached) == _tree_bytes(pipeline_out)
 
 
 def test_failed_candidate_gets_a_row_and_no_file(tmp_path, data_dir, monkeypatch):

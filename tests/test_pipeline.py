@@ -1,6 +1,9 @@
 """End-to-end orchestration: alignment, preprocessing reports, determinism."""
 
+import ctypes
+import dataclasses
 import itertools
+import os
 import weakref
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from omicsfuse import affinity, cca, fusion, pipeline
+from omicsfuse import affinity, backend, cca, fusion, pipeline
 from omicsfuse.clustering import Partition, ari, kmeans_pp, sweep_k2_metrics
 from omicsfuse.errors import AlignmentError, DegenerateInputError
 from omicsfuse.numkernel import sym_eig
@@ -366,10 +369,12 @@ def test_each_block_pair_is_fitted_and_kernelized_once(dataset, monkeypatch):
     assert views == [3, 6, 2] and len(res.fusion.stage2.state.alpha) == 6
 
 
-def _watch_candidates(monkeypatch, selected_k2):
+def _watch_candidates(monkeypatch, selected_k2, log=None):
     """The k2 of every stage-3 fusion, weak references to the state of every
     non-selected stage-3 candidate as it is fused, and the most of them
-    alive as any fusion begins."""
+    alive as any fusion begins, as this process sees them.  With ``log``, a
+    path, each process that fuses a stage-3 candidate appends ``pid k2
+    alive`` for it there (see ``_fusions_by_process``)."""
     fused, refs, peak = [], [], [0]
     fuse = fusion.FusionStep.fuse
 
@@ -377,7 +382,11 @@ def _watch_candidates(monkeypatch, selected_k2):
         if len(step.affinities) != 2:
             return fuse(step, k2, start)
         fused.append(k2)
-        peak[0] = max(peak[0], len(_alive_states(refs)))
+        alive = len(_alive_states(refs))
+        peak[0] = max(peak[0], alive)
+        if log is not None:
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {k2} {alive}\n")
         record = fuse(step, k2, start)
         if k2 != selected_k2 and record.state is not None:
             refs.append(weakref.ref(record.state))
@@ -391,20 +400,195 @@ def _alive_states(refs):
     return [state for state in (ref() for ref in refs) if state is not None]
 
 
-def test_labeled_run_streams_the_candidates(dataset, monkeypatch):
+def _fusions_by_process(log):
+    """The stage-3 k2s each process fused, in order, keyed by pid, and the
+    most candidates alive in one process as any of its fusions began."""
+    shares, peak = {}, 0
+    for line in log.read_text(encoding="utf-8").splitlines():
+        pid, k2, alive = map(int, line.split())
+        shares.setdefault(pid, []).append(k2)
+        peak = max(peak, alive)
+    return shares, peak
+
+
+def _expected_shares(selected_k2, lo=2):
+    """What each process of a labeled run fuses at stage 3, the parent's
+    first: the selected candidate, then the parent's round-robin share of
+    the grid below it; each forked worker fuses its own share."""
+    procs = min(len(os.sched_getaffinity(0)), selected_k2 - lo)
+    return ([selected_k2, *range(lo, selected_k2, procs)],
+            sorted(list(range(lo + i, selected_k2, procs)) for i in range(1, procs)))
+
+
+def _cache_candidates(monkeypatch):
+    """Have every run's fusion result build its cached candidate list, as
+    the benchmark tracer does; the k2 sweep then runs in one process."""
+    three_stage_fuse = pipeline.three_stage_fuse
+
+    def caching(*args, **kwargs):
+        result = three_stage_fuse(*args, **kwargs)
+        assert len(result.candidates) > 1
+        return result
+
+    monkeypatch.setattr(pipeline, "three_stage_fuse", caching)
+
+
+def test_labeled_run_streams_the_candidates(dataset, monkeypatch, tmp_path):
     mats, labels, recs = dataset
-    fused, refs, peak = _watch_candidates(monkeypatch, selected_k2=10)
+    log = tmp_path / "fusions.log"
+    _watch_candidates(monkeypatch, selected_k2=10, log=log)
     res = run_pipeline(mats, recs, labels, CONFIG)
     assert "candidates" not in vars(res.fusion)
-    # the selected candidate is fused first, then the sweep fuses the grid in order
-    assert fused == [10, *range(2, 10)]
-    # the previous candidate, still held by the sweep, is the only one alive
-    assert len(refs) == 8 and peak[0] <= 1
+    # the parent fuses the selected candidate first; then it and one forked
+    # worker per further core each fuse a round-robin share of the grid, in order
+    shares, peak = _fusions_by_process(log)
+    parent, workers = _expected_shares(selected_k2=10)
+    assert shares.pop(os.getpid()) == parent
+    assert sorted(shares.values()) == workers
+    # in each process, the previous candidate, still held by its sweep, is the only one alive
+    assert peak <= 1
     # the streamed sweep scores what the cached list gives
     monkeypatch.undo()
     rows = sweep_k2_metrics(res.fusion.candidates, labels, CONFIG.clusters, CONFIG.cluster_on,
                             seed=CONFIG.seed)
     assert res.metrics_rows == rows
+
+
+def _row_bits(rows):
+    """Every field of every sweep row, floats by their exact bits."""
+    return [tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(row))
+            for row in rows]
+
+
+WEAK_SPEC = SynthSpec(n=36, k=3, dims=(12, 10, 11), separation=1.0, seed=2)
+
+
+@pytest.mark.parametrize("spec", [SPEC, WEAK_SPEC], ids=["separated", "weak"])
+@pytest.mark.parametrize("cluster_on", ["network", "spectral"])
+def test_the_split_sweep_gives_the_one_process_rows(spec, cluster_on, monkeypatch, tmp_path):
+    """The rows of a sweep split over processes equal, bit for bit and in k2
+    order, those of the sweep in one process (``os.fork`` absent).  A
+    candidate that fails in a worker keeps its error row in place."""
+    mats, labels, recs = generate(spec)
+    cfg = PipelineConfig(clusters=3, stage3_k2=(2, 10), cluster_on=cluster_on)
+    fuse, where = fusion.FusionStep.fuse, tmp_path / "failed_in"
+
+    def failing_fuse(step, k2, start=None):
+        if len(step.affinities) == 2 and k2 == 3:  # in the first worker's share
+            where.write_text(str(os.getpid()), encoding="utf-8")
+            return fusion.StageRecord(k2, 0.5, None, error=f"stage 3 candidate k2={k2}: boom")
+        return fuse(step, k2, start)
+
+    monkeypatch.setattr(fusion.FusionStep, "fuse", failing_fuse)
+    split = run_pipeline(mats, recs, labels, cfg).metrics_rows
+    if len(os.sched_getaffinity(0)) > 1:
+        assert int(where.read_text(encoding="utf-8")) != os.getpid()
+    monkeypatch.delattr(os, "fork")
+    alone = run_pipeline(mats, recs, labels, cfg).metrics_rows
+    assert int(where.read_text(encoding="utf-8")) == os.getpid()
+    assert [row.k2 for row in split] == list(range(2, 11))
+    assert split[1].error == "stage 3 candidate k2=3: boom" and np.isnan(split[1].ari)
+    assert _row_bits(split) == _row_bits(alone)
+
+
+def _no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("k2, error", [(3, RuntimeError), (2, KeyboardInterrupt)],
+                         ids=["in-a-worker", "interrupt-in-the-parent"])
+def test_a_failed_sweep_raises_and_leaves_no_worker(dataset, monkeypatch, k2, error):
+    """An exception other than a numerical failure, in a worker's share
+    (k2 = 3) or in the parent's (k2 = 2), fails the run with the message of
+    what was raised; every worker is reaped then, as after a normal run."""
+    mats, labels, recs = dataset
+    fuse = fusion.FusionStep.fuse
+
+    def raising_fuse(step, k2_, start=None):
+        if len(step.affinities) == 2 and k2_ == k2:
+            raise error(f"boom at k2={k2}")
+        return fuse(step, k2_, start)
+
+    monkeypatch.setattr(fusion.FusionStep, "fuse", raising_fuse)
+    with pytest.raises(error if error is KeyboardInterrupt else RuntimeError,
+                       match=f"boom at k2={k2}"):
+        run_pipeline(mats, recs, labels, CONFIG)
+    _no_child_is_left()
+    monkeypatch.undo()
+    assert run_pipeline(mats, recs, labels, CONFIG).final_ari == 1.0
+    _no_child_is_left()
+
+
+def _blas_pools():
+    """(get_num_threads, set_num_threads) of each bundled OpenBLAS the
+    process has loaded, keyed by the get symbol."""
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        libs = sorted({line.split(None, 5)[-1].strip() for line in fh if "openblas" in line})
+    pools = {}
+    for lib in libs:
+        dll = ctypes.CDLL(lib)
+        for suffix in ("64_", ""):
+            get = getattr(dll, f"scipy_openblas_get_num_threads{suffix}", None)
+            if get is not None:
+                put = getattr(dll, f"scipy_openblas_set_num_threads{suffix}")
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                pools[get.__name__] = (get, put)
+    return pools
+
+
+def _blas_threads():
+    return {name: get() for name, (get, _) in _blas_pools().items()}
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Each bundled OpenBLAS at two threads for the test, then as it was."""
+    pools = _blas_pools()
+    assert pools
+    was = {name: get() for name, (get, _) in pools.items()}
+    for _, put in pools.values():
+        put(2)
+    yield
+    for name, (_, put) in pools.items():
+        put(was[name])
+
+
+def test_a_labeled_run_holds_one_blas_thread_and_restores_the_counts(
+        dataset, monkeypatch, two_blas_threads):
+    mats, labels, recs = dataset
+    before = _blas_threads()
+    assert set(before.values()) == {2}
+    seen = []
+    kmeans = pipeline.kmeans_pp
+
+    def watching_kmeans(*args, **kwargs):
+        seen.append(_blas_threads())
+        return kmeans(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "kmeans_pp", watching_kmeans)
+    run_pipeline(mats, recs, labels, CONFIG)
+    assert seen and all(counts == dict.fromkeys(before, 1) for counts in seen)
+    assert _blas_threads() == before
+
+    def stopping_kmeans(*args, **kwargs):
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(pipeline, "kmeans_pp", stopping_kmeans)
+    with pytest.raises(RuntimeError, match="stop"):
+        run_pipeline(mats, recs, labels, CONFIG)
+    assert _blas_threads() == before
+
+    # an unlabeled run never touches the counts
+    def untouchable():
+        raise AssertionError("an unlabeled run set the BLAS threads")
+
+    monkeypatch.setattr(pipeline, "kmeans_pp", watching_kmeans)
+    monkeypatch.setattr(backend, "one_blas_thread", untouchable)
+    del seen[:]
+    run_pipeline(mats, recs, None, CONFIG)
+    assert seen and all(counts == before for counts in seen)
 
 
 def test_k3_equal_to_clusters_reuses_the_final_partition(dataset, monkeypatch):

@@ -27,6 +27,7 @@ from omicsfuse import cli, fusion
 from omicsfuse.clustering import Partition, sweep_k2_metrics
 from omicsfuse.pipeline import PipelineConfig, run_pipeline
 from omicsfuse.synthgen import SynthSpec, generate
+from test_pipeline import _cache_candidates
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -91,7 +92,8 @@ def test_every_call_counted_kernel_is_reached(monkeypatch):
     module attribute it wraps, and the eigensolver once per sweep of stages
     1 and 2 and of every stage-3 candidate, and once per start: one each for
     stages 1 and 2 and the selected stage-3 network, and one the other
-    candidates share."""
+    candidates share.  The run caches its candidates, as a traced run does,
+    so its k2 sweep runs in this process, where the calls are counted."""
     counts = {}
     for name in _load_tracing(monkeypatch).CALL_COUNTED_SPANS:
         module, attr = name.rsplit(".", 1)
@@ -105,7 +107,9 @@ def test_every_call_counted_kernel_is_reached(monkeypatch):
         monkeypatch.setattr(module, attr, counting)
     mats, labels, records = generate(SynthSpec(n=36, k=3, dims=(12, 10, 11),
                                                missing_rate=0.05, seed=1))
+    _cache_candidates(monkeypatch)
     res = run_pipeline(mats, records, labels, PipelineConfig(clusters=3, stage3_k2=(2, 10)))
+    assert "candidates" in vars(res.fusion)
     assert all(count > 0 for count in counts.values()), counts
     assert all(row.error is None for row in res.metrics_rows)
     sweeps = sum(len(st.state.objective_trace) - 1 for st in (res.fusion.stage1, res.fusion.stage2))
